@@ -46,7 +46,6 @@ from repro.analysis.security import (
     normalized_samples,
     security_table,
 )
-from repro.analysis.surrogate import TimingSurrogate, fit_surrogate
 
 __all__ = [
     "stirling2",
@@ -70,6 +69,4 @@ __all__ = [
     "SecurityRow",
     "security_table",
     "normalized_samples",
-    "TimingSurrogate",
-    "fit_surrogate",
 ]

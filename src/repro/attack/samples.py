@@ -12,8 +12,7 @@ With alpha = 0.99, ``2 Z^2`` is ~10.8 ("approximately 11" in the paper).
 from __future__ import annotations
 
 import math
-
-from scipy.stats import norm
+from statistics import NormalDist
 
 from repro.errors import AnalysisError
 
@@ -24,7 +23,7 @@ def z_quantile(alpha: float) -> float:
     """Standard-normal quantile of the attack success probability."""
     if not 0.0 < alpha < 1.0:
         raise AnalysisError(f"alpha must be in (0, 1): {alpha}")
-    return float(norm.ppf(alpha))
+    return NormalDist().inv_cdf(alpha)
 
 
 def samples_needed(rho: float, alpha: float = 0.99) -> float:

@@ -44,7 +44,7 @@ import pickle
 import re
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import CheckpointMismatchError
 from repro.telemetry import Telemetry, get_logger
@@ -62,9 +62,9 @@ __all__ = [
     "chunk_name",
     "chunk_spans",
     "config_hash",
+    "contiguous_chunks",
     "phase_dir_name",
     "phase_label",
-    "shard_spans",
 ]
 
 log = get_logger(__name__)
@@ -147,9 +147,9 @@ def phase_dir_name(label: str) -> str:
 def phase_label(ctx, policy, num_samples: int, counts_only: bool,
                 retain_kernel_results: bool) -> str:
     """Checkpoint phase identity: everything that shapes this phase's
-    records beyond the campaign-level fingerprint. Shared by the serial,
-    parallel, and resilient collection paths and by the run ledger, so
-    one phase has one name everywhere."""
+    records beyond the campaign-level fingerprint. Shared by every
+    scheduler of the phase executor and by the run ledger, so one phase
+    has one name everywhere."""
     return (f"{policy.describe()}|n={num_samples}"
             f"|counts={int(counts_only)}"
             f"|retain={int(retain_kernel_results)}"
@@ -161,21 +161,29 @@ def chunk_name(start: int, end: int) -> str:
     return f"chunk-{start:05d}-{end:05d}.pkl"
 
 
-def shard_spans(num_samples: int,
-                chunk_samples: int) -> List[Tuple[int, int]]:
-    """Fixed-boundary work items for sharded execution (inclusive spans).
+def contiguous_chunks(indices: Iterable[int],
+                      size: int) -> List[Tuple[int, ...]]:
+    """The phase executor's work items: sorted sample ``indices`` grouped
+    into contiguous runs of at most ``size`` samples.
 
-    Unlike :func:`repro.experiments.runner._contiguous_chunks` — which
-    chunks whatever happens to be *missing* — these boundaries depend
-    only on ``(num_samples, chunk_samples)``, so every shard worker
-    enumerates the identical work list and lease files (named by span)
-    mean the same unit of work to all of them. A span partially covered
-    by an earlier non-shard run is simply re-simulated whole: samples
-    are deterministic, and the fold dedupes by index.
+    Runs never bridge a hole, so over a resumed phase's missing samples
+    stored and fresh chunks still merge back in sample order. Over the
+    full ``range(num_samples)`` the boundaries depend only on
+    ``(num_samples, size)``, so every shard worker enumerates the
+    identical work list and lease files (named by span) mean the same
+    unit of work to all of them.
     """
-    size = max(1, chunk_samples)
-    return [(start, min(start + size, num_samples) - 1)
-            for start in range(0, num_samples, size)]
+    size = max(1, size)
+    chunks: List[Tuple[int, ...]] = []
+    current: List[int] = []
+    for index in indices:
+        if current and (index != current[-1] + 1 or len(current) >= size):
+            chunks.append(tuple(current))
+            current = []
+        current.append(index)
+    if current:
+        chunks.append(tuple(current))
+    return chunks
 
 
 def chunk_spans(directory: Union[str, Path]) -> List[Tuple[int, int]]:
@@ -202,16 +210,15 @@ class CheckpointStore:
     """Persistence for one campaign's completed per-sample results.
 
     Open with :meth:`open` (validates or records the fingerprint), then
-    per collection phase: :meth:`completed_indices` to skip finished
-    samples, :meth:`save_chunk` as spans complete, :meth:`load_chunks` to
-    fold stored results back in sample order.
+    per collection phase: :meth:`load_chunks` to restore finished samples
+    (in sample order) and :meth:`commit_chunk` as work items complete.
     """
 
     def __init__(self, run_dir, fingerprint: dict):
         self.run_dir = Path(run_dir)
         self.fingerprint = fingerprint
         #: The campaign's run ledger, living next to the manifest. Other
-        #: layers (the resilient runner, the CLI) append through this —
+        #: layers (the phase executor, the CLI) append through this —
         #: the store's own events are ``campaign_open``/``checkpoint_save``.
         self.journal = RunJournal(self.run_dir / JOURNAL_NAME)
 
@@ -310,7 +317,8 @@ class CheckpointStore:
         return (self.phase_dir(label) / chunk_name(start, end)).is_file()
 
     def commit_chunk(self, label: str, chunk: ChunkResult) -> bool:
-        """Duplicate-tolerant :meth:`save_chunk` for sharded execution.
+        """Duplicate-tolerant :meth:`save_chunk`: the phase executor's one
+        commit for completed work items.
 
         A chunk file that already exists is complete and correct — it was
         written atomically, and every worker computes identical bytes for

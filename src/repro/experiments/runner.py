@@ -1,37 +1,48 @@
-"""Process-parallel and resilient experiment execution.
+"""The phase executor: every collection phase runs through one path.
 
-The paper's evaluation protocol is embarrassingly parallel twice over:
-``rcoal all`` runs ~20 independent experiments, and inside each one
-:func:`~repro.experiments.base.collect_records` simulates ~100 independent
-kernel launches. This module fans both levels out across a
-``ProcessPoolExecutor`` while keeping every output **bit-identical** to a
-serial run:
+The paper's evaluation is a campaign of independent kernel launches:
+:func:`~repro.experiments.base.collect_records` simulates ~100 of them
+per (mechanism, subwarp count) cell, and ``rcoal all`` runs ~20
+experiments made of such cells. Every per-sample draw derives from
+``(root_seed, stream name, sample index)``
+(``ExperimentContext.sample_stream``), so any sample can be simulated
+anywhere, in any order, any number of times: serial, pooled,
+checkpointed and leased execution are only different schedules of one
+phase. :func:`run_phase` is that phase.
 
-* all per-sample randomness is re-derived from ``(root_seed, stream name,
-  sample index)`` (see ``ExperimentContext.sample_stream``), so a worker
-  simulates sample *i* without replaying samples ``0..i-1``;
-* workers are assigned *contiguous* sample chunks and their results —
-  records, metrics, traces — are folded back in chunk order, so merged
-  telemetry equals what one serial run would have recorded
-  (``MetricsRegistry.merge`` / ``Tracer.merge``);
-* per-worker progress increments fan in through a queue to a single
-  aggregated status line (``ProgressAggregator``), never interleaved
-  stderr writes.
+* **Set up once.** Reject an empty phase, name it
+  (:func:`~repro.experiments.checkpoint.phase_label`), resolve its engine
+  (:func:`repro.utils.phase_engine`), pick its run ledger, bind the fault
+  plan, restore checkpointed chunks and list the missing samples.
+* **Work items** are contiguous spans of the missing samples
+  (:func:`~repro.experiments.checkpoint.contiguous_chunks`): one per
+  worker when nothing is persisted, retried or leased;
+  ``SupervisionPolicy.serial_chunk_samples`` in-process and about a
+  quarter of a worker's share in a pool when something is;
+  ``ShardPolicy.chunk_samples`` over the full range for leases.
+* **One of three schedulers** decides how items are claimed and run,
+  following ``ctx.shard`` and ``ctx.effective_jobs()``: ``inline``
+  (in-process), ``pool`` (worker processes; :func:`_run_pool`) or
+  ``lease`` (cooperating ``rcoal shard`` workers;
+  :func:`repro.experiments.shard.run_leases`).
+* **One path each** to simulate an item (:meth:`PhaseWork.simulate`),
+  commit it (the checkpoint store, then the ``chunk_done`` event), handle
+  its failure (retry, split and quarantine under a
+  :class:`SupervisionPolicy`; propagate otherwise) and finish the phase
+  (fold by sample index, merge telemetry in sample order, build the
+  server).
 
-The same per-sample derivation is what makes the **resilience layer**
-(:func:`collect_records_resilient`) free of replay cost: completed sample
-spans checkpoint to disk and a resumed campaign re-simulates only the
-missing indices, byte-identical to an uninterrupted run. A
-:class:`SupervisionPolicy` adds worker supervision on top — per-chunk
-deadlines that reap hung workers, capped-exponential-backoff retries,
-failing-chunk splitting to isolate poison samples, quarantine instead of
-campaign abort, and graceful degradation to in-process execution when the
-pool itself keeps dying. Supervision and checkpointing are **off by
-default**: the happy path below is byte-identical to earlier releases.
+Outputs are bit-identical however a phase is scheduled: items are
+contiguous and fold back in sample order, so merged metrics and traces
+equal one in-process run's (``MetricsRegistry.merge`` /
+``Tracer.merge``), and a resumed campaign re-simulates only its missing
+samples. A fault plan's sample faults fire before an item simulates, on
+whatever engine the phase resolved, so chaos runs exercise the engines a
+default run uses.
 
-Workers inherit the parent's environment (``REPRO_FAST`` etc.); payload
-functions live at module level so the pool works under both the ``fork``
-and ``spawn`` start methods.
+Pool workers inherit the parent's environment (``REPRO_FAST`` etc.); the
+worker entry point lives at module level so the pool works under both
+the ``fork`` and ``spawn`` start methods.
 """
 
 from __future__ import annotations
@@ -49,37 +60,47 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import CoalescingPolicy
-from repro.errors import WorkerCrashError
+from repro.errors import (ConfigurationError, ExperimentError,
+                          WorkerCrashError)
 from repro.experiments.base import (
     ExperimentContext,
-    ExperimentResult,
     build_server,
     victim_stream_name,
 )
-from repro.experiments.checkpoint import ChunkResult, phase_label
+from repro.experiments.checkpoint import (
+    ChunkResult,
+    contiguous_chunks,
+    phase_label,
+)
 from repro.telemetry import (
     ProgressAggregator,
-    ProgressReporter,
     QueueProgress,
     SpanProfiler,
     Telemetry,
     get_logger,
 )
 from repro.telemetry.journal import RunJournal
-from repro.utils import batched_mode, batched_timing_mode, env_flag
+from repro.utils import capped_backoff, env_flag, phase_engine
 from repro.workloads.plaintext import random_plaintexts
 from repro.workloads.server import EncryptionRecord, EncryptionServer
 
 __all__ = [
     "CampaignStats",
+    "PhaseWork",
     "SupervisionPolicy",
-    "chunk_indices",
-    "collect_records_parallel",
-    "collect_records_resilient",
     "run_experiments_parallel",
+    "run_phase",
 ]
 
 log = get_logger(__name__)
+
+#: Pool work items per worker when items are persisted or retried, so a
+#: killed item forfeits only a fraction of a worker's samples and
+#: splitting isolates poison samples quickly.
+CHUNKS_PER_WORKER = 4
+#: Pool rebuilds (after timeouts or worker deaths) a supervised phase
+#: tolerates before it degrades to the inline scheduler.
+MAX_POOL_RESTARTS = 2
 
 #: Worker-global progress queue, installed by the pool initializer (a
 #: multiprocessing queue cannot ride along in pickled task payloads).
@@ -142,8 +163,7 @@ class SupervisionPolicy:
 
     Attached to an :class:`ExperimentContext` (``--supervise`` on the
     CLI); ``None`` — the default — means no supervision: failures
-    propagate and nothing is retried, exactly the pre-supervision
-    behavior.
+    propagate and nothing is retried.
     """
 
     #: Wall-clock seconds one chunk attempt may take before the pool is
@@ -157,28 +177,18 @@ class SupervisionPolicy:
     #: (the fault-injection tests run with 0 — no clocks, no flakes).
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    #: Pool rebuilds tolerated (after timeouts/kills) before degrading to
-    #: in-process serial execution for the rest of the phase.
-    max_pool_restarts: int = 2
-    #: Parallel chunking granularity: aim for this many chunks per worker,
-    #: so a killed chunk forfeits only a fraction of a worker's samples
-    #: and splitting isolates poison samples quickly.
-    chunks_per_worker: int = 4
-    #: Serial checkpointing granularity, in samples per chunk.
+    #: In-process work-item size, in samples.
     serial_chunk_samples: int = 8
 
     def backoff(self, attempt: int) -> float:
-        if self.backoff_base <= 0:
-            return 0.0
-        return min(self.backoff_cap,
-                   self.backoff_base * (2 ** max(0, attempt - 1)))
+        return capped_backoff(attempt, self.backoff_base, self.backoff_cap)
 
 
 @dataclass
 class CampaignStats:
     """Mutable incident ledger for one campaign (one CLI invocation).
 
-    The resilient runner increments these as it supervises; the CLI reads
+    The phase executor increments these as it supervises; the CLI reads
     them afterwards for the exit code and the stderr summary. Workers get
     a pickled copy, so only parent-side incidents accumulate here — the
     live cross-process view is the telemetry board's incident counters.
@@ -227,46 +237,6 @@ class CampaignStats:
         return " ".join(parts)
 
 
-def chunk_indices(count: int, chunks: int) -> List[range]:
-    """Split ``range(count)`` into ``chunks`` contiguous balanced ranges.
-
-    Contiguity matters: merging worker results in chunk order then equals
-    the serial sample order, which gauge last-values and trace timelines
-    depend on. Empty ranges are never returned.
-    """
-    chunks = max(1, min(chunks, count))
-    base, extra = divmod(count, chunks)
-    ranges: List[range] = []
-    start = 0
-    for i in range(chunks):
-        size = base + (1 if i < extra else 0)
-        ranges.append(range(start, start + size))
-        start += size
-    return ranges
-
-
-def _contiguous_chunks(indices: Sequence[int],
-                       target_size: int) -> List[Tuple[int, ...]]:
-    """Group sorted sample indices into contiguous runs of at most
-    ``target_size``.
-
-    Resume leaves arbitrary holes in the sample space; chunks must stay
-    contiguous so stored and fresh telemetry merge back in sample order.
-    """
-    target_size = max(1, target_size)
-    chunks: List[Tuple[int, ...]] = []
-    current: List[int] = []
-    for index in indices:
-        if current and (index != current[-1] + 1
-                        or len(current) >= target_size):
-            chunks.append(tuple(current))
-            current = []
-        current.append(index)
-    if current:
-        chunks.append(tuple(current))
-    return chunks
-
-
 def _abort_pool(pool, futures: Sequence = ()) -> None:
     """Tear a pool down *now*: cancel, stop feeding, kill the processes.
 
@@ -284,304 +254,260 @@ def _abort_pool(pool, futures: Sequence = ()) -> None:
         proc.join(timeout=2)
 
 
-def _collect_chunk(payload) -> Tuple[List[EncryptionRecord],
-                                     Optional[Telemetry]]:
-    """Worker: simulate one contiguous chunk of a sample batch."""
-    (ctx, policy, num_samples, indices, counts_only,
-     retain_kernel_results, trace_capacity, profile) = payload
-    progress = QueueProgress(_WORKER_PROGRESS_QUEUE)
-    return _simulate_chunk(ctx, policy, num_samples, indices, counts_only,
-                           retain_kernel_results, trace_capacity,
-                           faults=None, attempt=0, progress=progress,
-                           in_worker=True, profile=profile)
+def _drop_pool(pool, warm: bool) -> None:
+    """Kill a reaped, broken or interrupted pool; a warm one stops being
+    shared, so the next round or phase gets a fresh one."""
+    _abort_pool(pool)
+    if warm:
+        _discard_shared_pool()
 
 
-def _simulate_chunk(ctx, policy, num_samples, indices, counts_only,
-                    retain_kernel_results, trace_capacity, faults, attempt,
-                    progress, in_worker,
-                    profile=False) -> Tuple[List[EncryptionRecord],
-                                            Optional[Telemetry]]:
-    """Simulate one contiguous span of samples into a private telemetry.
+@dataclass(frozen=True)
+class PhaseWork:
+    """Everything needed to simulate any span of one phase.
 
-    Shared by the plain pool worker, the supervised pool worker, and the
-    in-process resilient path, so all three produce identical records and
-    mergeable telemetry. Fault checks run *before* a sample simulates:
-    a retried chunk re-simulates from scratch, so partial work from a
-    failed attempt never leaks into the results.
-
-    ``profile`` turns on wall-clock span recording in the chunk's private
-    telemetry; the spans ride back to the parent through the normal
-    telemetry merge. The simulated work itself is unaffected.
+    Picklable: pool workers receive it with every work item. ``ctx`` is
+    the worker context — the parent's telemetry sink, progress, nested
+    parallelism, resilience layer and run ledger stripped (those stay in
+    the parent, so one ledger has one writer per process tree level), and
+    both engine selectors pinned to the phase's ``engine``, so a warm
+    pool's workers never consult their own, possibly stale, environment.
     """
-    telemetry = (Telemetry(trace_capacity=trace_capacity, profile=profile)
-                 if trace_capacity else None)
-    profiler = (telemetry.profiler if telemetry is not None
-                else SpanProfiler.disabled())
-    # Regenerating the full batch keeps workers seed-identical to serial;
-    # plaintext generation is bulk RNG draws, a rounding error next to one
-    # kernel simulation.
-    with profiler.span("chunk.workload"):
-        plaintexts = random_plaintexts(num_samples, ctx.lines,
-                                       ctx.stream("workload"))
-    server = build_server(ctx, policy, counts_only=counts_only,
-                          retain_kernel_results=retain_kernel_results,
-                          telemetry=telemetry)
-    stream_name = victim_stream_name(policy)
-    if counts_only and faults is None and batched_mode(ctx.batched):
-        # Same engine selection as the serial path; fault plans keep the
-        # per-sample loop so injected failures fire at sample boundaries.
-        from repro.gpu.batched import BatchedCountsCore
-        core = BatchedCountsCore(server)
+
+    ctx: ExperimentContext
+    policy: CoalescingPolicy
+    num_samples: int
+    counts_only: bool
+    retain_kernel_results: bool
+    engine: str
+    faults: Optional[object] = None
+    trace_capacity: int = 0
+    profile: bool = False
+
+    def simulate(self, indices: Sequence[int], attempt: int, progress,
+                 in_worker: bool = False,
+                 telemetry: Optional[Telemetry] = None,
+                 ) -> Tuple[List[EncryptionRecord], Optional[Telemetry]]:
+        """Simulate one contiguous span of samples.
+
+        Records into ``telemetry`` when one is given; otherwise, when the
+        phase is instrumented, into a private :class:`Telemetry` that is
+        returned for the fold to merge in sample order. The span's sample
+        faults fire before anything simulates (``in_worker`` lets ``hang``
+        and ``exit`` really block or kill), so an item fails or succeeds
+        whole, and a retry re-simulates it from scratch.
+        """
+        if self.faults is not None:
+            for index in indices:
+                self.faults.maybe_fire_sample(index, attempt,
+                                              in_worker=in_worker)
+        private = None
+        if telemetry is None and self.trace_capacity:
+            telemetry = private = Telemetry(
+                trace_capacity=self.trace_capacity, profile=self.profile)
+        profiler = (telemetry.profiler if telemetry is not None
+                    else SpanProfiler.disabled())
+        ctx = self.ctx
+        # Regenerating the full batch keeps every item seed-identical to
+        # a single in-process run; plaintext generation is bulk RNG draws,
+        # a rounding error next to one kernel simulation.
+        with profiler.span("chunk.workload"):
+            plaintexts = random_plaintexts(self.num_samples, ctx.lines,
+                                           ctx.stream("workload"))
+        server = build_server(ctx, self.policy, counts_only=self.counts_only,
+                              retain_kernel_results=self.retain_kernel_results,
+                              telemetry=telemetry)
+        stream_name = victim_stream_name(self.policy)
+        rngs = [ctx.sample_stream(stream_name, index) for index in indices]
         with profiler.span("chunk.simulate"):
-            records = core.encrypt_batch(
-                [plaintexts[index] for index in indices],
-                [ctx.sample_stream(stream_name, index)
-                 for index in indices],
-                on_record=lambda record: progress.update(),
-            )
-        return records, telemetry
-    records = []
-    with profiler.span("chunk.simulate"):
-        for index in indices:
-            if faults is not None:
-                faults.maybe_fire_sample(index, attempt,
-                                         in_worker=in_worker)
-            records.append(server.encrypt(
-                plaintexts[index],
-                rng=ctx.sample_stream(stream_name, index)
-            ))
-            progress.update()
-    return records, telemetry
+            if self.engine == "batched":
+                from repro.gpu.batched import BatchedCountsCore
+                records = BatchedCountsCore(server).encrypt_batch(
+                    [plaintexts[index] for index in indices], rngs,
+                    on_record=lambda record: progress.update())
+            else:
+                records = []
+                for index, rng in zip(indices, rngs):
+                    records.append(server.encrypt(plaintexts[index], rng=rng))
+                    progress.update()
+        return records, private
 
 
-def _collect_chunk_supervised(payload) -> Tuple[List[EncryptionRecord],
-                                                Optional[Telemetry]]:
-    """Worker: supervised variant of :func:`_collect_chunk` — carries the
-    fault plan and the supervisor-assigned attempt number."""
-    (ctx, policy, num_samples, indices, counts_only, retain_kernel_results,
-     trace_capacity, faults, attempt, profile) = payload
-    progress = QueueProgress(_WORKER_PROGRESS_QUEUE)
-    return _simulate_chunk(ctx, policy, num_samples, indices, counts_only,
-                           retain_kernel_results, trace_capacity,
-                           faults=faults, attempt=attempt,
-                           progress=progress, in_worker=True,
-                           profile=profile)
+def _simulate_in_worker(payload):
+    """Pool worker: simulate one work item of a phase."""
+    work, indices, attempt = payload
+    return work.simulate(indices, attempt,
+                         QueueProgress(_WORKER_PROGRESS_QUEUE),
+                         in_worker=True)
 
 
-def collect_records_parallel(
-    ctx: ExperimentContext,
-    policy: CoalescingPolicy,
-    num_samples: int,
-    counts_only: bool = False,
-    retain_kernel_results: bool = False,
-) -> Tuple[EncryptionServer, List[EncryptionRecord]]:
-    """Parallel drop-in for :func:`repro.experiments.base.collect_records`.
+class _Phase:
+    """One collection phase: set up once, driven by a scheduler, finished
+    once.
 
-    Fans the sample batch out over ``ctx.effective_jobs()`` worker
-    processes and returns records in sample order, bit-identical to the
-    serial path. When ``ctx.telemetry`` is enabled, each worker records
-    into a private :class:`Telemetry` and the chunks are merged back in
-    order, so metrics and traces also match a serial instrumented run.
-
-    A Ctrl-C mid-fan-out cancels pending chunks, kills the worker
-    processes, flushes a partial-progress note to stderr, and re-raises —
-    the CLI maps it to a distinct exit code instead of a traceback.
-    """
-    jobs = min(ctx.effective_jobs(), num_samples)
-    telemetry = ctx.telemetry
-    instrumented = telemetry is not None and telemetry.enabled
-    trace_capacity = telemetry.tracer.capacity if instrumented else 0
-    profiler = (telemetry.profiler if instrumented
-                else SpanProfiler.disabled())
-    worker_ctx = _worker_context(ctx)
-    journal = _phase_journal(ctx)
-    label = None
-    if journal.enabled:
-        label = phase_label(ctx, policy, num_samples, counts_only,
-                            retain_kernel_results)
-        if counts_only:
-            engine = "batched" if batched_mode(ctx.batched) else "event"
-        else:
-            engine = ("batched_timing"
-                      if batched_timing_mode(ctx.batched_timing)
-                      else "event")
-        journal.append("phase_start", phase=label,
-                       policy=policy.describe(), samples=num_samples,
-                       jobs=jobs, mode="parallel", engine=engine,
-                       counts_only=counts_only)
-        if counts_only:
-            journal.append("engine_select", phase=label, engine=engine)
-    phase_started = time.perf_counter()
-
-    progress_enabled = ctx.progress or env_flag("REPRO_PROGRESS")
-    board = telemetry.board if instrumented else None
-    # The live ``--serve`` board also needs the worker fan-in queue, even
-    # when the stderr status line is off.
-    queue = multiprocessing.get_context().Queue() \
-        if progress_enabled or board is not None else None
-
-    log.info("collecting %d samples under %s across %d workers%s",
-             num_samples, policy.describe(), jobs,
-             " (counts only)" if counts_only else "")
-    chunks = chunk_indices(num_samples, jobs)
-    records: List[EncryptionRecord] = []
-    # No progress queue → the warm process-wide pool can serve this call;
-    # otherwise the queue must ride in via the initializer of a fresh one.
-    warm = queue is None
-    pool = _shared_pool(jobs) if warm else ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(queue,))
-    try:
-        with ProgressAggregator(
-            num_samples, queue, label=policy.describe(),
-            enabled=progress_enabled, board=board,
-        ):
-            # "runner.submit" is payload pickling + task hand-off; the
-            # first "runner.wait" additionally covers pool spin-up
-            # (worker spawn + imports) the first time a pool is used,
-            # which is why it dwarfs later waits on short runs.
-            with profiler.span("runner.submit"):
-                futures = [
-                    pool.submit(_collect_chunk,
-                                (worker_ctx, policy, num_samples,
-                                 list(chunk), counts_only,
-                                 retain_kernel_results, trace_capacity,
-                                 profiler.enabled))
-                    for chunk in chunks
-                ]
-            if journal.enabled:
-                for chunk in chunks:
-                    journal.append("chunk_dispatch", phase=label,
-                                   start=chunk[0], end=chunk[-1],
-                                   samples=len(chunk), attempt=0)
-            # Collect in submission (= sample) order; merge telemetry the
-            # same way so the stitched result equals a serial run's.
-            try:
-                for future, chunk in zip(futures, chunks):
-                    with profiler.span("runner.wait"):
-                        chunk_records, chunk_telemetry = future.result()
-                    if journal.enabled:
-                        # Completion latency since the fan-out started —
-                        # an upper bound on the chunk's own wall time.
-                        journal.append(
-                            "chunk_done", phase=label, start=chunk[0],
-                            end=chunk[-1], samples=len(chunk),
-                            seconds=round(
-                                time.perf_counter() - phase_started, 6))
-                    records.extend(chunk_records)
-                    if instrumented:
-                        with profiler.span("runner.merge"):
-                            telemetry.merge(chunk_telemetry)
-            except KeyboardInterrupt:
-                _abort_pool(pool, futures)
-                if warm:
-                    _discard_shared_pool()
-                print(f"\n[interrupted: {len(records)}/{num_samples} "
-                      f"samples collected under {policy.describe()}; "
-                      f"partial results discarded — use --resume to make "
-                      f"campaigns restartable]", file=sys.stderr)
-                raise
-    except BrokenProcessPool:
-        # A dead warm pool must not poison later calls; the plain
-        # (unsupervised) path still propagates the crash unchanged.
-        if warm:
-            _discard_shared_pool()
-        raise
-    finally:
-        if not warm:
-            pool.shutdown(wait=True)
-
-    if journal.enabled:
-        journal.append(
-            "phase_finish", phase=label, samples=num_samples,
-            completed=len(records),
-            seconds=round(time.perf_counter() - phase_started, 6))
-    server = build_server(ctx, policy, counts_only=counts_only,
-                          retain_kernel_results=retain_kernel_results,
-                          telemetry=telemetry)
-    return server, records
-
-
-# ---------------------------------------------------------------------------
-# Resilient execution: checkpoint/resume + worker supervision.
-# ---------------------------------------------------------------------------
-
-
-def _worker_context(ctx: ExperimentContext) -> ExperimentContext:
-    """Strip everything a chunk worker must not inherit: the parent's
-    telemetry sink, progress reporter, nested parallelism, and the whole
-    resilience layer (supervision happens in the parent only). Engine
-    selection is pinned to the *parent's* resolution so a warm pool's
-    workers never consult their own (possibly stale) ``REPRO_BATCHED``.
-    The run ledger is parent-side too: chunk events are emitted where the
-    supervisor sees them, so one ledger file has one writer per process
-    tree level."""
-    return ctx.with_(telemetry=None, progress=False, jobs=1,
-                     supervision=None, faults=None, checkpoint=None,
-                     campaign=None, journal=None, shard=None,
-                     batched=batched_mode(ctx.batched),
-                     batched_timing=batched_timing_mode(ctx.batched_timing))
-
-
-def _phase_journal(ctx: ExperimentContext) -> RunJournal:
-    """The ledger a collection phase should append to: an explicit
-    ``ctx.journal`` wins, then the checkpoint store's, then the no-op."""
-    if ctx.journal is not None:
-        return ctx.journal
-    store = ctx.checkpoint
-    if store is not None and getattr(store, "journal", None) is not None:
-        return store.journal
-    return RunJournal.disabled()
-
-
-def _note_incident(board, kind: str) -> None:
-    if board is not None:
-        board.incident(kind)
-
-
-class _PhaseSupervisor:
-    """Drives one collection phase's work items to completion.
-
-    Owns the retry/split/quarantine bookkeeping shared by the pool loop
-    and the in-process loop. ``results`` maps a chunk's first sample index
-    to its :class:`ChunkResult`; ``failed`` maps quarantined sample
-    indices to their final error string.
+    Schedulers only decide how work items are claimed and run. Every item
+    goes through :meth:`simulate`, :meth:`dispatch`, :meth:`commit` and,
+    when it fails, :meth:`fail` — the only writers of the phase's ledger
+    events, checkpoint chunks and results.
     """
 
-    def __init__(self, sup: Optional[SupervisionPolicy],
-                 campaign: CampaignStats, board, label: str,
-                 save, journal: Optional[RunJournal] = None) -> None:
-        self.sup = sup or SupervisionPolicy()
-        self.supervised = sup is not None
-        self.campaign = campaign
-        self.board = board
-        self.label = label
-        self._save = save
+    def __init__(self, ctx: ExperimentContext, policy: CoalescingPolicy,
+                 num_samples: int, counts_only: bool,
+                 retain_kernel_results: bool):
+        if num_samples < 1:
+            raise ConfigurationError(
+                f"sample count must be positive: {num_samples}")
+        self.ctx = ctx
+        self.policy = policy
+        self.num_samples = num_samples
+        self.store = ctx.checkpoint
+        self.sup = ctx.supervision
+        if ctx.shard is not None:
+            ctx.shard.validate()
+            if self.store is None:
+                raise ConfigurationError(
+                    "leased collection requires a checkpoint store "
+                    "(rcoal shard always opens one)")
+        self.label = phase_label(ctx, policy, num_samples, counts_only,
+                                 retain_kernel_results)
+        self.engine = phase_engine(counts_only, ctx.batched,
+                                   ctx.batched_timing)
+        journal = ctx.journal if ctx.journal is not None \
+            else getattr(self.store, "journal", None)
         self.journal = journal if journal is not None \
             else RunJournal.disabled()
-        self.results: Dict[int, ChunkResult] = {}
+        self.campaign = ctx.campaign if ctx.campaign is not None \
+            else CampaignStats()
+        telemetry = ctx.telemetry
+        self.instrumented = telemetry is not None and telemetry.enabled
+        self.profiler = (telemetry.profiler if self.instrumented
+                         else SpanProfiler.disabled())
+        self.board = telemetry.board if self.instrumented else None
+        self.work = PhaseWork(
+            ctx.with_(telemetry=None, progress=False, jobs=1,
+                      supervision=None, faults=None, checkpoint=None,
+                      campaign=None, journal=None, shard=None,
+                      batched=self.engine == "batched",
+                      batched_timing=self.engine == "batched_timing"),
+            policy, num_samples, counts_only, retain_kernel_results,
+            self.engine,
+            faults=(ctx.faults.bind(num_samples, ctx.root_seed)
+                    if ctx.faults is not None else None),
+            trace_capacity=(telemetry.tracer.capacity if self.instrumented
+                            else 0),
+            profile=self.profiler.enabled)
+
+        stored: List[ChunkResult] = []
+        if self.store is not None:
+            with self.profiler.span("checkpoint.load"):
+                stored = self.store.load_chunks(self.label)
+        done = {index for chunk in stored for index in chunk.indices}
+        missing = [i for i in range(num_samples) if i not in done]
+        self.restored = num_samples - len(missing)
+        self.results: List[ChunkResult] = list(stored)
         self.failed: Dict[int, str] = {}
 
-    def complete(self, indices: Tuple[int, ...], records,
-                 telemetry) -> None:
-        chunk = ChunkResult(tuple(indices), records, telemetry)
-        self.results[chunk.start] = chunk
-        self._save(chunk)
+        # Persisted or retried items stay small; otherwise each worker
+        # (the one in-process worker included) gets a single item.
+        resilient = self.store is not None or self.sup is not None
+        self.jobs = max(1, min(ctx.effective_jobs(), len(missing)))
+        if ctx.shard is not None:
+            self.scheduler, self.jobs = "lease", 1
+            self.items = contiguous_chunks(range(num_samples),
+                                           ctx.shard.chunk_samples)
+        elif self.jobs > 1:
+            self.scheduler = "pool"
+            per_worker = CHUNKS_PER_WORKER if resilient else 1
+            self.items = contiguous_chunks(
+                missing, math.ceil(len(missing) / (self.jobs * per_worker)))
+        else:
+            self.scheduler = "inline"
+            size = ((self.sup or SupervisionPolicy()).serial_chunk_samples
+                    if resilient else len(missing))
+            self.items = contiguous_chunks(missing, size)
+        # The single in-process item of an unpersisted, unsupervised phase
+        # records straight into the caller's telemetry, so a serial
+        # --serve dashboard moves per sample.
+        self.direct = self.scheduler == "inline" and not resilient
+        #: Extra fields of every phase and chunk event (the shard worker).
+        self.worker_fields = ({"worker": ctx.shard.worker}
+                              if ctx.shard is not None else {})
 
-    def handle_failure(self, pending: deque, indices: Tuple[int, ...],
-                       attempt: int, exc: BaseException) -> float:
+        self.journal.append(
+            "phase_start", phase=self.label, policy=policy.describe(),
+            samples=num_samples, restored=self.restored, jobs=self.jobs,
+            mode=self.scheduler, engine=self.engine,
+            counts_only=counts_only, supervised=self.sup is not None,
+            **self.worker_fields)
+        if counts_only:
+            self.journal.append("engine_select", phase=self.label,
+                                engine=self.engine)
+        if stored:
+            self.campaign.resumed_samples += self.restored
+            self.journal.append("checkpoint_restore", phase=self.label,
+                                restored=self.restored, chunks=len(stored))
+            print(f"[resume: {self.restored}/{num_samples} samples of "
+                  f"{policy.describe()} restored from "
+                  f"{self.store.describe()}]", file=sys.stderr)
+        log.info("collecting %d samples under %s%s: %s scheduler, %s "
+                 "engine, %d restored", num_samples, policy.describe(),
+                 " (counts only)" if counts_only else "", self.scheduler,
+                 self.engine, self.restored)
+        self.started = time.perf_counter()
+
+    def simulate(self, indices, attempt: int, progress,
+                 in_worker: bool = False):
+        """Simulate one item in this process (see
+        :meth:`PhaseWork.simulate`)."""
+        return self.work.simulate(
+            indices, attempt, progress, in_worker=in_worker,
+            telemetry=self.ctx.telemetry if self.direct else None)
+
+    def dispatch(self, indices, attempt: int) -> None:
+        self.journal.append("chunk_dispatch", phase=self.label,
+                            start=indices[0], end=indices[-1],
+                            samples=len(indices), attempt=attempt,
+                            **self.worker_fields)
+
+    def commit(self, indices, records, telemetry, attempt: int,
+               started: float) -> None:
+        """Keep a completed item: persist it (duplicate-tolerant) when a
+        checkpoint store is attached, then journal ``chunk_done`` with the
+        seconds since ``started``."""
+        chunk = ChunkResult(tuple(indices), records, telemetry)
+        committed = True
+        if self.store is not None:
+            with self.profiler.span("checkpoint.save"):
+                committed = self.store.commit_chunk(self.label, chunk)
+        self.journal.append("chunk_done", phase=self.label,
+                            start=indices[0], end=indices[-1],
+                            samples=len(indices), attempt=attempt,
+                            committed=committed,
+                            seconds=round(time.perf_counter() - started, 6),
+                            **self.worker_fields)
+        self.results.append(chunk)
+
+    def incident(self, kind: str) -> None:
+        if self.board is not None:
+            self.board.incident(kind)
+
+    def fail(self, pending: deque, indices: Tuple[int, ...], attempt: int,
+             exc: BaseException) -> float:
         """Reschedule, split, or quarantine a failed work item.
 
         Returns the backoff delay to apply before the next attempt round.
         Without supervision the failure propagates unchanged (completed
-        chunks stay checkpointed, so a later ``--resume`` picks up here).
+        items stay checkpointed, so a later ``--resume`` picks up here).
         """
-        if not self.supervised:
+        self.campaign.crashes += 1
+        self.incident("crash")
+        if self.sup is None:
             raise exc
         next_attempt = attempt + 1
         if next_attempt < self.sup.max_attempts:
             pending.append((indices, next_attempt))
             self.campaign.retries += 1
-            _note_incident(self.board, "retry")
+            self.incident("retry")
             self.journal.append("chunk_retry", phase=self.label,
                                 start=indices[0], end=indices[-1],
                                 attempt=next_attempt,
@@ -595,7 +521,7 @@ class _PhaseSupervisor:
             pending.append((indices[:mid], 0))
             pending.append((indices[mid:], 0))
             self.campaign.splits += 1
-            _note_incident(self.board, "split")
+            self.incident("split")
             self.journal.append("chunk_split", phase=self.label,
                                 start=indices[0], end=indices[-1],
                                 at=indices[mid])
@@ -609,114 +535,124 @@ class _PhaseSupervisor:
         self.campaign.failed_samples.append(
             {"phase": self.label, "sample": index, "error": reason}
         )
-        _note_incident(self.board, "quarantined")
+        self.incident("quarantined")
         self.journal.append("chunk_quarantine", phase=self.label,
                             sample=index, error=reason)
         log.error("quarantining sample %d of %s after %d attempts: %s",
                   index, self.label, self.sup.max_attempts, reason)
         return 0.0
 
+    def finish(self) -> Tuple[EncryptionServer, List[EncryptionRecord]]:
+        """Fold every chunk by sample index (first copy wins), merge
+        telemetry in sample order, and close the phase."""
+        if self.failed:
+            if self.store is not None:
+                self.store.record_failed_samples(self.campaign.failed_samples)
+            print(f"[quarantined {len(self.failed)} sample(s) under "
+                  f"{self.policy.describe()}: {sorted(self.failed)}]",
+                  file=sys.stderr)
+        by_index: Dict[int, EncryptionRecord] = {}
+        for chunk in sorted(self.results, key=lambda chunk: chunk.start):
+            # A chunk overlapping an earlier one (a stolen lease's late
+            # commit) holds identical records; its telemetry would count
+            # the overlap twice, so only wholly fresh chunks merge.
+            fresh = by_index.keys().isdisjoint(chunk.indices)
+            for index, record in zip(chunk.indices, chunk.records):
+                by_index.setdefault(index, record)
+            if fresh and self.instrumented and chunk.telemetry is not None:
+                with self.profiler.span("runner.merge"):
+                    self.ctx.telemetry.merge(chunk.telemetry)
+        lost = [i for i in range(self.num_samples)
+                if i not in by_index and i not in self.failed]
+        if lost:
+            raise ExperimentError(
+                f"phase {self.label} ended with samples {lost[:8]} "
+                f"uncommitted — the campaign directory was modified "
+                f"underneath the workers")
+        records = [by_index[i] for i in range(self.num_samples)
+                   if i in by_index]
+        self.journal.append(
+            "phase_finish", phase=self.label, samples=self.num_samples,
+            completed=len(records), restored=self.restored,
+            quarantined=len(self.failed), mode=self.scheduler,
+            seconds=round(time.perf_counter() - self.started, 6),
+            **self.worker_fields)
+        server = build_server(
+            self.ctx, self.policy, counts_only=self.work.counts_only,
+            retain_kernel_results=self.work.retain_kernel_results,
+            telemetry=self.ctx.telemetry)
+        return server, records
 
-def _run_chunks_serial(supervisor: _PhaseSupervisor, pending: deque,
-                       worker_ctx, policy, num_samples, counts_only,
-                       retain_kernel_results, trace_capacity, faults,
-                       reporter, profile: bool = False) -> None:
-    """In-process work loop: the serial resilient path, also the
-    degraded-mode fallback when the pool keeps dying."""
-    journal = supervisor.journal
+
+def _run_inline(phase: _Phase, pending: deque, progress) -> None:
+    """In-process scheduler: the default serial path, and where a
+    supervised pool degrades to when it keeps dying."""
     while pending:
         indices, attempt = pending.popleft()
-        journal.append("chunk_dispatch", phase=supervisor.label,
-                       start=indices[0], end=indices[-1],
-                       samples=len(indices), attempt=attempt)
-        chunk_started = time.perf_counter()
+        phase.dispatch(indices, attempt)
+        started = time.perf_counter()
         try:
-            records, telemetry = _simulate_chunk(
-                worker_ctx, policy, num_samples, indices, counts_only,
-                retain_kernel_results, trace_capacity, faults, attempt,
-                reporter, in_worker=False, profile=profile)
-        except KeyboardInterrupt:
-            raise
+            records, telemetry = phase.simulate(indices, attempt, progress)
         except Exception as exc:
-            supervisor.campaign.crashes += 1
-            _note_incident(supervisor.board, "crash")
-            delay = supervisor.handle_failure(pending, indices, attempt,
-                                              exc)
+            delay = phase.fail(pending, indices, attempt, exc)
             if delay > 0:
                 time.sleep(delay)
             continue
-        journal.append("chunk_done", phase=supervisor.label,
-                       start=indices[0], end=indices[-1],
-                       samples=len(indices),
-                       seconds=round(
-                           time.perf_counter() - chunk_started, 6))
-        supervisor.complete(indices, records, telemetry)
+        phase.commit(indices, records, telemetry, attempt, started)
 
 
-def _run_chunks_pool(supervisor: _PhaseSupervisor, pending: deque,
-                     worker_ctx, policy, num_samples, counts_only,
-                     retain_kernel_results, trace_capacity, faults,
-                     jobs: int, queue, reporter,
-                     profiler: Optional[SpanProfiler] = None) -> None:
-    """Pool work loop with deadlines, retries, and pool resurrection.
+def _run_pool(phase: _Phase, pending: deque, queue, progress) -> None:
+    """Pool scheduler: rounds of work items across worker processes.
 
-    Work items are submitted in rounds (everything currently pending);
-    results are collected in submission order so completion bookkeeping
-    stays deterministic. A timeout or a died worker kills the whole pool —
-    a :class:`ProcessPoolExecutor` cannot reap a single hung process —
-    and completed sibling futures keep their results while unfinished
-    siblings are rescheduled at their current attempt. After
-    ``max_pool_restarts`` rebuilds the phase degrades to in-process
-    serial execution, where ``hang``/``exit`` faults surface as plain
-    raises and the retry/quarantine machinery still applies.
+    Items are submitted in rounds (everything currently pending) and
+    collected in submission order, so bookkeeping stays deterministic.
+    Without a progress ``queue`` the warm process-wide pool serves the
+    phase. Supervised, every item gets a deadline; a timeout or a died
+    worker kills the whole pool — a :class:`ProcessPoolExecutor` cannot
+    reap a single hung process — finished siblings keep their results and
+    unfinished ones are rescheduled at the next attempt. After
+    ``MAX_POOL_RESTARTS`` rebuilds the phase degrades to
+    :func:`_run_inline`, where ``hang``/``exit`` faults surface as plain
+    raises and retry/split/quarantine still apply. Unsupervised, a died
+    worker raises :class:`WorkerCrashError`.
     """
-    sup = supervisor.sup
-    campaign = supervisor.campaign
-    journal = supervisor.journal
-    deadline = sup.chunk_deadline if supervisor.supervised else None
-    profiler = profiler if profiler is not None else SpanProfiler.disabled()
+    sup = phase.sup
+    campaign = phase.campaign
+    deadline = sup.chunk_deadline if sup is not None else None
+    profiler = phase.profiler
+    warm = queue is None
     pool: Optional[ProcessPoolExecutor] = None
     restarts = 0
     try:
         while pending:
-            if restarts > sup.max_pool_restarts:
+            if restarts > MAX_POOL_RESTARTS:
                 campaign.degraded_serial = True
-                _note_incident(supervisor.board, "degraded-serial")
-                journal.append("degraded_serial", phase=supervisor.label,
-                               restarts=restarts)
+                phase.incident("degraded-serial")
+                phase.journal.append("degraded_serial", phase=phase.label,
+                                     restarts=restarts)
                 log.warning("%s: pool died %d times; degrading to "
-                            "in-process serial execution",
-                            supervisor.label, restarts)
-                if pool is not None:
-                    _abort_pool(pool)
-                    pool = None
-                _run_chunks_serial(supervisor, pending, worker_ctx, policy,
-                                   num_samples, counts_only,
-                                   retain_kernel_results, trace_capacity,
-                                   faults, reporter,
-                                   profile=profiler.enabled)
+                            "in-process execution", phase.label, restarts)
+                _run_inline(phase, pending, progress)
                 return
             if pool is None:
-                pool = ProcessPoolExecutor(max_workers=jobs,
-                                           initializer=_init_worker,
-                                           initargs=(queue,))
+                pool = _shared_pool(phase.jobs) if warm else \
+                    ProcessPoolExecutor(max_workers=phase.jobs,
+                                        initializer=_init_worker,
+                                        initargs=(queue,))
             round_items = list(pending)
             pending.clear()
+            # "runner.submit" is payload pickling + task hand-off; the
+            # first "runner.wait" additionally covers pool spin-up
+            # (worker spawn + imports) the first time a pool is used.
             with profiler.span("runner.submit"):
                 futures = [
-                    (pool.submit(_collect_chunk_supervised,
-                                 (worker_ctx, policy, num_samples,
-                                  list(indices), counts_only,
-                                  retain_kernel_results, trace_capacity,
-                                  faults, attempt, profiler.enabled)),
+                    (pool.submit(_simulate_in_worker,
+                                 (phase.work, indices, attempt)),
                      indices, attempt)
                     for indices, attempt in round_items
                 ]
-            if journal.enabled:
-                for indices, attempt in round_items:
-                    journal.append("chunk_dispatch", phase=supervisor.label,
-                                   start=indices[0], end=indices[-1],
-                                   samples=len(indices), attempt=attempt)
+            for indices, attempt in round_items:
+                phase.dispatch(indices, attempt)
             round_started = time.perf_counter()
             pool_dead = False
             max_delay = 0.0
@@ -729,22 +665,15 @@ def _run_chunks_pool(supervisor: _PhaseSupervisor, pending: deque,
                     # fault killed the pool stops refiring a transient
                     # fault, and innocents merely carry a higher attempt
                     # number (harmless unless they actually fail).
-                    salvaged = False
+                    salvaged = None
                     if future.done() and not future.cancelled():
                         try:
-                            records, telemetry = future.result(timeout=0)
-                            supervisor.complete(indices, records,
-                                                telemetry)
-                            salvaged = True
+                            salvaged = future.result(timeout=0)
                         except Exception:
                             pass
-                    if salvaged:
-                        journal.append(
-                            "chunk_done", phase=supervisor.label,
-                            start=indices[0], end=indices[-1],
-                            samples=len(indices),
-                            seconds=round(
-                                time.perf_counter() - round_started, 6))
+                    if salvaged is not None:
+                        phase.commit(indices, *salvaged, attempt,
+                                     round_started)
                     else:
                         future.cancel()
                         pending.append((indices, attempt + 1))
@@ -752,48 +681,40 @@ def _run_chunks_pool(supervisor: _PhaseSupervisor, pending: deque,
                 try:
                     with profiler.span("runner.wait"):
                         records, telemetry = future.result(timeout=deadline)
-                    supervisor.complete(indices, records, telemetry)
-                    journal.append(
-                        "chunk_done", phase=supervisor.label,
-                        start=indices[0], end=indices[-1],
-                        samples=len(indices),
-                        seconds=round(
-                            time.perf_counter() - round_started, 6))
                 except FuturesTimeoutError:
                     campaign.timeouts += 1
                     campaign.pool_restarts += 1
-                    _note_incident(supervisor.board, "timeout")
-                    journal.append("pool_restart", phase=supervisor.label,
-                                   reason="timeout", start=indices[0],
-                                   end=indices[-1])
+                    phase.incident("timeout")
+                    phase.journal.append("pool_restart", phase=phase.label,
+                                         reason="timeout", start=indices[0],
+                                         end=indices[-1])
                     log.warning("samples %d-%d of %s exceeded the %.1fs "
                                 "chunk deadline; reaping the pool",
-                                indices[0], indices[-1], supervisor.label,
+                                indices[0], indices[-1], phase.label,
                                 deadline)
-                    _abort_pool(pool)
-                    pool = None
-                    pool_dead = True
+                    _drop_pool(pool, warm)
+                    pool, pool_dead = None, True
                     restarts += 1
                     # Pool-level failures can't be pinned on one chunk (the
                     # future we were waiting on may be an innocent sibling
                     # of the real hang), so no split/quarantine here — just
-                    # advance the attempt and let degraded-serial mode make
-                    # the precisely-attributed call if this keeps up.
+                    # advance the attempt and let degraded mode make the
+                    # precisely-attributed call if this keeps up.
                     pending.append((indices, attempt + 1))
                     campaign.retries += 1
                     max_delay = max(max_delay, sup.backoff(attempt + 1))
                 except BrokenProcessPool as exc:
                     campaign.crashes += 1
-                    _note_incident(supervisor.board, "worker-killed")
-                    journal.append("pool_restart", phase=supervisor.label,
-                                   reason="worker-died", start=indices[0],
-                                   end=indices[-1])
+                    phase.incident("worker-killed")
+                    phase.journal.append("pool_restart", phase=phase.label,
+                                         reason="worker-died",
+                                         start=indices[0], end=indices[-1])
                     log.warning("worker process died while running samples "
                                 "%d-%d of %s", indices[0], indices[-1],
-                                supervisor.label)
-                    pool = None  # the executor is already broken
-                    pool_dead = True
-                    if not supervisor.supervised:
+                                phase.label)
+                    _drop_pool(pool, warm)
+                    pool, pool_dead = None, True
+                    if sup is None:
                         raise WorkerCrashError(
                             f"worker process died while running samples "
                             f"{indices[0]}-{indices[-1]} ({exc}); rerun "
@@ -805,176 +726,77 @@ def _run_chunks_pool(supervisor: _PhaseSupervisor, pending: deque,
                     pending.append((indices, attempt + 1))
                     campaign.retries += 1
                     max_delay = max(max_delay, sup.backoff(attempt + 1))
-                except KeyboardInterrupt:
-                    raise
                 except Exception as exc:
-                    campaign.crashes += 1
-                    _note_incident(supervisor.board, "crash")
-                    max_delay = max(max_delay, supervisor.handle_failure(
+                    max_delay = max(max_delay, phase.fail(
                         pending, indices, attempt, exc))
+                else:
+                    phase.commit(indices, records, telemetry, attempt,
+                                 round_started)
             if pending and max_delay > 0:
                 time.sleep(max_delay)
     except KeyboardInterrupt:
         if pool is not None:
-            _abort_pool(pool)
+            _drop_pool(pool, warm)
             pool = None
         raise
     finally:
-        if pool is not None:
+        if pool is not None and not warm:
             pool.shutdown(wait=True)
 
 
-def collect_records_resilient(
+def run_phase(
     ctx: ExperimentContext,
     policy: CoalescingPolicy,
     num_samples: int,
     counts_only: bool = False,
     retain_kernel_results: bool = False,
 ) -> Tuple[EncryptionServer, List[EncryptionRecord]]:
-    """Checkpointed and/or supervised drop-in for ``collect_records``.
+    """Run one collection phase (see the module docstring).
 
-    Engaged when the context carries a checkpoint store, a supervision
-    policy, or a fault plan. Completed sample spans are persisted as they
-    finish (atomic pickle chunks keyed by the campaign fingerprint), so an
-    interrupted campaign resumed with ``--resume`` re-simulates only the
-    missing samples and reproduces the uninterrupted output byte for byte
-    — chunk boundaries don't matter because telemetry merge telescopes in
-    sample order. Quarantined samples are *omitted* from the returned
-    records and reported on ``ctx.campaign`` / the progress board instead
-    of aborting the phase.
+    Returns the victim server and the records in sample order.
+    Quarantined samples are omitted and reported on ``ctx.campaign``,
+    stderr and the checkpoint's ``failed_samples.json`` instead of
+    aborting the phase. A Ctrl-C stops the scheduler (killing any pool),
+    notes how far the phase got on stderr — with a ``--resume`` hint when
+    a checkpoint is attached — and re-raises.
     """
-    sup = ctx.supervision
-    campaign = ctx.campaign if ctx.campaign is not None else CampaignStats()
-    store = ctx.checkpoint
-    faults = (ctx.faults.bind(num_samples, ctx.root_seed)
-              if ctx.faults is not None else None)
-    telemetry = ctx.telemetry
-    instrumented = telemetry is not None and telemetry.enabled
-    trace_capacity = telemetry.tracer.capacity if instrumented else 0
-    board = telemetry.board if instrumented else None
-    profiler = (telemetry.profiler if instrumented
-                else SpanProfiler.disabled())
-    worker_ctx = _worker_context(ctx)
-    label = phase_label(ctx, policy, num_samples, counts_only,
-                        retain_kernel_results)
-    journal = _phase_journal(ctx)
-
-    with profiler.span("checkpoint.load"):
-        stored = store.load_chunks(label) if store is not None else []
-    completed = {index for chunk in stored for index in chunk.indices}
-    missing = [i for i in range(num_samples) if i not in completed]
-    jobs = min(ctx.effective_jobs(), max(1, len(missing)))
-    if counts_only:
-        engine = ("batched" if faults is None and batched_mode(ctx.batched)
-                  else "event")
-    else:
-        engine = ("batched_timing"
-                  if batched_timing_mode(ctx.batched_timing) else "event")
-    journal.append("phase_start", phase=label, policy=policy.describe(),
-                   samples=num_samples, restored=len(completed),
-                   jobs=jobs, mode="resilient", engine=engine,
-                   counts_only=counts_only, supervised=sup is not None)
-    if counts_only:
-        journal.append("engine_select", phase=label, engine=engine)
-    phase_started = time.perf_counter()
-    if stored:
-        campaign.resumed_samples += num_samples - len(missing)
-        journal.append("checkpoint_restore", phase=label,
-                       restored=len(completed), chunks=len(stored))
-        print(f"[resume: {num_samples - len(missing)}/{num_samples} "
-              f"samples of {policy.describe()} restored from "
-              f"{store.describe()}]", file=sys.stderr)
-
-    if store is not None:
-        def save(chunk):
-            with profiler.span("checkpoint.save"):
-                store.save_chunk(label, chunk)
-    else:
-        def save(chunk):
-            return None
-    supervisor = _PhaseSupervisor(sup, campaign, board, label, save,
-                                  journal=journal)
-    for chunk in stored:
-        supervisor.results[chunk.start] = chunk
-
-    log.info("collecting %d samples under %s (%d checkpointed, "
-             "supervised=%s)", num_samples, policy.describe(),
-             len(completed), sup is not None)
-
-    if missing:
-        jobs = min(ctx.effective_jobs(), len(missing))
-        policy_opts = supervisor.sup
-        if jobs > 1:
-            target = math.ceil(len(missing)
-                               / (jobs * policy_opts.chunks_per_worker))
-        else:
-            target = policy_opts.serial_chunk_samples
-        pending = deque((chunk, 0)
-                        for chunk in _contiguous_chunks(missing, target))
-        progress_enabled = ctx.progress or env_flag("REPRO_PROGRESS")
-        try:
-            if jobs > 1:
-                queue = multiprocessing.get_context().Queue() \
-                    if progress_enabled or board is not None else None
-                with ProgressAggregator(
-                    num_samples, queue, label=policy.describe(),
-                    enabled=progress_enabled, board=board,
-                ) as aggregator:
-                    if completed:
-                        aggregator.reporter.update(len(completed))
-                    _run_chunks_pool(supervisor, pending, worker_ctx,
-                                     policy, num_samples, counts_only,
-                                     retain_kernel_results, trace_capacity,
-                                     faults, jobs, queue,
-                                     aggregator.reporter,
-                                     profiler=profiler)
+    phase = _Phase(ctx, policy, num_samples, counts_only,
+                   retain_kernel_results)
+    enabled = ctx.progress or env_flag("REPRO_PROGRESS")
+    # Pool workers report through a queue; the live --serve board needs it
+    # even when the stderr status line is off.
+    queue = (multiprocessing.get_context().Queue()
+             if phase.scheduler == "pool"
+             and (enabled or phase.board is not None) else None)
+    label = policy.describe()
+    if ctx.shard is not None:
+        label += f" [{ctx.shard.worker}]"
+    pending = deque((indices, 0) for indices in phase.items)
+    try:
+        with ProgressAggregator(num_samples, queue, label=label,
+                                enabled=enabled,
+                                board=phase.board) as aggregator:
+            progress = aggregator.reporter
+            if phase.restored:
+                progress.update(phase.restored)
+            if phase.scheduler == "lease":
+                from repro.experiments.shard import run_leases
+                run_leases(phase, progress)
+            elif phase.scheduler == "pool":
+                _run_pool(phase, pending, queue, progress)
             else:
-                reporter = ProgressReporter(
-                    num_samples, label=policy.describe(),
-                    enabled=progress_enabled, board=board)
-                if completed:
-                    reporter.update(len(completed))
-                _run_chunks_serial(supervisor, pending, worker_ctx, policy,
-                                   num_samples, counts_only,
-                                   retain_kernel_results, trace_capacity,
-                                   faults, reporter,
-                                   profile=profiler.enabled)
-                reporter.finish()
-        except KeyboardInterrupt:
-            done = sum(len(chunk.indices)
-                       for chunk in supervisor.results.values())
-            note = (f"\n[interrupted: {done}/{num_samples} samples of "
-                    f"{policy.describe()} done")
-            if store is not None:
-                note += f"; resume with --resume {store.describe()}"
-            print(note + "]", file=sys.stderr)
-            raise
-
-    if supervisor.failed:
-        if store is not None:
-            store.record_failed_samples(campaign.failed_samples)
-        print(f"[quarantined {len(supervisor.failed)} sample(s) under "
-              f"{policy.describe()}: "
-              f"{sorted(supervisor.failed)}]", file=sys.stderr)
-
-    # Fold everything — restored and fresh — back in sample order.
-    records: List[EncryptionRecord] = []
-    for start in sorted(supervisor.results):
-        chunk = supervisor.results[start]
-        records.extend(chunk.records)
-        if instrumented:
-            with profiler.span("runner.merge"):
-                telemetry.merge(chunk.telemetry)
-
-    journal.append(
-        "phase_finish", phase=label, samples=num_samples,
-        completed=len(records), restored=len(completed),
-        quarantined=len(supervisor.failed),
-        seconds=round(time.perf_counter() - phase_started, 6))
-    server = build_server(ctx, policy, counts_only=counts_only,
-                          retain_kernel_results=retain_kernel_results,
-                          telemetry=telemetry)
-    return server, records
+                _run_inline(phase, pending, progress)
+    except KeyboardInterrupt:
+        done = len({index for chunk in phase.results
+                    for index in chunk.indices})
+        hint = (f"resume with --resume {phase.store.describe()}"
+                if phase.store is not None else
+                "partial results discarded — use --resume to make "
+                "campaigns restartable")
+        print(f"\n[interrupted: {done}/{num_samples} samples of "
+              f"{policy.describe()} done; {hint}]", file=sys.stderr)
+        raise
+    return phase.finish()
 
 
 def _run_one_experiment(payload):

@@ -2,14 +2,17 @@
 
 N worker processes — launched separately, possibly on different hosts
 sharing one campaign directory — cooperatively drain a campaign with no
-scheduler and no coordinator. The only shared state is the filesystem,
-and the only primitives are the ones the checkpoint layer already
-guarantees crash-safe:
+scheduler and no coordinator. This module is the phase executor's
+``lease`` scheduler (:func:`run_leases`, chosen whenever
+``ExperimentContext.shard`` is set) and the lease protocol it claims
+work through. The only shared state is the filesystem, and the only
+primitives are the ones the checkpoint layer already guarantees
+crash-safe:
 
-* **work items** are the fixed-boundary phase chunks of
-  :func:`repro.experiments.checkpoint.shard_spans` — a pure function of
-  ``(num_samples, chunk_samples)``, so every worker enumerates the
-  identical list;
+* **work items** are fixed-boundary phase chunks —
+  :func:`repro.experiments.checkpoint.contiguous_chunks` over the full
+  sample range, a pure function of ``(num_samples, chunk_samples)`` — so
+  every worker enumerates the identical list;
 * a worker **claims** a chunk by atomically creating its lease file
   (``O_CREAT | O_EXCL``) in the phase directory — the lease body names
   the owner (worker id, host, pid) and a wall-clock deadline;
@@ -22,9 +25,9 @@ guarantees crash-safe:
   racing renames can win), delete the tombstone, claim fresh. A torn or
   unparseable lease file is treated exactly like the ledger's torn tail:
   damaged ⇒ stale ⇒ reclaimable;
-* a completed chunk is **committed** through the checkpoint store's
-  atomic-write discipline, duplicate-tolerantly
-  (:meth:`~repro.experiments.checkpoint.CheckpointStore.commit_chunk`),
+* a completed chunk is **committed** through the executor's one commit —
+  the checkpoint store's atomic-write discipline, duplicate-tolerantly
+  (:meth:`~repro.experiments.checkpoint.CheckpointStore.commit_chunk`) —
   then the lease is **released** (unlinked, if still ours).
 
 Why this is *correct* and not merely likely-correct: leases are an
@@ -66,25 +69,20 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.errors import ConfigurationError, ExperimentError
-from repro.experiments.checkpoint import (
-    ChunkResult,
-    phase_label,
-    shard_spans,
-)
+from repro.errors import ConfigurationError
 from repro.faults import EXIT_STATUS, InjectedFault, TornWriteError, \
     active_plan
 from repro.telemetry import ProgressReporter, get_logger
 from repro.telemetry.journal import RunJournal
-from repro.utils import env_flag
+from repro.utils import capped_backoff
 
 __all__ = [
     "Lease",
     "LeaseManager",
     "ShardPolicy",
-    "collect_records_sharded",
     "lease_name",
     "parse_lease",
+    "run_leases",
     "LEASE_NAME",
 ]
 
@@ -92,6 +90,12 @@ log = get_logger(__name__)
 
 #: Lease files encode their work item's span: ``lease-SSSSS-EEEEE.json``.
 LEASE_NAME = re.compile(r"lease-(\d+)-(\d+)\.json")
+
+#: Capped exponential backoff, in seconds, after a pass over the remaining
+#: work claims nothing (every chunk validly leased by live peers):
+#: ``min(cap, base * 2**(round-1))``, jittered by the campaign RNG.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
 
 
 def lease_name(start: int, end: int) -> str:
@@ -104,8 +108,8 @@ class ShardPolicy:
     """Knobs of one shard worker (the ``rcoal shard`` flags).
 
     Attached to an :class:`~repro.experiments.base.ExperimentContext`;
-    when set, :func:`~repro.experiments.base.collect_records` routes
-    every collection phase through :func:`collect_records_sharded`.
+    when set, every collection phase runs on the lease scheduler
+    (:func:`run_leases`).
     """
 
     #: This worker's identity, recorded in lease files and ledger events.
@@ -117,14 +121,9 @@ class ShardPolicy:
     #: Seconds between heartbeat renewals. None = ``lease_seconds / 3``,
     #: so a live worker always renews well before peers may steal.
     heartbeat_seconds: Optional[float] = None
-    #: Work-item granularity in samples (fixed boundaries — see
-    #: :func:`repro.experiments.checkpoint.shard_spans`).
+    #: Work-item granularity in samples; the boundaries are fixed over
+    #: the full sample range, so every worker leases the same spans.
     chunk_samples: int = 8
-    #: Capped exponential backoff when a pass over the remaining work
-    #: claims nothing (all chunks leased by live peers), in seconds:
-    #: ``min(cap, base * 2**(round-1))``, jittered by the campaign RNG.
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
 
     def heartbeat(self) -> float:
         if self.heartbeat_seconds is not None:
@@ -460,79 +459,36 @@ def _act_out_lease_fault(manager: LeaseManager, lease: Lease) -> None:
     )
 
 
-def collect_records_sharded(ctx, policy, num_samples: int,
-                            counts_only: bool = False,
-                            retain_kernel_results: bool = False):
-    """One shard worker's side of a collection phase.
+def run_leases(phase, progress: ProgressReporter) -> None:
+    """The lease scheduler: one shard worker's side of a phase.
 
-    Drains the phase's fixed-boundary chunks cooperatively: claim,
-    simulate through the same :func:`_simulate_chunk` every other path
-    uses, commit duplicate-tolerantly, release; back off (capped
+    Drains the phase's fixed-boundary work items cooperatively: claim,
+    simulate and commit through the executor, release; back off (capped
     exponential, campaign-RNG jitter) when everything left is validly
-    leased by live peers; reclaim what the dead leave behind. Returns
-    exactly what the serial path returns — the fold dedupes by sample
-    index, so overlapping chunks (steals, pre-shard partial runs) can
-    never double-count.
+    leased by live peers; reclaim what the dead leave behind. A failed
+    item releases its lease and propagates, so the span returns to the
+    claimable pool for peers or a rerun. The chunks peers committed join
+    the phase's results at the end; the executor folds by sample index,
+    so overlapping chunks (steals, pre-shard partial runs) never
+    double-count.
     """
-    from repro.experiments.base import build_server
-    from repro.experiments.runner import (
-        _phase_journal,
-        _simulate_chunk,
-        _worker_context,
-    )
-
-    shard: ShardPolicy = ctx.shard.validate()
-    store = ctx.checkpoint
-    if store is None:
-        raise ConfigurationError(
-            "sharded collection requires a checkpoint store "
-            "(rcoal shard always opens one)"
-        )
-    label = phase_label(ctx, policy, num_samples, counts_only,
-                        retain_kernel_results)
-    journal = _phase_journal(ctx)
-    worker_ctx = _worker_context(ctx)
-    faults = (ctx.faults.bind(num_samples, ctx.root_seed)
-              if ctx.faults is not None else None)
-    spans = shard_spans(num_samples, shard.chunk_samples)
-    phase_dir = store.phase_dir(label, make=True)
-    manager = LeaseManager(phase_dir, shard, journal, phase=label)
-    jitter = ctx.stream(f"shard#{shard.worker}")
-    from repro.utils import batched_mode, batched_timing_mode
-    if counts_only:
-        engine = ("batched" if faults is None and batched_mode(ctx.batched)
-                  else "event")
-    else:
-        engine = ("batched_timing"
-                  if batched_timing_mode(ctx.batched_timing) else "event")
-
-    restored = len(_covered(store.completed_spans(label)))
-    journal.append("phase_start", phase=label, policy=policy.describe(),
-                   samples=num_samples, restored=restored, jobs=1,
-                   mode="shard", engine=engine, counts_only=counts_only,
-                   worker=shard.worker)
-    if counts_only:
-        journal.append("engine_select", phase=label, engine=engine)
-    if restored:
-        print(f"[resume: {min(restored, num_samples)}/{num_samples} "
-              f"samples of {policy.describe()} already committed in "
-              f"{store.describe()}]", file=sys.stderr)
-    phase_started = time.perf_counter()
-    reporter = ProgressReporter(
-        num_samples, label=f"{policy.describe()} [{shard.worker}]",
-        enabled=ctx.progress or env_flag("REPRO_PROGRESS"))
-
+    shard: ShardPolicy = phase.ctx.shard
+    store, label = phase.store, phase.label
+    manager = LeaseManager(store.phase_dir(label, make=True), shard,
+                           phase.journal, phase=label)
+    jitter = phase.ctx.stream(f"shard#{shard.worker}")
     idle_rounds = 0
     while True:
         done = _covered(store.completed_spans(label))
-        todo = [(start, end) for start, end in spans
-                if not set(range(start, end + 1)) <= done]
+        todo = [indices for indices in phase.items
+                if not done.issuperset(indices)]
         if not todo:
             break
-        progress = False
-        for start, end in todo:
+        progressed = False
+        for indices in todo:
+            start, end = indices[0], indices[-1]
             if store.has_chunk(label, start, end):
-                progress = True  # a peer finished it since the census
+                progressed = True  # a peer finished it since the census
                 continue
             lease = manager.claim(start, end)
             if lease is None:
@@ -542,80 +498,42 @@ def collect_records_sharded(ctx, policy, num_samples: int,
                 # Committed between the census and our claim; the lease
                 # was pointless, not wrong.
                 manager.release(lease, reason="already-committed")
-                progress = True
+                progressed = True
                 continue
-            indices = tuple(range(start, end + 1))
-            journal.append("chunk_dispatch", phase=label, start=start,
-                           end=end, samples=len(indices), attempt=0,
-                           worker=shard.worker)
+            phase.dispatch(indices, 0)
             heartbeat = _HeartbeatProgress(manager, lease,
-                                           shard.heartbeat(), reporter)
-            chunk_started = time.perf_counter()
+                                           shard.heartbeat(), progress)
+            started = time.perf_counter()
             try:
-                records, _ = _simulate_chunk(
-                    worker_ctx, policy, num_samples, indices, counts_only,
-                    retain_kernel_results, trace_capacity=0, faults=faults,
-                    attempt=0, progress=heartbeat, in_worker=True)
+                records, telemetry = phase.simulate(indices, 0, heartbeat,
+                                                    in_worker=True)
             except KeyboardInterrupt:
-                # Satellite contract: an interrupted worker releases its
-                # lease *before* exiting 130 — peers must never have to
-                # wait out the deadline for a clean Ctrl-C.
+                # An interrupted worker releases its lease *before*
+                # exiting 130 — peers must never have to wait out the
+                # deadline for a clean Ctrl-C.
                 manager.release(lease, reason="interrupted")
                 print(f"\n[interrupted: released lease {start}-{end} of "
-                      f"{policy.describe()}; peers can claim it "
+                      f"{phase.policy.describe()}; peers can claim it "
                       f"immediately]", file=sys.stderr)
                 raise
             except BaseException as exc:
                 manager.release(lease, reason=f"error: "
                                 f"{type(exc).__name__}")
                 raise
-            committed = store.commit_chunk(
-                label, ChunkResult(indices, records, None))
-            journal.append(
-                "chunk_done", phase=label, start=start, end=end,
-                samples=len(indices), attempt=0, worker=shard.worker,
-                committed=committed,
-                seconds=round(time.perf_counter() - chunk_started, 6))
+            phase.commit(indices, records, telemetry, 0, started)
             manager.release(lease)
-            progress = True
-        if progress:
+            progressed = True
+        if progressed:
             idle_rounds = 0
             continue
         # Everything left is leased by peers that look alive. Back off;
         # if one of them is actually dead, its lease expires within
         # lease_seconds and the next pass reclaims it.
         idle_rounds += 1
-        delay = min(shard.backoff_cap,
-                    shard.backoff_base * (2 ** (idle_rounds - 1)))
+        delay = capped_backoff(idle_rounds, BACKOFF_BASE, BACKOFF_CAP)
         delay *= 0.5 + float(jitter.generator.random())
         log.info("all remaining chunks of %s leased by peers; backing "
-                 "off %.3fs (round %d)", policy.describe(), delay,
+                 "off %.3fs (round %d)", phase.policy.describe(), delay,
                  idle_rounds)
         time.sleep(delay)
-    reporter.finish()
-
-    # Fold by sample index: chunks may overlap (a steal's double commit,
-    # spans from a pre-shard run) but every copy of a sample is
-    # identical, so first-wins in sorted-chunk order is deterministic.
-    by_index = {}
-    for chunk in store.load_chunks(label):
-        for index, record in zip(chunk.indices, chunk.records):
-            by_index.setdefault(index, record)
-    missing = [i for i in range(num_samples) if i not in by_index]
-    if missing:
-        raise ExperimentError(
-            f"sharded phase {label} ended with samples {missing[:8]} "
-            f"uncommitted — the campaign directory was modified "
-            f"underneath the workers"
-        )
-    records = [by_index[index] for index in range(num_samples)]
-
-    journal.append(
-        "phase_finish", phase=label, samples=num_samples,
-        completed=len(records), restored=restored, quarantined=0,
-        worker=shard.worker,
-        seconds=round(time.perf_counter() - phase_started, 6))
-    server = build_server(ctx, policy, counts_only=counts_only,
-                          retain_kernel_results=retain_kernel_results,
-                          telemetry=ctx.telemetry)
-    return server, records
+    phase.results.extend(store.load_chunks(label))

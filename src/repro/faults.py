@@ -6,9 +6,10 @@ file writes — *deterministically*, so the chaos CI job never flakes and a
 failing case replays bit-identically. A :class:`FaultPlan` is a small,
 picklable description of which faults fire where:
 
-* **sample faults** (``raise``, ``hang``, ``exit``) fire when a worker is
-  about to simulate a given sample index, gated on the supervisor-assigned
-  *attempt* number of the work item — a spec with ``xN`` fires on the
+* **sample faults** (``raise``, ``hang``, ``exit``) fire before the work
+  item holding a given sample index simulates, on whatever engine the
+  phase resolved. They are gated on the supervisor-assigned *attempt*
+  number of the item: a spec with ``xN`` fires on the
   first ``N`` attempts (a transient fault that a retry survives), while
   ``x*`` fires on every attempt (a deterministic poison sample that must
   be quarantined);
@@ -152,14 +153,15 @@ class FaultPlan:
 
     def maybe_fire_sample(self, index: int, attempt: int,
                           in_worker: bool) -> None:
-        """Fire any matching sample fault; called before simulating
-        ``index`` on work-item attempt ``attempt``.
+        """Fire any matching sample fault; called before the work item
+        holding ``index`` simulates, on its attempt ``attempt``.
 
-        ``in_worker`` distinguishes a supervised worker process (where
-        ``hang`` really blocks and ``exit`` really kills) from in-process
-        execution (the serial path and the degraded-to-serial fallback),
-        where both are translated to an immediate :class:`InjectedFault` —
-        an in-process hang would wedge the supervisor itself.
+        ``in_worker`` distinguishes a worker process — a pool or shard
+        worker, where ``hang`` really blocks and ``exit`` really kills —
+        from in-process execution (the inline scheduler, including a
+        degraded pool's fallback), where both are translated to an
+        immediate :class:`InjectedFault`: an in-process hang would wedge
+        the supervisor itself.
         """
         for spec in self.sample_specs(index):
             if not spec.fires_on(attempt):

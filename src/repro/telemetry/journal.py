@@ -84,9 +84,10 @@ class RunJournal:
     """Append-only, crash-safe event ledger for one campaign directory.
 
     Holds only a path and a flag, so it pickles trivially — but workers
-    never get one: :func:`repro.experiments.runner._worker_context`
-    strips it, and per-experiment ``all -j N`` workers open their own
-    against their own run directory.
+    never get one: the phase executor strips it from the context it
+    ships to pool workers (:class:`repro.experiments.runner.PhaseWork`),
+    and per-experiment ``all -j N`` workers open their own against their
+    own run directory.
     """
 
     def __init__(self, path: Union[str, Path], enabled: bool = True):

@@ -2,7 +2,7 @@
 ``rcoal profile``).
 
 A :class:`SpanProfiler` aggregates named ``perf_counter_ns`` spans —
-"runner.submit", "worker.simulate", "runner.merge", … — so a run can be
+"runner.submit", "chunk.simulate", "runner.merge", … — so a run can be
 decomposed into pickle / spin-up / compute / merge components without a
 sampling profiler. It follows the same null-object discipline as
 :class:`~repro.telemetry.core.Telemetry`: the shared

@@ -5,7 +5,7 @@ run takes minutes with no feedback. :class:`ProgressReporter` prints a
 single self-overwriting status line to stderr — samples done, percentage,
 elapsed wall time, and a rate-based ETA — throttled so the write overhead
 stays negligible. Disabled reporters are no-ops, so the call sites in
-:mod:`repro.experiments.base` cost one attribute check when progress
+:mod:`repro.experiments.runner` cost one attribute check when progress
 reporting is off (the default; tests and pipelines see clean streams).
 
 When the parallel runner fans samples out across worker processes, each
@@ -205,15 +205,15 @@ class ProgressAggregator:
             ... submit work; workers put increments on `queue` ...
         # on exit: drains remaining increments, prints the final line
 
-    A ``None`` queue (progress disabled) makes every method a no-op.
+    A ``None`` queue means no worker fan-in: in-process code updates
+    :attr:`reporter` directly.
     """
 
     def __init__(self, total: int, queue, label: str = "",
                  stream: Optional[TextIO] = None, enabled: bool = True,
                  board: Optional[ProgressBoard] = None):
         self.reporter = ProgressReporter(total, label=label, stream=stream,
-                                         enabled=enabled and queue is not None,
-                                         board=board)
+                                         enabled=enabled, board=board)
         self._queue = queue
         self._thread: Optional[threading.Thread] = None
 
@@ -240,4 +240,4 @@ class ProgressAggregator:
             self._queue.put(None)
             self._thread.join()
             self._thread = None
-            self.reporter.finish()
+        self.reporter.finish()

@@ -694,8 +694,7 @@ function laneMs(spans, predicate) {
   return total;
 }
 
-const simLane = s => laneMs(s.spans, n =>
-  n === "serial.simulate" || n === "chunk.simulate");
+const simLane = s => laneMs(s.spans, n => n === "chunk.simulate");
 const overheadLane = s => laneMs(s.spans, n =>
   n.startsWith("runner.") || n.startsWith("checkpoint."));
 

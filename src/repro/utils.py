@@ -18,6 +18,8 @@ __all__ = [
     "fast_mode",
     "batched_mode",
     "batched_timing_mode",
+    "phase_engine",
+    "capped_backoff",
     "scaled_samples",
     "atomic_write_bytes",
     "atomic_write_text",
@@ -99,6 +101,34 @@ def batched_timing_mode(explicit: "Union[bool, None]" = None) -> bool:
     if raw in {"0", "false", "no", "off"}:
         return False
     return True
+
+
+def phase_engine(counts_only: bool, batched: "Union[bool, None]" = None,
+                 batched_timing: "Union[bool, None]" = None) -> str:
+    """The engine a collection phase runs on: the one engine rule.
+
+    ``"batched"`` (the structure-of-arrays counts core) or ``"event"``
+    for counts-only phases; ``"batched_timing"`` (the wavefront core) or
+    ``"event"`` for timed ones, resolved by :func:`batched_mode` /
+    :func:`batched_timing_mode`. The phase executor dispatches on it,
+    journals it and pins it into worker contexts, so the three always
+    agree. Fault plans have no say in it.
+    """
+    if counts_only:
+        return "batched" if batched_mode(batched) else "event"
+    return ("batched_timing" if batched_timing_mode(batched_timing)
+            else "event")
+
+
+def capped_backoff(attempt: int, base: float, cap: float) -> float:
+    """Capped exponential backoff ``min(cap, base * 2**(attempt-1))``.
+
+    Shared by supervised retries and by shard workers waiting on their
+    peers' leases; a non-positive ``base`` disables waiting.
+    """
+    if base <= 0:
+        return 0.0
+    return min(cap, base * (2 ** max(0, attempt - 1)))
 
 
 def scaled_samples(paper_count: int, fast_count: int) -> int:

@@ -52,6 +52,33 @@ class TestCollectRecords:
         # But different access counts: different machine.
         assert records_a[0].total_accesses != records_b[0].total_accesses
 
+    @pytest.mark.parametrize("schedule", ["inline", "pool", "checkpointed",
+                                          "supervised", "leased"])
+    def test_zero_samples_is_a_configuration_error_everywhere(
+            self, tmp_path, schedule):
+        from repro.experiments.checkpoint import (CheckpointStore,
+                                                  campaign_fingerprint)
+        from repro.experiments.runner import SupervisionPolicy
+        from repro.experiments.shard import ShardPolicy
+        base = ExperimentContext(samples=0)
+
+        def store():
+            return CheckpointStore.open(
+                tmp_path / "run", campaign_fingerprint("unit", base, False))
+
+        ctx = {
+            "inline": lambda: base,
+            "pool": lambda: base.with_(jobs=2),
+            "checkpointed": lambda: base.with_(checkpoint=store()),
+            "supervised": lambda: base.with_(
+                supervision=SupervisionPolicy()),
+            "leased": lambda: base.with_(checkpoint=store(),
+                                         shard=ShardPolicy("w1")),
+        }[schedule]()
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            collect_records(ctx, make_policy("baseline"), 0,
+                            counts_only=True)
+
 
 class TestCorrespondingAttack:
     def test_mechanisms_get_matching_models(self):

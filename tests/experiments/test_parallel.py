@@ -16,30 +16,43 @@ from repro.experiments.base import (
     collect_records,
     run_corresponding_attack,
 )
+from repro.experiments.checkpoint import contiguous_chunks
 from repro.experiments.registry import run_experiment
-from repro.experiments.runner import chunk_indices
 from repro.telemetry import Telemetry
 
 SEED = 4242
 
 
 class TestChunkIndices:
-    def test_contiguous_and_balanced(self):
-        assert chunk_indices(10, 3) \
-            == [range(0, 4), range(4, 7), range(7, 10)]
+    """The executor's one chunking rule, ``contiguous_chunks``."""
+
+    def test_contiguous_runs_of_at_most_size(self):
+        assert contiguous_chunks(range(10), 4) \
+            == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9)]
 
     def test_never_returns_empty_ranges(self):
-        assert chunk_indices(2, 8) == [range(0, 1), range(1, 2)]
+        assert contiguous_chunks(range(2), 0) == [(0,), (1,)]
+        assert contiguous_chunks([], 4) == []
 
     def test_single_chunk_is_identity(self):
-        assert chunk_indices(5, 1) == [range(0, 5)]
+        assert contiguous_chunks(range(5), 5) == [(0, 1, 2, 3, 4)]
 
-    @pytest.mark.parametrize("count,chunks", [(1, 1), (7, 2), (8, 4),
-                                              (9, 4), (100, 16)])
-    def test_partitions_exactly(self, count, chunks):
-        ranges = chunk_indices(count, chunks)
-        flat = [i for r in ranges for i in r]
-        assert flat == list(range(count))
+    @pytest.mark.parametrize("count,size", [(1, 1), (7, 2), (8, 4),
+                                            (9, 4), (100, 16)])
+    def test_partitions_exactly(self, count, size):
+        chunks = contiguous_chunks(range(count), size)
+        assert [i for chunk in chunks for i in chunk] == list(range(count))
+        assert all(0 < len(chunk) <= size for chunk in chunks)
+
+    def test_resume_holes_are_never_bridged(self):
+        assert contiguous_chunks([0, 1, 2, 5, 6, 9], 8) \
+            == [(0, 1, 2), (5, 6), (9,)]
+
+    def test_full_range_boundaries_are_fixed_for_leases(self):
+        # Shard workers lease these spans by name, so they must depend on
+        # (num_samples, size) alone.
+        assert [(c[0], c[-1]) for c in contiguous_chunks(range(12), 5)] \
+            == [(0, 4), (5, 9), (10, 11)]
 
 
 def _record_key(record):

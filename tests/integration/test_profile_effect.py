@@ -52,7 +52,7 @@ class TestProfileObserverEffect:
                      "--profile"]) == 0
         captured = capsys.readouterr()
         assert "wall-clock profile" in captured.err
-        assert "serial.simulate" in captured.err
+        assert "chunk.simulate" in captured.err
         assert "wall-clock profile" not in captured.out
 
     def test_profile_subcommand_result_table_matches_plain_run(self,

@@ -244,16 +244,7 @@ class TestShardedCollection:
 
         chunk_path = store_a.phase_dir(label) / chunk_name(0, SAMPLES - 1)
         before = chunk_path.read_bytes()
-        from repro.experiments.runner import _simulate_chunk, \
-            _worker_context
-        from repro.telemetry import ProgressReporter
-        records_a, _ = _simulate_chunk(
-            _worker_context(ctx_a), policy, SAMPLES,
-            tuple(range(SAMPLES)), True, False, trace_capacity=0,
-            faults=None, attempt=0,
-            progress=ProgressReporter(SAMPLES, label="late",
-                                      enabled=False),
-            in_worker=True)
+        _, records_a = _collect(ctx_a)  # A's late re-simulation
         assert _keys(records_a) == golden  # same samples ⇒ same records
         late = ChunkResult(tuple(range(SAMPLES)), records_a, None)
         assert store_a.commit_chunk(label, late) is False
@@ -287,12 +278,12 @@ class TestShardedCollection:
                                                      monkeypatch, capsys):
         # Satellite contract: Ctrl-C must not leave a lease for peers to
         # wait out — release first, then propagate the interrupt.
-        import repro.experiments.runner as runner_mod
+        from repro.experiments.runner import PhaseWork
 
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(runner_mod, "_simulate_chunk", interrupted)
+        monkeypatch.setattr(PhaseWork, "simulate", interrupted)
         ctx = _ctx(shard=ShardPolicy("w1", chunk_samples=SAMPLES))
         ctx = ctx.with_(checkpoint=_store(tmp_path, ctx))
         with pytest.raises(KeyboardInterrupt):

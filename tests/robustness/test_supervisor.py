@@ -1,10 +1,9 @@
-"""Worker supervision semantics, exercised through the in-process path.
+"""Worker supervision semantics, exercised through the inline scheduler.
 
-These tests drive :func:`collect_records_resilient` with deterministic
-fault plans and zero backoff — no pools, no sleeps, no wall-clock — so
-they pin the retry/split/quarantine state machine precisely. The pool
-variants of the same behaviors live in ``test_resume_identity.py`` and
-the CI chaos job.
+These tests drive :func:`collect_records` with deterministic fault plans
+and zero backoff — no pools, no sleeps, no wall-clock — so they pin the
+retry/split/quarantine state machine precisely. The pool variants of the
+same behaviors live in ``test_resume_identity.py`` and the CI chaos job.
 """
 
 import pytest
@@ -12,8 +11,10 @@ import pytest
 from repro.core.policies import make_policy
 from repro.errors import ConfigurationError
 from repro.experiments.base import ExperimentContext, collect_records
+from repro.experiments.checkpoint import CheckpointStore, campaign_fingerprint
 from repro.experiments.runner import CampaignStats, SupervisionPolicy
 from repro.faults import InjectedFault, parse_fault_plan
+from repro.gpu.batched import BatchedCountsCore
 from repro.telemetry import Telemetry
 
 SEED = 515
@@ -149,6 +150,45 @@ class TestQuarantine:
         summary = campaign.summary()
         assert "quarantined=1" in summary
         assert campaign.eventful()
+
+
+class TestFaultsKeepTheDefaultEngine:
+    """Fault plans never choose the engine: a supervised, checkpointed
+    counts phase under faults still runs on the batched counts core."""
+
+    @pytest.mark.parametrize("plan,poison", [("raise@3", None),
+                                             ("raise@4x*", 4)])
+    def test_counts_phase_runs_on_the_batched_core(
+            self, tmp_path, monkeypatch, golden, plan, poison):
+        simulated = []
+        original = BatchedCountsCore.encrypt_batch
+
+        def spy(self, plaintexts, rngs, on_record=None):
+            simulated.append(len(plaintexts))
+            return original(self, plaintexts, rngs, on_record=on_record)
+
+        monkeypatch.setattr(BatchedCountsCore, "encrypt_batch", spy)
+        ctx = ExperimentContext(root_seed=SEED, samples=SAMPLES)
+        store = CheckpointStore.open(
+            tmp_path / "run", campaign_fingerprint("unit", ctx, False))
+        campaign = CampaignStats()
+        _, records = collect_records(
+            ctx.with_(checkpoint=store, supervision=FAST_SUPERVISION,
+                      faults=parse_fault_plan(plan), campaign=campaign),
+            make_policy("baseline", 1), SAMPLES, counts_only=True)
+
+        expected = [key for index, key in enumerate(golden)
+                    if index != poison]
+        assert _keys(records) == expected
+        assert campaign.retries >= 1
+        assert [entry["sample"] for entry in campaign.failed_samples] \
+            == ([] if poison is None else [poison])
+        # Faults fire before an item simulates, so every surviving sample
+        # went through the batched core exactly once.
+        assert sum(simulated) == len(expected)
+        engines = [event["engine"] for event in store.journal.read()
+                   if event["kind"] == "engine_select"]
+        assert engines == ["batched"]
 
 
 class TestCampaignStats:

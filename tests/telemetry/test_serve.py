@@ -302,7 +302,7 @@ class TestProfileEndpoint:
             _, _, body = _get(f"{server.url}/profile")
             payload = json.loads(body)
             assert payload["profiler_enabled"] is True
-            assert payload["wall_spans"]["serial.simulate"]["count"] == 1
+            assert payload["wall_spans"]["chunk.simulate"]["count"] == 1
             assert payload["sim_counters"]["coalescer.serialize"] > 0
             assert payload["sim_counters"]["dram.service"] > 0
 
@@ -438,8 +438,8 @@ class TestCampaignEndpoint:
             server.sample_history()
             _, _, body = _get(f"{server.url}/metrics/history?since=0")
             latest = json.loads(body)["samples"][-1]
-            assert "serial.simulate" in latest["spans"]
-            assert latest["spans"]["serial.simulate"] > 0
+            assert "chunk.simulate" in latest["spans"]
+            assert latest["spans"]["chunk.simulate"] > 0
 
     def test_dashboard_has_campaign_panel_and_lane_sparks(self):
         with TelemetryServer(Telemetry(board=ProgressBoard()),

@@ -1,5 +1,9 @@
 """The public API surface: everything advertised must resolve and work."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -27,6 +31,19 @@ class TestExports:
             for name in module.__all__:
                 assert getattr(module, name, None) is not None, \
                     f"{module.__name__}.{name}"
+
+
+class TestImportFootprint:
+    def test_fresh_import_leaves_scipy_unloaded(self):
+        # numpy is the only third-party dependency; the experiment
+        # registry imports every harness, so it covers the whole package.
+        probe = ("import sys, repro, repro.experiments.registry; "
+                 "print('scipy' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run([sys.executable, "-c", probe],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
 
 
 class TestReadmeQuickstart:
