@@ -117,24 +117,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                              "stdout stays bit-identical (see 'rcoal "
                              "profile' for the sim-cycle cost-center "
                              "profiler)")
-    parser.add_argument("--batched", default=None,
-                        action=argparse.BooleanOptionalAction,
-                        help="force the batched structure-of-arrays "
-                             "collection core for counts-only phases "
-                             "(--no-batched forces the per-launch event "
-                             "engine); default: REPRO_BATCHED, then on. "
-                             "Counts are checksum-identical either way "
-                             "(see docs/performance.md)")
-    parser.add_argument("--batched-timing", default=None,
-                        action=argparse.BooleanOptionalAction,
-                        help="force the wavefront-batched exact-timing "
-                             "engine for timed phases "
-                             "(--no-batched-timing forces the per-event "
-                             "engine); default: REPRO_BATCHED_TIMING, "
-                             "then on. The KernelResult is identical "
-                             "either way; unsupported launches fall "
-                             "back to the event engine (see "
-                             "docs/performance.md)")
 
 
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
@@ -346,9 +328,7 @@ def _run_telemetry_command(command: str, argv: List[str]) -> int:
         server = None
     ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
                             telemetry=telemetry, progress=args.progress,
-                            jobs=args.jobs, batched=args.batched,
-                            batched_timing=args.batched_timing,
-                            **_resilience_fields(args))
+                            jobs=args.jobs, **_resilience_fields(args))
     if args.resume:
         ctx = ctx.with_(checkpoint=_open_store(
             args.resume, args.experiment, ctx, multiple=False,
@@ -453,9 +433,7 @@ def _run_serve_command(argv: List[str]) -> int:
     server = _start_server(args.port, telemetry, campaign_dir=args.resume)
     ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
                             telemetry=telemetry, progress=args.progress,
-                            jobs=args.jobs, batched=args.batched,
-                            batched_timing=args.batched_timing,
-                            **_resilience_fields(args))
+                            jobs=args.jobs, **_resilience_fields(args))
     if args.resume:
         ctx = ctx.with_(checkpoint=_open_store(
             args.resume, args.experiment, ctx, multiple=False,
@@ -537,9 +515,7 @@ def _run_profile_command(argv: List[str]) -> int:
     telemetry = Telemetry(trace_capacity=args.capacity, profile=True)
     ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
                             telemetry=telemetry, progress=args.progress,
-                            jobs=args.jobs, batched=args.batched,
-                            batched_timing=args.batched_timing,
-                            **_resilience_fields(args))
+                            jobs=args.jobs, **_resilience_fields(args))
     if args.resume:
         ctx = ctx.with_(checkpoint=_open_store(
             args.resume, args.experiment, ctx, multiple=False,
@@ -765,16 +741,6 @@ def _build_shard_parser() -> argparse.ArgumentParser:
                         help="deterministic chaos, incl. the lease "
                              "targets torn@lease / hang@lease / "
                              "exit@lease / steal@lease (see repro.faults)")
-    parser.add_argument("--batched", default=None,
-                        action=argparse.BooleanOptionalAction,
-                        help="counts-phase engine selection (as on the "
-                             "main command; part of the campaign "
-                             "fingerprint)")
-    parser.add_argument("--batched-timing", default=None,
-                        action=argparse.BooleanOptionalAction,
-                        help="timed-phase engine selection (as on the "
-                             "main command; part of the campaign "
-                             "fingerprint)")
     parser.add_argument("--progress", action="store_true",
                         help="per-sample ETA reporting on stderr")
     parser.add_argument("-v", "--verbose", action="count", default=0,
@@ -806,9 +772,8 @@ def _run_shard_command(argv: List[str]) -> int:
         install_plan(plan)
         fields["faults"] = plan
     ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
-                            progress=args.progress, batched=args.batched,
-                            batched_timing=args.batched_timing,
-                            shard=policy, **fields)
+                            progress=args.progress, shard=policy,
+                            **fields)
 
     ids = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
@@ -925,9 +890,7 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
         telemetry = Telemetry(profile=True)
     ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
                             telemetry=telemetry, progress=args.progress,
-                            jobs=args.jobs, batched=args.batched,
-                            batched_timing=args.batched_timing,
-                            **_resilience_fields(args))
+                            jobs=args.jobs, **_resilience_fields(args))
 
     multiple = len(ids) > 1
     # An `all --resume` campaign gets a root-level ledger over the

@@ -66,17 +66,16 @@ class ExperimentContext:
     #: one per CPU). Parallel runs are bit-identical to serial because all
     #: per-sample randomness is derived from (root_seed, stream, sample).
     jobs: int = 1
-    #: Collection-engine selection for counts-only phases: True forces the
-    #: batched structure-of-arrays core, False forces the per-launch event
-    #: path, None (default) resolves via REPRO_BATCHED and then to the
-    #: batched core (counts are checksum-identical either way).
-    batched: Optional[bool] = None
-    #: Exact-timing engine selection for timed phases: True forces the
-    #: wavefront-batched core, False forces the per-event engine, None
-    #: (default) resolves via REPRO_BATCHED_TIMING and then to the
-    #: batched core. Either way the KernelResult is identical; launches
-    #: the core does not cover fall back to the event engine.
-    batched_timing: Optional[bool] = None
+    #: Counts-only phases run on the batched structure-of-arrays core;
+    #: False runs each launch on the event engine, the reference, and
+    #: keeps only its counts. Tests and benchmarks turn it off to check
+    #: the core against the reference; the records are equal either way.
+    batched: bool = True
+    #: Timed phases run on the wavefront-batched core (launches it does
+    #: not cover fall back to the event engine); False runs every launch
+    #: on the event engine, the reference. The KernelResult is identical
+    #: either way; only tests and benchmarks turn it off.
+    batched_timing: bool = True
     #: Optional worker supervision (deadlines, retries, quarantine) — a
     #: ``repro.experiments.runner.SupervisionPolicy``. None (the default)
     #: means unsupervised: failures propagate and nothing is retried.

@@ -19,8 +19,8 @@ to regress against:
 * ``counts_sweep`` — counts-only collection at Fig 18 scale (wide
   plaintexts, no timing engine), timed under *both* engines: the
   batched structure-of-arrays core (the default; ``ms_per_sample``)
-  and the per-launch event path (``event_ms_per_sample``), with the
-  speedup and a counts-equality check recorded;
+  and the event engine, the reference (``event_ms_per_sample``), with
+  the speedup and a counts-equality check recorded;
 * ``shard_overhead`` — the counts workload drained through the
   ``rcoal shard`` lease protocol with 1-sample chunks (the worst-case
   per-work-item toll: lease create/renew/release plus ledger appends),

@@ -28,11 +28,11 @@ bit for bit.
 
 The manifest pins the **campaign fingerprint** — experiment id, root
 seed, sample override, plaintext lines, GPU config hash, the
-``REPRO_FAST``/``REPRO_SAMPLES`` scaling context, and whether the run is
-instrumented. Resuming under a different fingerprint raises
-:class:`~repro.errors.CheckpointMismatchError` with a field-by-field
-diff: mixing results from two different campaigns would corrupt the
-output silently, which is strictly worse than starting over.
+``REPRO_FAST``/``REPRO_SAMPLES`` scaling context, whether the run is
+instrumented, and the engines it ran on. Resuming under a different
+fingerprint raises :class:`~repro.errors.CheckpointMismatchError` with a
+field-by-field diff: mixing results from two different campaigns would
+corrupt the output silently, which is strictly worse than starting over.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ from repro.telemetry import Telemetry, get_logger
 from repro.telemetry.baseline import compare_snapshots
 from repro.telemetry.journal import JOURNAL_NAME, RunJournal
 from repro.telemetry.metrics import stable_json
-from repro.utils import (atomic_write_bytes, atomic_write_text,
-                         batched_mode, batched_timing_mode)
+from repro.utils import atomic_write_bytes, atomic_write_text
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -108,16 +107,12 @@ def campaign_fingerprint(experiment_id: str, ctx,
         "repro_fast": os.environ.get("REPRO_FAST") or None,
         "repro_samples": os.environ.get("REPRO_SAMPLES") or None,
         "instrumented": bool(instrumented),
-        # Engine selection for counts-only phases. Counts are
-        # checksum-identical across the two cores, but like --profile the
-        # selection is part of the campaign's identity so a --resume never
-        # silently mixes cores.
-        "batched": batched_mode(getattr(ctx, "batched", None)),
-        # Likewise for exact timing: the wavefront core is KernelResult-
-        # identical to the event engine, but the selection is pinned so a
-        # resumed campaign is a property of one declared engine choice.
-        "batched_timing": batched_timing_mode(
-            getattr(ctx, "batched_timing", None)),
+        # The engines a campaign ran on (False: the event engine, the
+        # reference). Records are identical either way, but the choice is
+        # part of the campaign's identity, so a --resume never silently
+        # mixes engines.
+        "batched": ctx.batched,
+        "batched_timing": ctx.batched_timing,
     }
 
 

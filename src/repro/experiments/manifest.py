@@ -381,7 +381,9 @@ def campaign_manifest(root: Union[str, Path],
     open_phases = [phase["phase"] for view in experiments
                    for phase in view["phases"]
                    if phase["state"] == "in-progress"]
-    age = round(now - last_ts, 3) if last_ts is not None else None
+    # Compared unrounded: a ledger written under 0.5 ms ago must not read
+    # as age 0.0, which a zero stall budget would not count as stalled.
+    age = now - last_ts if last_ts is not None else None
     if totals["samples"] and totals["remaining"] == 0 and not open_phases:
         status = "complete"
     elif open_phases and age is not None and age > stall_after:
@@ -402,7 +404,8 @@ def campaign_manifest(root: Union[str, Path],
         "workers": workers,
         "stale_leases": stale_leases,
         "open_phases": open_phases,
-        "last_event_age_seconds": age,
+        "last_event_age_seconds": (round(age, 3) if age is not None
+                                   else None),
         "root_events": len(root_events),
     }
 
@@ -461,7 +464,7 @@ def campaign_health(root: Union[str, Path],
                     stale += 1
                     if stalled_worker is None:
                         stalled_worker = lease["owner"] or "torn-lease"
-    age = round(now - last_ts, 3) if last_ts is not None else None
+    age = now - last_ts if last_ts is not None else None
     # A stale lease only stalls a campaign with open work: on a
     # finished campaign it is litter from a worker whose span a peer
     # already covered (GC sweeps it), matching campaign_manifest's
@@ -471,7 +474,8 @@ def campaign_health(root: Union[str, Path],
                                      or stale > 0)
     return {
         "ledgers": len(ledgers),
-        "last_event_age_seconds": age,
+        "last_event_age_seconds": (round(age, 3) if age is not None
+                                   else None),
         "open_phases": open_phases,
         "leases": leases,
         "stale_leases": stale,

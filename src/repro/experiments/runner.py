@@ -56,7 +56,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import CoalescingPolicy
@@ -270,8 +270,9 @@ class PhaseWork:
     the worker context — the parent's telemetry sink, progress, nested
     parallelism, resilience layer and run ledger stripped (those stay in
     the parent, so one ledger has one writer per process tree level), and
-    both engine selectors pinned to the phase's ``engine``, so a warm
-    pool's workers never consult their own, possibly stale, environment.
+    both engine booleans pinned to the phase's ``engine``, so a counts
+    phase on the event engine builds its servers with the wavefront core
+    off.
     """
 
     ctx: ExperimentContext
@@ -314,22 +315,21 @@ class PhaseWork:
         with profiler.span("chunk.workload"):
             plaintexts = random_plaintexts(self.num_samples, ctx.lines,
                                            ctx.stream("workload"))
-        server = build_server(ctx, self.policy, counts_only=self.counts_only,
+        # A counts-only phase on the event engine simulates full launches
+        # on a timed server and keeps only their counts.
+        server = build_server(ctx, self.policy,
+                              counts_only=self.engine == "batched",
                               retain_kernel_results=self.retain_kernel_results,
                               telemetry=telemetry)
         stream_name = victim_stream_name(self.policy)
         rngs = [ctx.sample_stream(stream_name, index) for index in indices]
         with profiler.span("chunk.simulate"):
-            if self.engine == "batched":
-                from repro.gpu.batched import BatchedCountsCore
-                records = BatchedCountsCore(server).encrypt_batch(
-                    [plaintexts[index] for index in indices], rngs,
-                    on_record=lambda record: progress.update())
-            else:
-                records = []
-                for index, rng in zip(indices, rngs):
-                    records.append(server.encrypt(plaintexts[index], rng=rng))
-                    progress.update()
+            records = server.encrypt_batch(
+                [plaintexts[index] for index in indices], rngs,
+                on_record=lambda record: progress.update())
+        if self.counts_only and not server.counts_only:
+            records = [replace(record, total_time=0, last_round_time=0,
+                               kernel_result=None) for record in records]
         return records, private
 
 

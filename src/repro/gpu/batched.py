@@ -1,11 +1,9 @@
-"""Batched structure-of-arrays collection core (counts-only path).
+"""Batched structure-of-arrays collection core: the one counts engine.
 
-The discrete-event engine dispatches ~5 Python events per coalesced access;
-even the combinatorial counts-only fast path of
-:class:`repro.workloads.server.EncryptionServer` walks every lane of every
-memory instruction in Python. This module replaces both loops for
-counts-only collection with numpy array arithmetic over a whole *batch* of
-launches:
+The discrete-event engine dispatches ~5 Python events per coalesced access.
+Counts-only collection needs none of its timing, so every counts-only
+:class:`repro.workloads.server.EncryptionServer` launch runs here instead,
+as numpy array arithmetic over a whole *batch* of launches:
 
 1. :func:`repro.aes.batch.encrypt_batch` produces the ciphertexts and the
    per-round table indices of all lines of all samples at once;
@@ -13,7 +11,7 @@ launches:
    grid (derived from the server's address map, so permuted layouts work
    unchanged) into one ``(samples, lanes, instructions)`` block matrix;
 3. each lane's ``(block, sid)`` pair is packed into one int64 key —
-   exactly the packing of the scalar ``_distinct_blocks`` — and distinct
+   the packing of the server's per-byte ``_distinct_blocks`` — and distinct
    pairs per (warp, instruction) are counted by sorting along the lane
    axis and counting value transitions (cf. the ``calculate_bursts``
    distinct-blocks-per-subwarp arithmetic the ROADMAP cites).
@@ -22,8 +20,9 @@ Policy randomization is reproduced *exactly*: the core draws one partition
 per warp per sample from the same per-sample RNG stream, in the same order,
 as :meth:`repro.core.rcoal.RCoalGPU.draw_partitions` — the draws are a few
 thousand cheap calls, the per-lane loops they parameterize are what
-vectorization removes. Records, telemetry metrics, and checksums are
-bit-identical to the event engine's counts (see ``tests/gpu/test_batched``).
+vectorization removes. Records and coalescer metrics equal the event
+engine's counts (see ``tests/gpu/test_batched`` and
+``tests/gpu/test_differential``).
 """
 
 from __future__ import annotations
@@ -45,11 +44,6 @@ __all__ = ["BatchedCountsCore"]
 #: Memory instructions per warp: input load + 10x16 table loads + store.
 _NCOLS = 2 + NUM_ROUNDS * LOOKUPS_PER_ROUND
 
-#: Column index of the first table load of round ``r`` (1-based rounds).
-def _round_col(round_index: int) -> int:
-    return 1 + (round_index - 1) * LOOKUPS_PER_ROUND
-
-
 #: Soft cap on the per-slab key matrix (bytes); batches larger than this
 #: are processed in sample slabs so Fig 18-scale sweeps stay in-cache.
 _SLAB_KEY_BYTES = 48_000_000
@@ -61,7 +55,7 @@ class BatchedCountsCore:
     The core borrows the server's key, policy, GPU config, address map and
     telemetry sink; :meth:`encrypt_batch` then simulates many launches as
     array ops, returning :class:`EncryptionRecord` objects equal (``==``)
-    to what ``server.encrypt`` would produce in counts-only mode.
+    to the event engine's with both times zero and no kernel result.
     """
 
     def __init__(self, server: EncryptionServer):
@@ -70,7 +64,6 @@ class BatchedCountsCore:
                 "the batched core only implements counts-only collection; "
                 "build the server with counts_only=True"
             )
-        self._server = server
         self.policy = server.policy
         config = server.gpu.config
         self.config = config
@@ -166,12 +159,13 @@ class BatchedCountsCore:
 
     def _record_metrics(self, counts: np.ndarray,
                         subwarps: np.ndarray) -> None:
-        """Feed the counts-path coalescing metrics in bulk.
+        """Feed the coalescing metrics in bulk.
 
-        Instrument names and bucket shapes mirror the scalar counts path
-        (and the engine's :class:`CoalescingUnit`), and histogram feeding
-        goes value-by-value via ``observe_many``, so snapshots are equal
-        to a per-instruction loop's.
+        Instrument names and bucket shapes mirror the engine's
+        :class:`CoalescingUnit`, and histogram feeding goes value-by-value
+        via ``observe_many``, so the ``coalescer.*`` snapshots equal the
+        event engine's. (PRT occupancy is a timing-model quantity, so that
+        one histogram stays engine-only.)
         """
         metrics = self.telemetry.metrics
         num_instructions = int(counts.size)
@@ -202,10 +196,10 @@ class BatchedCountsCore:
     ) -> List[EncryptionRecord]:
         """Counts-only records for ``plaintexts[i]`` under ``rngs[i]``.
 
-        Equivalent to ``[server.encrypt(p, rng=r) for p, r in zip(...)]``
-        on a counts-only server — same ciphertexts, counts, partitions,
-        and telemetry — with the per-lane work batched across samples.
-        ``on_record`` fires once per finished sample (progress reporting).
+        The partitions are drawn from ``rngs[i]`` in sample order, so
+        passing one stream for every sample consumes it exactly as one
+        launch per sample would. ``on_record`` fires once per finished
+        sample (progress reporting).
         """
         if len(plaintexts) != len(rngs):
             raise ConfigurationError(
@@ -214,6 +208,9 @@ class BatchedCountsCore:
         if not plaintexts:
             return []
         num_bytes = len(plaintexts[0])
+        if num_bytes == 0:
+            raise ConfigurationError("a kernel launch needs at least one "
+                                     "plaintext line")
         if num_bytes % 16 != 0:
             raise BlockSizeError(
                 f"plaintext length {num_bytes} is not a multiple of 16"
@@ -265,7 +262,7 @@ class BatchedCountsCore:
             table_id_grid()[None, None], indices
         ].reshape(slab, num_lines, NUM_ROUNDS * LOOKUPS_PER_ROUND)
 
-        # Pack (block, sid) into one key per lane — the scalar fast path's
+        # Pack (block, sid) into one key per lane —
         # ``((address & mask) << 8) | sid`` — and pad a partial final warp
         # by repeating the last real thread's keys, which merges into that
         # thread's (block, sid) pair exactly like skipping inactive lanes.

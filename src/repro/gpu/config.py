@@ -113,8 +113,11 @@ class GPUConfig:
             "access_bytes": self.access_bytes,
             "num_partitions": self.num_partitions,
             "num_banks": self.num_banks,
+            "num_bank_groups": self.num_bank_groups,
             "partition_chunk_bytes": self.partition_chunk_bytes,
             "row_bytes": self.row_bytes,
+            "icnt_requests_per_cycle": self.icnt_requests_per_cycle,
+            "icnt_flit_bytes": self.icnt_flit_bytes,
         }
         for name, value in positive_fields.items():
             if value <= 0:
@@ -122,6 +125,10 @@ class GPUConfig:
         if self.partition_chunk_bytes % self.access_bytes != 0:
             raise ConfigurationError(
                 "partition chunk size must be a multiple of the access size"
+            )
+        if self.row_bytes % self.partition_chunk_bytes != 0:
+            raise ConfigurationError(
+                "row size must be a multiple of the partition chunk size"
             )
         if self.num_banks % self.num_bank_groups != 0:
             raise ConfigurationError(

@@ -34,7 +34,6 @@ from repro.gpu.scheduler import SchedulerSet
 from repro.gpu.stats import KernelResult, RoundWindow
 from repro.gpu.warp import ComputeInstruction, WarpProgram
 from repro.telemetry import PID_ICNT, Telemetry, get_logger
-from repro.utils import batched_timing_mode
 
 __all__ = ["GPUSimulator", "KernelResult", "RoundAwareSidMap"]
 
@@ -122,14 +121,14 @@ class GPUSimulator:
     def __init__(self, config: Optional[GPUConfig] = None,
                  address_map: Optional[AddressMap] = None,
                  telemetry: Optional[Telemetry] = None,
-                 batched_timing: Optional[bool] = None):
+                 batched_timing: bool = True):
         self.config = config or GPUConfig()
         self.address_map = address_map or AddressMap(self.config)
         #: Observability sink; the disabled null object by default, so the
         #: hot path pays one boolean check per instrumentation site.
         self.telemetry = Telemetry.ensure(telemetry)
-        #: Engine selection for exact timing: tri-state (None = resolve
-        #: from ``REPRO_BATCHED_TIMING``/default at first launch).
+        #: False keeps every launch on the event engine, the reference
+        #: the wavefront core is tested against.
         self._batched_timing = batched_timing
         self._timed_core = None
         self._timed_core_resolved = False
@@ -142,7 +141,7 @@ class GPUSimulator:
         at run time and we fall back to the event path for that launch.
         """
         self._timed_core_resolved = True
-        if not batched_timing_mode(self._batched_timing):
+        if not self._batched_timing:
             return
         if self.telemetry.enabled:
             return

@@ -6,7 +6,9 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator, Sequence, TypeVar, Union
+from typing import Iterator, Optional, Sequence, TypeVar, Union
+
+from repro.errors import ConfigurationError
 
 T = TypeVar("T")
 
@@ -16,8 +18,6 @@ __all__ = [
     "env_int",
     "env_flag",
     "fast_mode",
-    "batched_mode",
-    "batched_timing_mode",
     "phase_engine",
     "capped_backoff",
     "scaled_samples",
@@ -46,15 +46,16 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def env_int(name: str, default: int) -> int:
-    """Read an integer environment variable with a default."""
+def env_int(name: str, default: Optional[int]) -> Optional[int]:
+    """Read an integer environment variable; ``default`` when unset."""
     raw = os.environ.get(name)
     if raw is None or raw == "":
         return default
     try:
         return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"environment variable {name}={raw!r} is not an int") from exc
+    except ValueError:
+        raise ConfigurationError(
+            f"environment variable {name}={raw!r} is not an int") from None
 
 
 def env_flag(name: str) -> bool:
@@ -67,57 +68,19 @@ def fast_mode() -> bool:
     return env_flag("REPRO_FAST")
 
 
-def batched_mode(explicit: "Union[bool, None]" = None) -> bool:
-    """Resolve the collection-engine selection for counts-only phases.
-
-    Priority: an explicit ``ExperimentContext.batched`` /
-    ``--batched/--no-batched`` setting, then the ``REPRO_BATCHED``
-    environment variable, then the default — **on**, since the batched
-    core is checksum-identical to the event engine on every count it
-    produces (regression-proven by the golden parity suite).
-    """
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get("REPRO_BATCHED", "").lower()
-    if raw in {"0", "false", "no", "off"}:
-        return False
-    return True
-
-
-def batched_timing_mode(explicit: "Union[bool, None]" = None) -> bool:
-    """Resolve the exact-timing engine selection for timed phases.
-
-    Priority: an explicit ``ExperimentContext.batched_timing`` /
-    ``--batched-timing/--no-batched-timing`` setting, then the
-    ``REPRO_BATCHED_TIMING`` environment variable, then the default —
-    **on**, since the wavefront core produces a ``KernelResult``
-    identical to the event engine's on every launch it accepts and
-    falls back to the event engine otherwise (regression-proven by the
-    golden parity battery).
-    """
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get("REPRO_BATCHED_TIMING", "").lower()
-    if raw in {"0", "false", "no", "off"}:
-        return False
-    return True
-
-
-def phase_engine(counts_only: bool, batched: "Union[bool, None]" = None,
-                 batched_timing: "Union[bool, None]" = None) -> str:
+def phase_engine(counts_only: bool, batched: bool,
+                 batched_timing: bool) -> str:
     """The engine a collection phase runs on: the one engine rule.
 
-    ``"batched"`` (the structure-of-arrays counts core) or ``"event"``
-    for counts-only phases; ``"batched_timing"`` (the wavefront core) or
-    ``"event"`` for timed ones, resolved by :func:`batched_mode` /
-    :func:`batched_timing_mode`. The phase executor dispatches on it,
-    journals it and pins it into worker contexts, so the three always
-    agree. Fault plans have no say in it.
+    ``"batched"`` (the structure-of-arrays counts core) for counts-only
+    phases and ``"batched_timing"`` (the wavefront core) for timed ones;
+    ``"event"``, the reference engine, when the phase's flag is off. The
+    phase executor dispatches on it, journals it and pins it into worker
+    contexts, so the three always agree. Fault plans have no say in it.
     """
     if counts_only:
-        return "batched" if batched_mode(batched) else "event"
-    return ("batched_timing" if batched_timing_mode(batched_timing)
-            else "event")
+        return "batched" if batched else "event"
+    return "batched_timing" if batched_timing else "event"
 
 
 def capped_backoff(attempt: int, base: float, cap: float) -> float:
@@ -137,9 +100,9 @@ def scaled_samples(paper_count: int, fast_count: int) -> int:
     Priority: explicit ``REPRO_SAMPLES`` override, then the reduced count when
     ``REPRO_FAST`` is set, then the paper's count.
     """
-    override = os.environ.get("REPRO_SAMPLES")
-    if override:
-        return int(override)
+    override = env_int("REPRO_SAMPLES", None)
+    if override is not None:
+        return override
     return fast_count if fast_mode() else paper_count
 
 

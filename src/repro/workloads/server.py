@@ -8,16 +8,18 @@ discrete-event GPU executes the kernel. The returned
 ciphertext and timings — and the simulator's ground truth (coalesced access
 counts), which the counts-based experiments correlate against.
 
-A ``counts_only`` mode skips the timing simulation and computes access
-counts combinatorially; it is bit-identical on counts (same policy draws
-from the same stream) and orders of magnitude faster, which Fig 18's
-1024-line security sweep and the Monte-Carlo analysis use.
+A ``counts_only`` mode skips the timing simulation: launches run on the
+structure-of-arrays counts core (:class:`repro.gpu.batched
+.BatchedCountsCore`), which draws the same partitions from the same
+stream and produces the event engine's counts with zero times, orders of
+magnitude faster. Fig 18's 1024-line security sweep and the Monte-Carlo
+analysis use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.aes.key_schedule import NUM_ROUNDS
 from repro.aes.modes import split_lines
@@ -27,8 +29,7 @@ from repro.core.rcoal import RCoalGPU
 from repro.core.subwarp import SubwarpPartition
 from repro.errors import ConfigurationError
 from repro.gpu.config import GPUConfig
-from repro.gpu.request import AccessKind
-from repro.gpu.warp import MemoryInstruction, build_warp_programs
+from repro.gpu.warp import build_warp_programs
 from repro.rng import RngStream
 
 __all__ = ["EncryptionRecord", "EncryptionServer"]
@@ -37,10 +38,9 @@ __all__ = ["EncryptionRecord", "EncryptionServer"]
 def _distinct_blocks(addresses, sid_map, block_mask, active_mask) -> int:
     """Distinct (sid, 64B-block) pairs one instruction generates.
 
-    The innermost loop of the counts-only fast path (Fig 18 runs it for
-    every thread of 1024-line plaintexts): the pair is packed into one int
-    so set membership hashes a machine word instead of a tuple. Subwarp
-    ids are lane indices (< warp size < 256), so 8 bits always suffice.
+    The pair is packed into one int so set membership hashes a machine
+    word instead of a tuple. Subwarp ids are lane indices (< warp size <
+    256), so 8 bits always suffice.
     """
     seen = set()
     add = seen.add
@@ -104,7 +104,8 @@ class EncryptionServer:
         The victim's random stream; randomized policies draw per-launch
         partitions from it. Required for randomized policies.
     counts_only:
-        Skip the timing simulation; only access counts are produced.
+        Skip the timing simulation; only access counts are produced, by
+        a :class:`~repro.gpu.batched.BatchedCountsCore` built on first use.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` sink threaded into the
         simulator (metrics + trace events). Defaults to the disabled null
@@ -121,7 +122,7 @@ class EncryptionServer:
         retain_kernel_results: bool = False,
         address_map=None,
         telemetry=None,
-        batched_timing=None,
+        batched_timing: bool = True,
     ):
         if policy.is_randomized and rng is None:
             raise ConfigurationError(
@@ -136,6 +137,7 @@ class EncryptionServer:
         self._rng = rng
         self.counts_only = counts_only
         self.retain_kernel_results = retain_kernel_results
+        self._counts_core = None
 
     @property
     def secret_key(self) -> bytes:
@@ -157,6 +159,8 @@ class EncryptionServer:
         derived from ``(root_seed, stream name, sample index)`` so that
         any worker can simulate any sample independently.
         """
+        if self.counts_only:
+            return self.encrypt_batch([plaintext], [rng])[0]
         launch_rng = rng if rng is not None else self._rng
         lines = split_lines(plaintext)
         traces = [self._aes.encrypt(line) for line in lines]
@@ -168,12 +172,6 @@ class EncryptionServer:
             warp_size=self.gpu.config.warp_size,
             round_compute_cycles=self.gpu.config.round_compute_cycles,
         )
-
-        if self.counts_only:
-            partitions = self.gpu.draw_partitions(
-                [p.warp_id for p in programs], launch_rng
-            )
-            return self._count_accesses(ciphertext, programs, partitions)
 
         outcome = self.gpu.launch(programs, launch_rng)
         result = outcome.result
@@ -191,10 +189,37 @@ class EncryptionServer:
             kernel_result=(result if self.retain_kernel_results else None),
         )
 
-    def encrypt_batch(self, plaintexts: Sequence[bytes]
-                      ) -> List[EncryptionRecord]:
-        """Encrypt many plaintexts (one launch each), in order."""
-        return [self.encrypt(plaintext) for plaintext in plaintexts]
+    def encrypt_batch(
+        self,
+        plaintexts: Sequence[bytes],
+        rngs: Optional[Sequence[Optional[RngStream]]] = None,
+        on_record: Optional[Callable[[EncryptionRecord], None]] = None,
+    ) -> List[EncryptionRecord]:
+        """Encrypt many plaintexts (one launch each), in order.
+
+        ``rngs[i]``, when not None, overrides the server's stream for
+        launch ``i``, as in :meth:`encrypt`; launches without one draw
+        from the server's stream in turn. ``on_record`` fires once per
+        finished launch.
+        """
+        if rngs is None:
+            rngs = [None] * len(plaintexts)
+        if len(rngs) != len(plaintexts):
+            raise ConfigurationError(
+                f"{len(plaintexts)} plaintexts vs {len(rngs)} RNG streams")
+        rngs = [self._rng if rng is None else rng for rng in rngs]
+        if self.counts_only:
+            if self._counts_core is None:
+                from repro.gpu.batched import BatchedCountsCore
+                self._counts_core = BatchedCountsCore(self)
+            return self._counts_core.encrypt_batch(plaintexts, rngs,
+                                                   on_record=on_record)
+        records = []
+        for plaintext, rng in zip(plaintexts, rngs):
+            records.append(self.encrypt(plaintext, rng=rng))
+            if on_record is not None:
+                on_record(records[-1])
+        return records
 
     @staticmethod
     def _round_sid_map(partition, round_index):
@@ -222,78 +247,3 @@ class EncryptionServer:
                     instruction.active_mask,
                 )
         return per_byte
-
-    # -- counts-only fast path ------------------------------------------------
-
-    def _count_accesses(
-        self,
-        ciphertext: bytes,
-        programs,
-        partitions: Dict[int, SubwarpPartition],
-    ) -> EncryptionRecord:
-        """Coalesced-access counts without timing simulation.
-
-        Uses the same policy draws and the same block-granularity merge rule
-        as the engine, so counts are bit-identical to a full simulation with
-        the same RNG stream state.
-        """
-        block_mask = ~(self.gpu.config.access_bytes - 1)
-        telemetry = self.gpu.telemetry
-        # Counts-path coalescing metrics mirror the timing engine's
-        # CoalescingUnit names and bucket shapes, so a counts-only sweep
-        # and a full simulation produce directly comparable snapshots.
-        # (PRT occupancy is a timing-model quantity; the fast path has no
-        # PRT, so that one histogram is engine-only.)
-        metrics = telemetry.metrics if telemetry.enabled else None
-        total = 0
-        round_accesses: Dict[int, int] = {}
-        for program in programs:
-            partition = partitions[program.warp_id]
-            round_aware = hasattr(partition, "assignment_for_round")
-            flat_map = None if round_aware else partition.assignment
-            for instruction in program.instructions:
-                if not isinstance(instruction, MemoryInstruction):
-                    continue
-                sid_map = (partition.assignment_for_round(
-                               instruction.round_index)
-                           if round_aware else flat_map)
-                count = _distinct_blocks(instruction.addresses, sid_map,
-                                         block_mask,
-                                         instruction.active_mask)
-                total += count
-                if metrics is not None:
-                    active = instruction.active_mask
-                    subwarps = len({
-                        sid_map[tid]
-                        for tid in range(len(instruction.addresses))
-                        if active is None or active[tid]
-                    })
-                    metrics.counter("coalescer.instructions").inc()
-                    metrics.counter("coalescer.accesses").inc(count)
-                    metrics.histogram(
-                        "coalescer.accesses_per_instruction",
-                        buckets=tuple(range(1, 65)),
-                    ).observe(count)
-                    metrics.histogram(
-                        "coalescer.subwarps_per_instruction",
-                        buckets=tuple(range(1, 33)),
-                    ).observe(subwarps)
-                if (instruction.round_index is not None
-                        and not instruction.is_write
-                        and instruction.kind is AccessKind.TABLE_LOAD):
-                    round_accesses[instruction.round_index] = (
-                        round_accesses.get(instruction.round_index, 0)
-                        + count
-                    )
-        return EncryptionRecord(
-            ciphertext=ciphertext,
-            total_time=0,
-            last_round_time=0,
-            total_accesses=total,
-            last_round_accesses=round_accesses.get(NUM_ROUNDS, 0),
-            round_accesses=round_accesses,
-            last_round_byte_accesses=self._per_byte_last_round(
-                programs, partitions
-            ),
-            partitions=partitions,
-        )

@@ -11,8 +11,28 @@ import pytest
 from repro.experiments import fig05, fig06, fig07, fig08, fig09, fig15, \
     fig16, fig17, table2
 from repro.experiments.base import ExperimentContext
+from repro.experiments.registry import run_experiment
 
 SMALL = ExperimentContext(root_seed=99, samples=12)
+
+
+class TestEngineParity:
+    """The fast engines are pure performance: every render equals the
+    reference engines' (``batched=False, batched_timing=False``), in
+    process and across worker processes."""
+
+    @pytest.mark.parametrize("experiment_id", ["ablation_selective",
+                                               "fig05"])
+    def test_reference_engines_render_identically(self, experiment_id):
+        ctx = ExperimentContext(samples=3)
+        renders = {
+            (jobs, reference): run_experiment(
+                experiment_id,
+                ctx.with_(jobs=jobs, batched=not reference,
+                          batched_timing=not reference)).render()
+            for jobs in (1, 2) for reference in (False, True)
+        }
+        assert len(set(renders.values())) == 1, sorted(renders)
 
 
 class TestFig05:

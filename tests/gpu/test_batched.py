@@ -2,10 +2,12 @@
 
 Every test compares full :class:`EncryptionRecord` dataclass equality —
 ciphertext, every access count (total, per round, per last-round byte)
-and the drawn partitions — between ``batched=True`` and ``batched=False``
-collection. The two paths share nothing below ``collect_records`` except
-the RNG derivation, so equality here is the engine-parity contract the
-default engine selection rides on.
+and the drawn partitions — between ``batched=True`` collection (the
+counts core) and ``batched=False`` collection, which simulates every
+launch on the event engine, the reference, and keeps only its counts.
+The two paths share nothing below ``collect_records`` except the RNG
+derivation, so equality here is the engine-parity contract the counts
+core rides on; ``test_differential`` extends it to generated machines.
 """
 
 import numpy as np
@@ -21,7 +23,9 @@ from repro.experiments.base import (
     collect_records,
 )
 from repro.gpu.batched import BatchedCountsCore
+from repro.gpu.engine import GPUSimulator
 from repro.telemetry import Telemetry
+from repro.telemetry.journal import RunJournal
 from repro.telemetry.metrics import stable_json
 
 
@@ -84,16 +88,30 @@ class TestGoldenParity:
                    for r in batched)
 
 
+#: The instruments the counts core shares with the event engine's
+#: coalescing unit; the engine also records DRAM, interconnect and
+#: simulation metrics the counts core has no model for.
+SHARED_INSTRUMENTS = ("coalescer.instructions", "coalescer.accesses",
+                      "coalescer.accesses_per_instruction",
+                      "coalescer.subwarps_per_instruction")
+
+
 class TestTelemetryParity:
-    def test_metrics_snapshots_are_identical(self):
-        policy = make_policy("rss_rts", 8)
+    @pytest.mark.parametrize("policy,lines", [
+        (make_policy("rss_rts", 8), 32),
+        (make_policy("fss", 4), 40),
+        (SelectiveRCoalPolicy(make_policy("rss_rts", 8)), 32),
+    ], ids=["rss_rts", "fss-partial-warp", "selective"])
+    def test_shared_coalescer_metrics_are_identical(self, policy, lines):
         snapshots = []
         for batched in (True, False):
             telemetry = Telemetry()
-            ctx = ExperimentContext(root_seed=2018, samples=3,
+            ctx = ExperimentContext(root_seed=2018, samples=3, lines=lines,
                                     telemetry=telemetry, batched=batched)
             collect_records(ctx, policy, 3, counts_only=True)
-            snapshots.append(stable_json(telemetry.metrics.snapshot()))
+            snapshot = telemetry.metrics.snapshot()
+            snapshots.append(stable_json(
+                {name: snapshot[name] for name in SHARED_INSTRUMENTS}))
         assert snapshots[0] == snapshots[1]
 
 
@@ -153,21 +171,36 @@ class TestCoreValidation:
 
 
 class TestEngineSelection:
-    def test_env_override_forces_the_event_engine(self, monkeypatch):
-        # With REPRO_BATCHED=0 and no explicit flag, collection must take
-        # the per-launch path; records still agree, so assert on the
-        # resolved mode directly.
-        from repro.utils import batched_mode
-        monkeypatch.setenv("REPRO_BATCHED", "0")
-        assert batched_mode(None) is False
-        assert batched_mode(True) is True  # explicit flag wins
-        monkeypatch.delenv("REPRO_BATCHED")
-        assert batched_mode(None) is True
-        assert batched_mode(False) is False
+    def test_event_reference_simulates_every_launch(self, tmp_path,
+                                                    monkeypatch):
+        # batched=False is the reference: one event-engine launch per
+        # sample, wavefront core off, journaled as such, and the counts
+        # the batched core produces.
+        launches = []
+        original = GPUSimulator.run
+
+        def spy(self, programs, sid_maps):
+            result = original(self, programs, sid_maps)
+            launches.append(self._timed_core)
+            return result
+
+        monkeypatch.setattr(GPUSimulator, "run", spy)
+        policy = make_policy("rss_rts", 8)
+        ctx = ExperimentContext(root_seed=2018, samples=3)
+        journal = RunJournal(tmp_path / "events.jsonl")
+        _, event = collect_records(ctx.with_(batched=False, journal=journal),
+                                   policy, 3, counts_only=True)
+        assert launches == [None, None, None]
+        engines = [e["engine"] for e in journal.read()
+                   if e["kind"] == "engine_select"]
+        assert engines == ["event"]
+        _, batched = collect_records(ctx, policy, 3, counts_only=True)
+        assert len(launches) == 3  # the batched core runs no launch
+        assert batched == event
 
     def test_timed_collection_ignores_the_batched_flag(self):
-        # Timed records need the event engine; batched=True must not
-        # change them.
+        # Timed records come from the timing engines; batched=False must
+        # not change them.
         ctx = ExperimentContext(root_seed=2018, samples=2)
         policy = make_policy("fss", 4)
         _, timed_a = collect_records(ctx.with_(batched=True), policy, 2)

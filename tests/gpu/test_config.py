@@ -58,6 +58,24 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             GPUConfig(num_banks=10, num_bank_groups=4)
 
+    # Machines the engines cannot run: each divides by zero in an engine,
+    # or (a row smaller than a chunk) lets the wavefront core time a
+    # machine the event engine cannot decode addresses for.
+    @pytest.mark.parametrize("overrides", [
+        {"row_bytes": 128},
+        {"row_bytes": 384},
+        {"num_bank_groups": 0},
+        {"icnt_requests_per_cycle": 0},
+        {"icnt_flit_bytes": 0},
+    ])
+    def test_rejects_configs_the_engines_cannot_run(self, overrides):
+        with pytest.raises(ConfigurationError):
+            GPUConfig(**overrides)
+
+    def test_row_may_span_several_chunks(self):
+        assert GPUConfig(partition_chunk_bytes=512, row_bytes=1024) \
+            .row_bytes == 1024
+
     def test_with_overrides(self, gpu_config):
         tweaked = gpu_config.with_overrides(num_sms=4)
         assert tweaked.num_sms == 4

@@ -242,17 +242,11 @@ class TestIcntRateSemantics:
 
 
 class TestEngineSelection:
-    def test_env_off_disables_the_core(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED_TIMING", "0")
-        simulator = GPUSimulator()
+    @pytest.mark.parametrize("batched_timing", [False, True])
+    def test_flag_selects_the_core(self, batched_timing):
+        simulator = GPUSimulator(batched_timing=batched_timing)
         simulator.run([WarpProgram(warp_id=0, num_threads=32)], {0: [0] * 32})
-        assert simulator._timed_core is None
-
-    def test_explicit_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED_TIMING", "0")
-        simulator = GPUSimulator(batched_timing=True)
-        simulator.run([WarpProgram(warp_id=0, num_threads=32)], {0: [0] * 32})
-        assert simulator._timed_core is not None
+        assert (simulator._timed_core is not None) is batched_timing
 
     def test_l2_and_mshr_configs_fall_back(self):
         for config in (GPUConfig(enable_l2=True),

@@ -21,8 +21,8 @@ def _fingerprint(**overrides):
     ctx = ExperimentContext(
         root_seed=overrides.pop("root_seed", 11),
         samples=overrides.pop("samples", 8),
-        batched=overrides.pop("batched", None),
-        batched_timing=overrides.pop("batched_timing", None))
+        batched=overrides.pop("batched", True),
+        batched_timing=overrides.pop("batched_timing", True))
     return campaign_fingerprint(overrides.pop("experiment", "fig05"), ctx,
                                 overrides.pop("instrumented", False))
 
@@ -35,25 +35,24 @@ class TestFingerprint:
         assert fingerprint["samples"] == 8
         assert fingerprint["instrumented"] is False
 
-    def test_engine_selection_is_pinned(self, monkeypatch):
-        # Like --profile, the counts-engine choice is part of the
-        # campaign's identity; only the *resolved* mode matters, so an
-        # explicit --batched equals the default resolution.
-        monkeypatch.delenv("REPRO_BATCHED", raising=False)
+    def test_engines_are_pinned(self):
+        # Like --profile, the engines are part of the campaign's
+        # identity, so a resume can never silently mix the fast cores
+        # with the event engine.
         assert _fingerprint()["batched"] is True
-        assert _fingerprint(batched=False)["batched"] is False
-        assert _fingerprint(batched=True) == _fingerprint()
-
-    def test_timing_engine_selection_is_pinned(self, monkeypatch):
-        # Same discipline for the exact-timing engine: the resolved
-        # selection is campaign identity, so a resume can never silently
-        # mix the wavefront core with the event engine.
-        monkeypatch.delenv("REPRO_BATCHED_TIMING", raising=False)
         assert _fingerprint()["batched_timing"] is True
+        assert _fingerprint(batched=False)["batched"] is False
         assert _fingerprint(batched_timing=False)["batched_timing"] is False
-        assert _fingerprint(batched_timing=True) == _fingerprint()
-        monkeypatch.setenv("REPRO_BATCHED_TIMING", "0")
-        assert _fingerprint()["batched_timing"] is False
+
+    def test_default_fingerprint_is_unchanged(self):
+        # Existing campaign directories must keep resuming: the default
+        # fingerprint is exactly what earlier releases stored.
+        assert _fingerprint() == {
+            "format": 1, "experiment": "fig05", "root_seed": 11,
+            "samples": 8, "lines": 32, "config": "default",
+            "repro_fast": None, "repro_samples": None,
+            "instrumented": False, "batched": True, "batched_timing": True,
+        }
 
     def test_config_hash_is_stable_and_sensitive(self):
         assert config_hash(None) == "default"
@@ -79,6 +78,7 @@ class TestStoreLifecycle:
         {"experiment": "fig07"},
         {"instrumented": True},
         {"batched": False},
+        {"batched_timing": False},
     ])
     def test_reopen_with_different_fingerprint_is_a_hard_error(
             self, tmp_path, drift):
@@ -86,7 +86,8 @@ class TestStoreLifecycle:
         with pytest.raises(CheckpointMismatchError) as excinfo:
             CheckpointStore.open(tmp_path / "run", _fingerprint(**drift))
         # the error names the drifted field and how to recover
-        assert "fingerprint." in str(excinfo.value)
+        field, = drift
+        assert f"fingerprint.{field}" in str(excinfo.value)
         assert "fresh --resume" in str(excinfo.value)
 
 

@@ -29,21 +29,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown experiment" in err
 
-
-class TestEngineSelection:
-    def test_batched_flag_never_changes_stdout(self, capsys):
-        # Observer-effect contract: the counts-engine choice is a pure
-        # performance knob. ablation_selective exercises both counts-only
-        # collection (where the engines differ) and timed collection
-        # (where the flag is ignored), so its full report must be
-        # byte-identical under either engine.
-        argv = ["ablation_selective", "--samples", "3"]
-        assert main(argv + ["--batched"]) == 0
-        batched_out = capsys.readouterr().out
-        assert main(argv + ["--no-batched"]) == 0
-        event_out = capsys.readouterr().out
-        assert "ablation_selective" in batched_out
-        assert batched_out == event_out
+    def test_malformed_sample_override_exits_with_config_code(
+            self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SAMPLES", "abc")
+        assert main(["fig05"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("error: environment variable REPRO_SAMPLES='abc' "
+                       "is not an int\n")
 
 
 class TestTelemetryCommands:

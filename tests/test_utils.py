@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.utils import chunked, env_flag, env_int, scaled_samples, xor_bytes
 
 
@@ -43,6 +44,9 @@ class TestEnvHelpers:
         monkeypatch.setenv("REPRO_TEST_X", "nope")
         with pytest.raises(ValueError):
             env_int("REPRO_TEST_X", 5)
+        # ...as a configuration error, which the CLI turns into exit 3.
+        with pytest.raises(ConfigurationError, match="REPRO_TEST_X"):
+            env_int("REPRO_TEST_X", 5)
 
     def test_env_flag(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_F", "1")
@@ -58,6 +62,9 @@ class TestEnvHelpers:
         assert scaled_samples(100, 40) == 40
         monkeypatch.setenv("REPRO_SAMPLES", "7")
         assert scaled_samples(100, 40) == 7
+        monkeypatch.setenv("REPRO_SAMPLES", "abc")
+        with pytest.raises(ConfigurationError, match="REPRO_SAMPLES"):
+            scaled_samples(100, 40)
 
 
 def test_error_hierarchy():

@@ -1,5 +1,7 @@
 """Tests for the victim encryption server."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.aes.key_schedule import NUM_ROUNDS, last_round_key
@@ -80,6 +82,38 @@ class TestCountsOnlyMode:
         assert record.total_time == 0
         assert record.last_round_time == 0
         assert record.total_accesses > 0
+
+    def test_batch_draws_from_the_server_stream_in_turn(self, test_key,
+                                                        plaintexts):
+        # One batch consumes the server's stream exactly like one launch
+        # per plaintext, and matches the event engine's records with the
+        # times zeroed.
+        def server(**kwargs):
+            return EncryptionServer(test_key, make_policy("rss_rts", 8),
+                                    rng=RngStream(9, "v"), **kwargs)
+
+        batch = server(counts_only=True).encrypt_batch(plaintexts)
+        one_by_one = server(counts_only=True)
+        assert batch == [one_by_one.encrypt(p) for p in plaintexts]
+        assert server(counts_only=True).encrypt_batch(
+            plaintexts, [None] * len(plaintexts)) == batch
+        timed = server(batched_timing=False).encrypt_batch(plaintexts)
+        assert batch == [replace(r, total_time=0, last_round_time=0)
+                         for r in timed]
+
+    @pytest.mark.parametrize("counts_only", [False, True])
+    def test_batch_rejects_mismatched_streams(self, test_key, plaintexts,
+                                              counts_only):
+        server = EncryptionServer(test_key, make_policy("baseline"),
+                                  counts_only=counts_only)
+        with pytest.raises(ConfigurationError):
+            server.encrypt_batch(plaintexts, [None])
+
+    def test_empty_plaintext_is_rejected(self, test_key):
+        server = EncryptionServer(test_key, make_policy("baseline"),
+                                  counts_only=True)
+        with pytest.raises(ConfigurationError):
+            server.encrypt(b"")
 
 
 class TestPolicyVisibility:
