@@ -165,7 +165,7 @@ def _resilience_fields(args) -> dict:
             overrides["chunk_deadline"] = args.chunk_deadline
         if args.max_attempts is not None:
             overrides["max_attempts"] = args.max_attempts
-        fields["supervision"] = SupervisionPolicy(**overrides)
+        fields["supervision"] = SupervisionPolicy(**overrides).validate()
     if args.faults:
         from repro.faults import install_plan, parse_fault_plan
         plan = parse_fault_plan(args.faults)
@@ -174,8 +174,7 @@ def _resilience_fields(args) -> dict:
     return fields
 
 
-def _open_store(resume_dir: str, experiment_id: str, ctx,
-                multiple: bool, instrumented: bool):
+def _open_store(resume_dir: str, experiment_id: str, ctx, multiple: bool):
     """Open (or validate) the checkpoint store for one experiment."""
     from repro.experiments.checkpoint import (
         CheckpointStore,
@@ -184,7 +183,7 @@ def _open_store(resume_dir: str, experiment_id: str, ctx,
     run_dir = os.path.join(resume_dir, experiment_id) if multiple \
         else resume_dir
     return CheckpointStore.open(
-        run_dir, campaign_fingerprint(experiment_id, ctx, instrumented))
+        run_dir, campaign_fingerprint(experiment_id, ctx, ctx.instrumented))
 
 
 def _finish_campaign(campaign) -> int:
@@ -316,23 +315,20 @@ def _run_telemetry_command(command: str, argv: List[str]) -> int:
     configure_logging(args.verbose)
 
     capacity = getattr(args, "capacity", 500_000)
+    board = None
     if args.serve:
         from repro.telemetry import ProgressBoard
-        telemetry = Telemetry(trace_capacity=capacity,
-                              board=ProgressBoard(), profile=args.profile)
-        server = _start_server(args.serve, telemetry,
-                               campaign_dir=args.resume)
-    else:
-        telemetry = Telemetry(trace_capacity=capacity,
-                              profile=args.profile)
-        server = None
+        board = ProgressBoard()
+    telemetry = Telemetry(trace_capacity=capacity, board=board,
+                          profile=args.profile)
     ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
                             telemetry=telemetry, progress=args.progress,
                             jobs=args.jobs, **_resilience_fields(args))
     if args.resume:
         ctx = ctx.with_(checkpoint=_open_store(
-            args.resume, args.experiment, ctx, multiple=False,
-            instrumented=True))
+            args.resume, args.experiment, ctx, multiple=False))
+    server = (_start_server(args.serve, telemetry, campaign_dir=args.resume)
+              if args.serve else None)
 
     try:
         start = time.time()
@@ -430,14 +426,13 @@ def _run_serve_command(argv: List[str]) -> int:
 
     telemetry = Telemetry(trace_capacity=args.capacity,
                           board=ProgressBoard(), profile=args.profile)
-    server = _start_server(args.port, telemetry, campaign_dir=args.resume)
     ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
                             telemetry=telemetry, progress=args.progress,
                             jobs=args.jobs, **_resilience_fields(args))
     if args.resume:
         ctx = ctx.with_(checkpoint=_open_store(
-            args.resume, args.experiment, ctx, multiple=False,
-            instrumented=True))
+            args.resume, args.experiment, ctx, multiple=False))
+    server = _start_server(args.port, telemetry, campaign_dir=args.resume)
     try:
         start = time.time()
         result = run_experiment(args.experiment, ctx)
@@ -518,8 +513,7 @@ def _run_profile_command(argv: List[str]) -> int:
                             jobs=args.jobs, **_resilience_fields(args))
     if args.resume:
         ctx = ctx.with_(checkpoint=_open_store(
-            args.resume, args.experiment, ctx, multiple=False,
-            instrumented=True))
+            args.resume, args.experiment, ctx, multiple=False))
 
     start = time.time()
     result = run_experiment(args.experiment, ctx)
@@ -645,7 +639,7 @@ def _run_bench_command(argv: List[str]) -> int:
         run_bench,
         write_bench,
     )
-    jobs = args.jobs if args.jobs != 0 else (os.cpu_count() or 1)
+    jobs = ExperimentContext(jobs=args.jobs).effective_jobs()
     report = run_bench(jobs=jobs, samples=args.samples, lines=args.lines,
                        repeat=args.repeat, seed=args.seed,
                        profile=args.profile)
@@ -780,8 +774,7 @@ def _run_shard_command(argv: List[str]) -> int:
     multiple = len(ids) > 1
     for experiment_id in ids:
         run_ctx = ctx.with_(checkpoint=_open_store(
-            args.dir, experiment_id, ctx, multiple=multiple,
-            instrumented=False))
+            args.dir, experiment_id, ctx, multiple=multiple))
         start = time.time()
         result = run_experiment(experiment_id, run_ctx)
         # stdout matches the serial `rcoal all` byte for byte — lease
@@ -880,17 +873,17 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
 
     ids = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
-    telemetry = server = None
+    telemetry = None
     if args.serve:
         from repro.telemetry import ProgressBoard
         telemetry = Telemetry(board=ProgressBoard(), profile=args.profile)
-        server = _start_server(args.serve, telemetry,
-                               campaign_dir=args.resume)
     elif args.profile:
         telemetry = Telemetry(profile=True)
     ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
                             telemetry=telemetry, progress=args.progress,
                             jobs=args.jobs, **_resilience_fields(args))
+    server = (_start_server(args.serve, telemetry, campaign_dir=args.resume)
+              if args.serve else None)
 
     multiple = len(ids) > 1
     # An `all --resume` campaign gets a root-level ledger over the
@@ -927,10 +920,10 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
     batch_start = time.time()
 
     def _publish_batch(done: int) -> None:
-        # Experiment-level progress for the --serve dashboard: the one
-        # signal that survives `all -j N`, where workers run with
-        # telemetry stripped and only completions reach the parent.
-        if telemetry is None or not multiple:
+        # The dashboard's only whole-campaign progress row (the phase
+        # executor publishes one row per phase); --profile alone has no
+        # board to publish to.
+        if telemetry is None or telemetry.board is None or not multiple:
             return
         telemetry.board.publish("experiments", done, len(ids),
                                 time.time() - batch_start,
@@ -939,31 +932,13 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
 
     try:
         _publish_batch(0)
-        if multiple and ctx.effective_jobs() > 1:
-            # Whole experiments fan out across the pool; output order
-            # (and bytes) match a serial run. Workers open their own
-            # checkpoint stores and ship their incident ledgers back.
-            from repro.experiments.runner import run_experiments_parallel
-            for done, (experiment_id, result, seconds, worker_stats) in \
-                    enumerate(run_experiments_parallel(
-                        ids, ctx, ctx.effective_jobs(),
-                        checkpoint_dir=args.resume), 1):
-                if ctx.campaign is not None:
-                    ctx.campaign.absorb(worker_stats)
-                if campaign_journal is not None:
-                    campaign_journal.append(
-                        "experiment_finish", experiment=experiment_id,
-                        seconds=round(seconds, 6))
-                _emit(experiment_id, result, seconds)
-                _publish_batch(done)
-            return _finish_campaign(ctx.campaign)
-
+        # Experiments run in order; -j spreads each phase's samples over
+        # the pool, so `all -j N` takes the path `fig07 -j N` does.
         for done, experiment_id in enumerate(ids, 1):
             run_ctx = ctx
             if args.resume:
                 run_ctx = ctx.with_(checkpoint=_open_store(
-                    args.resume, experiment_id, ctx, multiple=multiple,
-                    instrumented=telemetry is not None))
+                    args.resume, experiment_id, ctx, multiple=multiple))
             if campaign_journal is not None:
                 campaign_journal.append("experiment_start",
                                         experiment=experiment_id)

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.attack.estimator import AccessEstimator
 from repro.attack.recovery import CorrelationTimingAttack, KeyRecovery
 from repro.core.policies import CoalescingPolicy, make_policy
+from repro.errors import ConfigurationError
 from repro.experiments.reporting import format_table
 from repro.gpu.config import GPUConfig
 from repro.rng import RngStream
@@ -101,6 +102,18 @@ class ExperimentContext:
     #: collection phase runs on the lease scheduler.
     shard: Optional[object] = None
 
+    def __post_init__(self):
+        if self.jobs < 0:
+            raise ConfigurationError(
+                f"-j/--jobs must be 0 (one worker per CPU) or positive, "
+                f"got {self.jobs}")
+
+    @property
+    def instrumented(self) -> bool:
+        """Whether runs under this context record telemetry: the phase
+        executor instruments by it and campaign fingerprints pin it."""
+        return self.telemetry is not None and self.telemetry.enabled
+
     def sample_count(self, paper: int = 100, fast: int = 40) -> int:
         if self.samples is not None:
             return self.samples
@@ -121,9 +134,7 @@ class ExperimentContext:
 
     def effective_jobs(self) -> int:
         """``jobs`` with 0 resolved to the machine's CPU count."""
-        if self.jobs == 0:
-            return os.cpu_count() or 1
-        return max(1, self.jobs)
+        return self.jobs or os.cpu_count() or 1
 
     def secret_key(self) -> bytes:
         """The victim's AES key for this experiment run."""

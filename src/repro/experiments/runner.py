@@ -3,8 +3,11 @@
 The paper's evaluation is a campaign of independent kernel launches:
 :func:`~repro.experiments.base.collect_records` simulates ~100 of them
 per (mechanism, subwarp count) cell, and ``rcoal all`` runs ~20
-experiments made of such cells. Every per-sample draw derives from
-``(root_seed, stream name, sample index)``
+experiments made of such cells, one after another. Parallelism lives
+only inside a phase, so ``rcoal all -j N`` spreads each phase over the
+same warm pool ``rcoal fig07 -j N`` uses, with one telemetry fold, one
+run ledger and one checkpoint store per experiment. Every per-sample
+draw derives from ``(root_seed, stream name, sample index)``
 (``ExperimentContext.sample_stream``), so any sample can be simulated
 anywhere, in any order, any number of times: serial, pooled,
 checkpointed and leased execution are only different schedules of one
@@ -88,7 +91,6 @@ __all__ = [
     "CampaignStats",
     "PhaseWork",
     "SupervisionPolicy",
-    "run_experiments_parallel",
     "run_phase",
 ]
 
@@ -183,15 +185,30 @@ class SupervisionPolicy:
     def backoff(self, attempt: int) -> float:
         return capped_backoff(attempt, self.backoff_base, self.backoff_cap)
 
+    def validate(self) -> "SupervisionPolicy":
+        """Reject impossible supervision loudly (exit 3): a non-positive
+        deadline would reap every chunk before it could finish, and an
+        attempt budget below one cannot be honoured (the first attempt
+        always runs)."""
+        if self.chunk_deadline is not None and self.chunk_deadline <= 0:
+            raise ConfigurationError(
+                f"impossible chunk deadline: --chunk-deadline must be "
+                f"positive, got {self.chunk_deadline}")
+        if self.max_attempts < 1:
+            raise ConfigurationError(
+                f"--max-attempts must be at least 1, "
+                f"got {self.max_attempts}")
+        return self
+
 
 @dataclass
 class CampaignStats:
     """Mutable incident ledger for one campaign (one CLI invocation).
 
     The phase executor increments these as it supervises; the CLI reads
-    them afterwards for the exit code and the stderr summary. Workers get
-    a pickled copy, so only parent-side incidents accumulate here — the
-    live cross-process view is the telemetry board's incident counters.
+    them afterwards for the exit code and the stderr summary. Only the
+    parent's executor writes it (pool workers never see it); the live
+    view is the telemetry board's incident counters.
     """
 
     retries: int = 0
@@ -202,19 +219,6 @@ class CampaignStats:
     degraded_serial: bool = False
     resumed_samples: int = 0
     failed_samples: List[dict] = field(default_factory=list)
-
-    def absorb(self, other: Optional["CampaignStats"]) -> None:
-        """Fold a worker's ledger into this one (``all -j N`` fan-in)."""
-        if other is None:
-            return
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.crashes += other.crashes
-        self.splits += other.splits
-        self.pool_restarts += other.pool_restarts
-        self.degraded_serial = self.degraded_serial or other.degraded_serial
-        self.resumed_samples += other.resumed_samples
-        self.failed_samples.extend(other.failed_samples)
 
     def eventful(self) -> bool:
         return bool(self.retries or self.timeouts or self.crashes
@@ -237,14 +241,11 @@ class CampaignStats:
         return " ".join(parts)
 
 
-def _abort_pool(pool, futures: Sequence = ()) -> None:
-    """Tear a pool down *now*: cancel, stop feeding, kill the processes.
-
-    Used on Ctrl-C and when the supervisor reaps a hung chunk — a plain
-    ``shutdown(wait=True)`` would block behind the hang forever.
-    """
-    for future in futures:
-        future.cancel()
+def _drop_pool(pool, warm: bool) -> None:
+    """Tear a reaped, broken or interrupted pool down *now*: cancel, stop
+    feeding, kill the processes (a plain ``shutdown(wait=True)`` would
+    block behind a hung chunk forever). A warm one stops being shared, so
+    the next round or phase gets a fresh one."""
     process_objects = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
     for proc in process_objects:
@@ -252,12 +253,6 @@ def _abort_pool(pool, futures: Sequence = ()) -> None:
             proc.kill()
     for proc in process_objects:
         proc.join(timeout=2)
-
-
-def _drop_pool(pool, warm: bool) -> None:
-    """Kill a reaped, broken or interrupted pool; a warm one stops being
-    shared, so the next round or phase gets a fresh one."""
-    _abort_pool(pool)
     if warm:
         _discard_shared_pool()
 
@@ -362,6 +357,8 @@ class _Phase:
         self.num_samples = num_samples
         self.store = ctx.checkpoint
         self.sup = ctx.supervision
+        if self.sup is not None:
+            self.sup.validate()
         if ctx.shard is not None:
             ctx.shard.validate()
             if self.store is None:
@@ -379,7 +376,7 @@ class _Phase:
         self.campaign = ctx.campaign if ctx.campaign is not None \
             else CampaignStats()
         telemetry = ctx.telemetry
-        self.instrumented = telemetry is not None and telemetry.enabled
+        self.instrumented = ctx.instrumented
         self.profiler = (telemetry.profiler if self.instrumented
                          else SpanProfiler.disabled())
         self.board = telemetry.board if self.instrumented else None
@@ -797,70 +794,3 @@ def run_phase(
               f"{policy.describe()} done; {hint}]", file=sys.stderr)
         raise
     return phase.finish()
-
-
-def _run_one_experiment(payload):
-    """Worker: run one full experiment serially.
-
-    Returns ``(experiment_id, result, seconds, campaign)`` — the campaign
-    stats are a worker-local :class:`CampaignStats` (or None when the
-    resilience layer is off) that the parent folds into its own ledger, so
-    quarantines inside ``all -j N`` workers still reach the CLI exit code.
-    """
-    ctx, experiment_id, checkpoint_dir = payload
-    from repro.experiments.registry import run_experiment
-    if checkpoint_dir is not None:
-        import os
-
-        from repro.experiments.checkpoint import (
-            CheckpointStore,
-            campaign_fingerprint,
-        )
-        store = CheckpointStore.open(
-            os.path.join(checkpoint_dir, experiment_id),
-            campaign_fingerprint(experiment_id, ctx, instrumented=False),
-        )
-        ctx = ctx.with_(checkpoint=store)
-    if (ctx.supervision is not None or ctx.checkpoint is not None
-            or ctx.faults is not None):
-        ctx = ctx.with_(campaign=CampaignStats())
-    start = time.perf_counter()
-    result = run_experiment(experiment_id, ctx)
-    return experiment_id, result, time.perf_counter() - start, ctx.campaign
-
-
-def run_experiments_parallel(
-    experiment_ids: Sequence[str],
-    ctx: ExperimentContext,
-    jobs: int,
-    checkpoint_dir: Optional[str] = None,
-):
-    """Run whole experiments across a process pool (``rcoal all -j N``).
-
-    Yields ``(experiment_id, result, seconds, campaign)`` tuples in the
-    order the ids were given — each experiment is internally
-    deterministic, so the combined output is byte-identical to a serial
-    ``rcoal all``. Workers run their experiment serially (``jobs=1``) to
-    avoid nested pools; with ``checkpoint_dir`` each worker opens its own
-    per-experiment checkpoint store under ``<dir>/<experiment_id>``.
-    """
-    worker_ctx = ctx.with_(telemetry=None, progress=False, jobs=1,
-                           checkpoint=None, campaign=None, journal=None)
-    with ProcessPoolExecutor(
-        max_workers=max(1, min(jobs, len(experiment_ids)))
-    ) as pool:
-        futures = [
-            pool.submit(_run_one_experiment,
-                        (worker_ctx, experiment_id, checkpoint_dir))
-            for experiment_id in experiment_ids
-        ]
-        done = 0
-        try:
-            for future in futures:
-                yield future.result()
-                done += 1
-        except KeyboardInterrupt:
-            _abort_pool(pool, futures)
-            print(f"\n[interrupted: {done}/{len(experiment_ids)} "
-                  f"experiments completed]", file=sys.stderr)
-            raise

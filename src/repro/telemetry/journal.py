@@ -16,7 +16,7 @@ uses, just adapted to an append-only log:
   torn tail with a newline so the damage stays confined to that one
   line;
 * events carry a wall-clock ``ts`` and the writing ``pid``, so a ledger
-  shared by a parent and its ``all -j N`` workers interleaves into
+  shared by several ``rcoal shard`` workers interleaves into
   per-process lanes instead of garbage — appends in append mode are
   atomic at the single-``write`` level for these small lines.
 
@@ -83,11 +83,9 @@ def worker_id() -> str:
 class RunJournal:
     """Append-only, crash-safe event ledger for one campaign directory.
 
-    Holds only a path and a flag, so it pickles trivially — but workers
-    never get one: the phase executor strips it from the context it
-    ships to pool workers (:class:`repro.experiments.runner.PhaseWork`),
-    and per-experiment ``all -j N`` workers open their own against their
-    own run directory.
+    Holds only a path and a flag, so it pickles trivially — but pool
+    workers never get one: the phase executor strips it from the context
+    it ships to them (:class:`repro.experiments.runner.PhaseWork`).
     """
 
     def __init__(self, path: Union[str, Path], enabled: bool = True):

@@ -70,35 +70,65 @@ def encrypt_both(policy, seed=2018, lines=32, config=None):
     return results
 
 
+@pytest.fixture
+def core_runs(monkeypatch):
+    """Spy on ``BatchedTimingCore.run``: one entry per call, True when the
+    core simulated the launch, False when it raised ``UnsupportedLaunch``
+    (and the engine replayed the launch on the event path)."""
+    outcomes = []
+    run = BatchedTimingCore.run
+
+    def spy(self, programs, sid_maps):
+        try:
+            result = run(self, programs, sid_maps)
+        except UnsupportedLaunch:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return result
+
+    monkeypatch.setattr(BatchedTimingCore, "run", spy)
+    return outcomes
+
+
 class TestGoldenParity:
+    """Every single-warp, stock-machine launch must run on the core —
+    a core that fell back on every launch would otherwise compare the
+    event engine with itself and pass."""
+
     @pytest.mark.parametrize("policy_name", POLICY_NAMES)
-    def test_every_policy(self, policy_name):
+    def test_every_policy(self, policy_name, core_runs):
         golden, batched = encrypt_both(make_policy(policy_name, 8))
         assert_kernel_results_equal(golden, batched)
+        assert core_runs == [True]
 
     @pytest.mark.parametrize("subwarps", [1, 2, 4, 16, 32])
-    def test_subwarp_sweep(self, subwarps):
+    def test_subwarp_sweep(self, subwarps, core_runs):
         golden, batched = encrypt_both(make_policy("rss_rts", subwarps))
         assert_kernel_results_equal(golden, batched)
+        assert core_runs == [True]
 
     @pytest.mark.parametrize("seed", [0, 7, 99, 777])
-    def test_seed_sweep(self, seed):
+    def test_seed_sweep(self, seed, core_runs):
         golden, batched = encrypt_both(make_policy("fss_rts", 4),
                                        seed=seed)
         assert_kernel_results_equal(golden, batched)
+        assert core_runs == [True]
 
     @pytest.mark.parametrize("lines", [1, 7, 17, 31])
-    def test_partial_warps(self, lines):
+    def test_partial_warps(self, lines, core_runs):
         golden, batched = encrypt_both(make_policy("rss", 8), lines=lines)
         assert_kernel_results_equal(golden, batched)
+        assert core_runs == [True]
 
     @pytest.mark.parametrize("base,subwarps", [("rss_rts", 8), ("fss", 4)])
-    def test_selective_round_aware_maps(self, base, subwarps):
+    def test_selective_round_aware_maps(self, base, subwarps, core_runs):
         policy = SelectiveRCoalPolicy(make_policy(base, subwarps))
         golden, batched = encrypt_both(policy)
         assert_kernel_results_equal(golden, batched)
+        assert core_runs == [True]
 
-    def test_multi_warp_launch_falls_back_and_still_agrees(self):
+    def test_multi_warp_launch_falls_back_and_still_agrees(self, core_runs):
         # 64 lines = two warps: outside the core's coverage, so the
         # batched server silently replays on the event engine — the
         # results must still be identical (trivially, but the fallback
@@ -106,6 +136,7 @@ class TestGoldenParity:
         golden, batched = encrypt_both(make_policy("rss_rts", 8),
                                        lines=64)
         assert_kernel_results_equal(golden, batched)
+        assert core_runs == [False]
         core = BatchedTimingCore.try_create(GPUConfig(),
                                             AddressMap(GPUConfig()))
         programs = [WarpProgram(warp_id=w, num_threads=32)

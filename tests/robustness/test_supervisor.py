@@ -191,19 +191,33 @@ class TestFaultsKeepTheDefaultEngine:
         assert engines == ["batched"]
 
 
-class TestCampaignStats:
-    def test_absorb_folds_worker_ledgers(self):
-        parent, worker = CampaignStats(), CampaignStats()
-        worker.retries = 2
-        worker.degraded_serial = True
-        worker.failed_samples.append({"phase": "p", "sample": 1,
-                                      "error": "x"})
-        parent.absorb(worker)
-        parent.absorb(None)  # workers without resilience report None
-        assert parent.retries == 2
-        assert parent.degraded_serial
-        assert len(parent.failed_samples) == 1
+class TestImpossibleInput:
+    """Impossible knobs are a loud ConfigurationError (exit 3), the way
+    ``ShardPolicy.validate`` treats impossible lease timings."""
 
+    @pytest.mark.parametrize("overrides", [
+        {"max_attempts": 0}, {"max_attempts": -2},
+        {"chunk_deadline": 0}, {"chunk_deadline": -1.5},
+    ])
+    def test_impossible_supervision_is_rejected(self, overrides):
+        policy = SupervisionPolicy(**overrides)
+        with pytest.raises(ConfigurationError):
+            policy.validate()
+        # The executor validates too, before anything simulates.
+        with pytest.raises(ConfigurationError):
+            _collect(supervision=policy)
+
+    def test_no_deadline_is_allowed(self):
+        policy = SupervisionPolicy(chunk_deadline=None, max_attempts=1)
+        assert policy.validate() is policy
+
+    def test_negative_jobs_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="-j/--jobs"):
+            ExperimentContext(jobs=-3)
+        assert ExperimentContext(jobs=0).effective_jobs() >= 1
+
+
+class TestCampaignStats:
     def test_fresh_stats_are_uneventful(self):
         assert not CampaignStats().eventful()
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import EXIT_CONFIG, main
 from repro.experiments.registry import EXPERIMENTS
 
@@ -36,6 +38,60 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == ("error: environment variable REPRO_SAMPLES='abc' "
                        "is not an int\n")
+
+
+class TestImpossibleInput:
+    @pytest.mark.parametrize("argv, message", [
+        (["fig05", "-j", "-3"], "-j/--jobs must be 0"),
+        (["fig05", "-j", "2", "--chunk-deadline", "0"],
+         "impossible chunk deadline"),
+        (["fig05", "--max-attempts", "0"], "--max-attempts must be at least"),
+        (["fig05", "-j", "-1", "--serve", "0"], "-j/--jobs must be 0"),
+        (["metrics", "fig05", "--chunk-deadline", "-2"],
+         "impossible chunk deadline"),
+        (["serve", "fig05", "--port", "0", "--no-linger", "-j", "-1"],
+         "-j/--jobs must be 0"),
+        (["bench", "-j", "-2"], "-j/--jobs must be 0"),
+    ])
+    def test_exits_with_config_code_before_running(self, argv, message,
+                                                   capsys):
+        assert main(argv + ["--samples", "4"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.err
+        # Rejected up front: nothing simulated, no dashboard started.
+        assert captured.out == ""
+        assert "serving" not in captured.err
+
+
+class TestAllParallel:
+    """``all -j N`` is ``all`` with each phase spread over the pool: the
+    same stdout, and a campaign that a serial ``all`` can resume."""
+
+    @pytest.fixture(autouse=True)
+    def two_experiments(self, monkeypatch):
+        monkeypatch.setattr("repro.cli.EXPERIMENTS",
+                            {name: EXPERIMENTS[name]
+                             for name in ("fig05", "fig06")})
+
+    @staticmethod
+    def _all(capsys, *flags):
+        code = main(["all", "--samples", "4", *flags])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        return captured.out
+
+    def test_parallel_stdout_equals_serial(self, capsys):
+        assert self._all(capsys, "-j", "2") == self._all(capsys)
+
+    @pytest.mark.parametrize("observer", [["--profile"], ["--serve", "0"]],
+                             ids=["profile", "serve"])
+    def test_parallel_campaign_resumes_serially(self, tmp_path, capsys,
+                                                observer):
+        serial = self._all(capsys)
+        run = str(tmp_path / "camp")
+        assert self._all(capsys, "-j", "2", *observer,
+                         "--resume", run) == serial
+        assert self._all(capsys, *observer, "--resume", run) == serial
 
 
 class TestTelemetryCommands:
