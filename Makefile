@@ -2,7 +2,7 @@
 
 .PHONY: install test test-fast bench bench-paper experiments trace \
         profile metrics perf serve attribute check-metrics bench-check \
-        status chaos clean
+        status chaos fuzz clean
 
 install:
 	pip install -e '.[test]'
@@ -76,6 +76,16 @@ status:
 # writes; see docs/robustness.md.
 chaos:
 	REPRO_FAST=1 pytest tests/robustness/
+
+# Long differential fuzzing: the fast engines against the event engine,
+# and the attack estimator against its reference, at 1000 examples each
+# on a fresh random seed (the `fuzz` Hypothesis profile, registered in
+# tests/conftest.py). A plain `make test` keeps the derandomized tier-1
+# settings.
+fuzz:
+	pytest tests/gpu/test_differential.py \
+	    tests/attack/test_estimator.py::test_access_matrix_matches_the_reference \
+	    --hypothesis-profile=fuzz
 
 clean:
 	rm -rf .pytest_cache .hypothesis src/repro.egg-info

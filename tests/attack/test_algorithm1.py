@@ -61,7 +61,8 @@ class TestValidation:
 
 
 class TestAgainstEstimator:
-    """Algorithm 1 must agree with the vectorized estimator (FSS model)."""
+    """Algorithm 1 must agree with the estimator (FSS model): both its
+    vectorized ``access_matrix`` and its ``estimate_sample`` reference."""
 
     @given(cipher_lines_strategy, guesses,
            st.sampled_from([1, 2, 4, 8, 16, 32]),
@@ -71,6 +72,8 @@ class TestAgainstEstimator:
         expected = fss_attack_last_round_accesses(lines, byte_index,
                                                   guess, m)
         estimator = AccessEstimator(FSSPolicy(m))
+        assert estimator.access_matrix([lines], byte_index)[guess, 0] \
+            == expected
         assert estimator.estimate_sample(lines, byte_index, guess) \
             == expected
 

@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.aes.ttable import clear_trace_cache
 from repro.gpu.config import GPUConfig
 from repro.rng import RngStream
+
+#: ``make fuzz`` (``--hypothesis-profile=fuzz``): long runs on a fresh
+#: random seed. Property tests opt in by leaving their example count and
+#: seed to the loaded profile (``tests/gpu/test_differential.py``,
+#: ``tests/attack/test_estimator.py``); a plain run keeps their tier-1
+#: settings.
+settings.register_profile("fuzz", max_examples=1000, derandomize=False,
+                          print_blob=True)
 
 
 @pytest.fixture(autouse=True)

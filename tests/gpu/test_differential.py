@@ -37,6 +37,12 @@ from repro.workloads.server import EncryptionServer
 #: Launches per generated case.
 LAUNCHES = 2
 
+#: Tier-1 runs 100 derandomized examples. ``make fuzz`` loads the
+#: ``fuzz`` profile (tests/conftest.py): its example count and random
+#: seed apply instead.
+TIER1 = ({} if settings.get_current_profile_name() == "fuzz"
+         else {"max_examples": 100, "derandomize": True})
+
 
 @st.composite
 def machines(draw):
@@ -89,8 +95,7 @@ def _records(config, permuted, policy, lines, seed, **server_kwargs):
     return server.encrypt_batch(plaintexts)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None,
-          database=None)
+@settings(deadline=None, database=None, **TIER1)
 @given(config=machines(), permuted=st.booleans(), policy=policies(),
        lines=st.sampled_from([1, 5, 31, 32, 33, 64]),
        seed=st.integers(0, 2**16))

@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from repro.attack.estimator import AccessEstimator
 from repro.core.policies import make_policy
 from repro.rng import RngStream, derive_seed
 from repro.workloads.plaintext import random_plaintexts
@@ -137,3 +138,40 @@ class TestGoldenEngineDetail:
                 sig.update(_record_fingerprint(server.encrypt(plaintext)))
         assert sig.hexdigest() == ("89c21d9aa548795e749d680dac4a8af0"
                                    "21802d3f825736f1f559bc5fcab0923f")
+
+
+class TestGoldenEstimator:
+    """Pin the attack estimator's full output.
+
+    One digest over ``access_matrix`` for all 16 key bytes of the models
+    the benchmark attacks with: the four 1024-line ``wide_counts_attack``
+    models and the five 32-line ``paper_timed`` models. Each randomized
+    model draws from its own attacker stream.
+    """
+
+    CASES = (
+        # (policy, subwarps, samples, lines)
+        ("fss", 1, 4, 1024), ("fss_rts", 2, 4, 1024),
+        ("rss", 4, 4, 1024), ("rss_rts", 8, 4, 1024),
+        ("baseline", 1, 16, 32), ("fss", 2, 16, 32),
+        ("fss_rts", 4, 16, 32), ("rss", 8, 16, 32),
+        ("rss_rts", 16, 16, 32),
+    )
+
+    def test_access_matrix_digest_is_stable(self):
+        sig = hashlib.sha256()
+        for name, subwarps, samples, lines in self.CASES:
+            stream = RngStream(GOLDEN_SEED, f"cipher-{samples}x{lines}")
+            batch = [[stream.random_bytes(16) for _ in range(lines)]
+                     for _ in range(samples)]
+            model = make_policy(name, subwarps)
+            estimator = AccessEstimator(
+                model, rng=(RngStream(GOLDEN_SEED,
+                                      f"attacker-{model.describe()}")
+                            if model.is_randomized else None))
+            estimator.prepare(batch)
+            for byte_index in range(16):
+                sig.update(estimator.access_matrix(batch, byte_index)
+                           .astype("<i4").tobytes())
+        assert sig.hexdigest() == ("62c99c9fc9694322220618bdae04e381"
+                                   "a9eabb0f7eb876d2190da5b1ce90edb1")
