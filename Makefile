@@ -1,7 +1,7 @@
 # Convenience targets for the RCoal reproduction.
 
 .PHONY: install test test-fast bench bench-paper experiments trace \
-        profile metrics perf serve attribute check-metrics bench-check \
+        profile metrics perf serve attribute check-metrics \
         status chaos fuzz clean
 
 install:
@@ -39,10 +39,10 @@ profile:
 metrics:
 	REPRO_FAST=1 rcoal metrics fig05
 
-# Time the simulator substrate and write the next BENCH_<n>.json;
-# see docs/performance.md.
+# The benchmark: four figure-shaped workloads in fresh processes, seed
+# 2018, three rounds (about 3 min); see bench/README.md.
 perf:
-	rcoal bench -j 2
+	python3 bench/run.py
 
 # Live telemetry dashboard (progress, metrics, trace tail) on
 # http://127.0.0.1:8000 while fig07 runs; Ctrl-C to exit.
@@ -59,12 +59,6 @@ check-metrics:
 	rcoal metrics fig05 --samples 4 --check BASELINE_METRICS.json
 	rcoal metrics fig07 --samples 4 --check BASELINE_METRICS.json
 	rcoal metrics fig13 --samples 4 --check BASELINE_METRICS.json
-
-# Gate simulator throughput against the committed floors (what CI
-# runs). The probe report goes to an untracked scratch file so the
-# committed BENCH_<n>.json sequence stays curated by hand.
-bench-check:
-	rcoal bench --check BENCH_FLOORS.json --out .bench-check.json
 
 # Campaign progress from the run ledger + checkpoint store; pass the
 # campaign directory as DIR (default ckpt). See

@@ -19,10 +19,6 @@ Observability subcommands (see ``docs/observability.md``)::
     rcoal profile fig05                   # sim-cycle cost centers + wall spans
     rcoal fig07 -j 4 --profile            # wall-clock span table on stderr
 
-Benchmarks (see ``docs/performance.md``)::
-
-    rcoal bench                    # time workloads, emit BENCH_<n>.json
-
 Resilience (see ``docs/robustness.md``)::
 
     rcoal fig07 --resume runs/f7          # checkpoint; rerun to resume
@@ -54,6 +50,7 @@ finish the campaign.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -299,6 +296,14 @@ def _build_telemetry_parser(command: str) -> argparse.ArgumentParser:
     return parser
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """Reject a --check tolerance no comparison can honour (exit 3)."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ConfigurationError(
+            f"impossible tolerance: --tolerance must be finite and "
+            f"non-negative, got {tolerance}")
+
+
 def _baseline_context(args) -> dict:
     """What a metrics baseline depends on (jobs excluded: bit-identical)."""
     return {
@@ -312,6 +317,8 @@ def _baseline_context(args) -> dict:
 
 def _run_telemetry_command(command: str, argv: List[str]) -> int:
     args = _build_telemetry_parser(command).parse_args(argv)
+    if command == "metrics":
+        _check_tolerance(args.tolerance)
     configure_logging(args.verbose)
 
     capacity = getattr(args, "capacity", 500_000)
@@ -505,6 +512,7 @@ def _build_profile_parser() -> argparse.ArgumentParser:
 
 def _run_profile_command(argv: List[str]) -> int:
     args = _build_profile_parser().parse_args(argv)
+    _check_tolerance(args.tolerance)
     configure_logging(args.verbose)
 
     telemetry = Telemetry(trace_capacity=args.capacity, profile=True)
@@ -593,68 +601,6 @@ def _run_profile_command(argv: List[str]) -> int:
             return EXIT_FAILURE
         print(f"[cost centers match baseline {args.check}]")
     return _finish_campaign(ctx.campaign)
-
-
-def _build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rcoal bench",
-        description="Time representative workloads (full-timing kernel, "
-                    "counts-only sweep, full fig07 harness) and write a "
-                    "BENCH_<n>.json perf report.",
-    )
-    parser.add_argument("-j", "--jobs", type=int, default=1,
-                        help="also time fig07 through the parallel runner "
-                             "with this many workers (0 = one per CPU)")
-    parser.add_argument("--samples", type=int, default=12,
-                        help="fig07 sample count (default 12)")
-    parser.add_argument("--lines", type=int, default=256,
-                        help="counts-sweep plaintext lines (default 256)")
-    parser.add_argument("--repeat", type=int, default=1,
-                        help="take the best of N runs per workload")
-    parser.add_argument("--seed", type=int, default=2018,
-                        help="root experiment seed (default 2018)")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="report path (default: next free "
-                             "BENCH_<n>.json in the CWD)")
-    parser.add_argument("--check", metavar="FLOORS", default=None,
-                        help="compare the report against committed "
-                             "throughput floors (e.g. BENCH_FLOORS.json); "
-                             "exit 1 when any workload regresses past "
-                             "its floor")
-    parser.add_argument("--profile", action="store_true",
-                        help="run the fig07 harness workloads with span "
-                             "profiling enabled (recorded in the report's "
-                             "config block; default off for comparability)")
-    parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="enable repro.* logging on stderr")
-    return parser
-
-
-def _run_bench_command(argv: List[str]) -> int:
-    args = _build_bench_parser().parse_args(argv)
-    configure_logging(args.verbose or 1)
-    from repro.experiments.bench import (
-        check_bench_floors,
-        render_report,
-        run_bench,
-        write_bench,
-    )
-    jobs = ExperimentContext(jobs=args.jobs).effective_jobs()
-    report = run_bench(jobs=jobs, samples=args.samples, lines=args.lines,
-                       repeat=args.repeat, seed=args.seed,
-                       profile=args.profile)
-    print(render_report(report))
-    print(f"[bench report written to {write_bench(report, args.out)}]")
-    if args.check:
-        violations = check_bench_floors(report, args.check)
-        if violations:
-            print(f"bench regression vs {args.check} "
-                  f"({len(violations)} violation(s)):", file=sys.stderr)
-            for violation in violations:
-                print(f"  {violation}", file=sys.stderr)
-            return EXIT_FAILURE
-        print(f"[bench clears the floors in {args.check}]")
-    return 0
 
 
 def _build_status_parser() -> argparse.ArgumentParser:
@@ -798,6 +744,11 @@ def _run_shard_command(argv: List[str]) -> int:
 
 def _run_status_command(argv: List[str]) -> int:
     args = _build_status_parser().parse_args(argv)
+    if not (math.isfinite(args.stall_seconds) and args.stall_seconds > 0):
+        # A threshold of zero or less would mark every open phase stalled.
+        raise ConfigurationError(
+            f"impossible stall threshold: --stall-seconds must be "
+            f"positive and finite, got {args.stall_seconds}")
     configure_logging(args.verbose)
     from repro.experiments.manifest import (
         campaign_manifest,
@@ -856,8 +807,6 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
         return _run_serve_command(argv[1:])
     if argv and argv[0] == "profile":
         return _run_profile_command(argv[1:])
-    if argv and argv[0] == "bench":
-        return _run_bench_command(argv[1:])
     if argv and argv[0] == "status":
         return _run_status_command(argv[1:])
     if argv and argv[0] == "shard":

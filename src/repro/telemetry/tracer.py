@@ -45,7 +45,7 @@ _PROCESS_NAMES: Dict[int, str] = {
 Number = Union[int, float]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceEvent:
     """One typed simulator event.
 
@@ -54,6 +54,11 @@ class TraceEvent:
     the tracer's recorded stream — monotonically increasing, so streaming
     consumers (the ``--serve`` sink) can drain incrementally with
     :meth:`Tracer.events_since`.
+
+    Events are read-only by convention, not ``frozen``: a frozen
+    dataclass sets each field through ``object.__setattr__``, which makes
+    construction about five times slower, and the tracer builds one
+    event per DRAM command and reply.
     """
 
     name: str

@@ -19,6 +19,10 @@ import pytest
 
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.selective import SelectiveRCoalPolicy
+from repro.experiments.base import ExperimentContext, collect_records
+from repro.experiments.checkpoint import CheckpointStore, campaign_fingerprint
+from repro.experiments.runner import CampaignStats, SupervisionPolicy
+from repro.faults import parse_fault_plan
 from repro.gpu.address import CIPHERTEXT_REGION_BASE, AddressMap
 from repro.gpu.config import GPUConfig
 from repro.gpu.engine import GPUSimulator
@@ -143,6 +147,34 @@ class TestGoldenParity:
                     for w in range(2)]
         with pytest.raises(UnsupportedLaunch):
             core.run(programs, {0: [0] * 32, 1: [0] * 32})
+
+
+class TestDefaultPhasesRunOnTheCore:
+    """A default-context timed phase sends every 32-line sample through
+    the core once, however it is scheduled: a silent fallback would keep
+    the records equal and only make the phase slower. Under a fault plan
+    too, so chaos runs exercise the engine a default run uses."""
+
+    SAMPLES = 4
+
+    @pytest.mark.parametrize("form", ["plain", "checkpoint", "supervised"])
+    def test_every_sample_runs_on_the_core_once(self, form, core_runs,
+                                                 tmp_path):
+        ctx = ExperimentContext(root_seed=2018, samples=self.SAMPLES)
+        campaign = CampaignStats()
+        if form == "checkpoint":
+            ctx = ctx.with_(checkpoint=CheckpointStore.open(
+                tmp_path / "run", campaign_fingerprint("unit", ctx, False)))
+        elif form == "supervised":
+            ctx = ctx.with_(supervision=SupervisionPolicy(backoff_base=0.0),
+                            faults=parse_fault_plan("raise@1"),
+                            campaign=campaign)
+        _, records = collect_records(ctx, make_policy("rss_rts", 8),
+                                     self.SAMPLES)
+        assert len(records) == self.SAMPLES
+        assert core_runs == [True] * self.SAMPLES
+        # The fault fired, and the retry re-simulated on the core.
+        assert campaign.retries == (form == "supervised")
 
 
 def run_both(config, program):

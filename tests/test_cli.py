@@ -51,7 +51,11 @@ class TestImpossibleInput:
          "impossible chunk deadline"),
         (["serve", "fig05", "--port", "0", "--no-linger", "-j", "-1"],
          "-j/--jobs must be 0"),
-        (["bench", "-j", "-2"], "-j/--jobs must be 0"),
+        (["bench"], "unknown experiment 'bench'"),
+        (["metrics", "fig05", "--check", "BASELINE_METRICS.json",
+          "--tolerance", "-1"], "impossible tolerance"),
+        (["metrics", "fig05", "--tolerance", "nan"], "impossible tolerance"),
+        (["profile", "fig05", "--tolerance", "inf"], "impossible tolerance"),
     ])
     def test_exits_with_config_code_before_running(self, argv, message,
                                                    capsys):
@@ -61,6 +65,15 @@ class TestImpossibleInput:
         # Rejected up front: nothing simulated, no dashboard started.
         assert captured.out == ""
         assert "serving" not in captured.err
+
+    @pytest.mark.parametrize("stall", ["-1", "0", "nan", "inf"])
+    def test_status_rejects_an_impossible_stall_threshold(self, tmp_path,
+                                                          capsys, stall):
+        assert main(["status", str(tmp_path),
+                     "--stall-seconds", stall]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "impossible stall threshold" in captured.err
+        assert captured.out == ""
 
 
 class TestAllParallel:

@@ -1,0 +1,318 @@
+"""Throughput floors: order-of-magnitude gates on the fast paths.
+
+The parity tests prove that the fast engines compute what the event
+engine computes; they cannot see a fast path that quietly stops being
+fast. These gates can. Every bound sits several-fold below what a healthy
+tree measures (the bounds were set against ``BENCH_6.json``), so it
+catches a disabled fast path, a silent fallback or a quadratic loop, not
+10% noise. Ranking work by speed is the job of the benchmark under
+``bench/``.
+
+The workloads:
+
+* *timed*: 8 timed 32-line ``rss_rts`` M=8 launches, on the default
+  engine, on the event engine and under ``Telemetry(profile=True)``;
+* *counts*: 4 counts-only 256-line samples, plain, with a run journal,
+  and drained through the shard lease protocol in 1-sample chunks;
+* *appends*: 512 fsync'd run-journal appends.
+
+Every value is the best of three runs. Each round runs every side of a
+workload once, in the reverse order of the round before, so a slow
+spell on a shared host hits both sides of a ratio and a drifting host
+favours neither. The CPU-bound values (simulated cycles per second, the
+speedup over the event engine, the profiler's overhead and milliseconds
+per counts sample) are timed with ``time.process_time``; the journal and
+shard values, which wait on fsync, are timed on the wall clock.
+
+Every bound has a negative control. It injects the regression the bound
+guards against and shows the value crossing the bound by a quarter or
+more. Most controls measure once, since the regression dwarfs the noise.
+"""
+
+import tempfile
+import time
+from dataclasses import dataclass, replace
+from pathlib import Path
+
+import pytest
+
+from repro.core.policies import make_policy
+from repro.experiments.base import ExperimentContext, collect_records
+from repro.experiments.checkpoint import CheckpointStore, campaign_fingerprint
+from repro.experiments.runner import PhaseWork
+from repro.experiments.shard import LeaseManager, ShardPolicy
+from repro.gpu.batched import BatchedCountsCore
+from repro.gpu.timed_batch import BatchedTimingCore, UnsupportedLaunch
+from repro.telemetry import Telemetry
+from repro.telemetry.journal import RunJournal
+from repro.telemetry.tracer import Tracer
+
+POLICY = make_policy("rss_rts", 8)
+LAUNCHES = 8
+SAMPLES = 4
+APPENDS = 512
+ROUNDS = 3
+TIMED = ExperimentContext(root_seed=2018, samples=LAUNCHES)
+COUNTS = ExperimentContext(root_seed=2018, samples=SAMPLES, lines=256)
+
+SIM_CYCLES_PER_SECOND_FLOOR = 400_000
+SPEEDUP_VS_EVENT_FLOOR = 1.5
+PROFILER_OVERHEAD_CEILING = 3.3
+MS_PER_SAMPLE_CEILING = 15.0
+APPENDS_PER_SECOND_FLOOR = 100
+JOURNAL_OVERHEAD_CEILING = 5.0
+SHARD_OVERHEAD_CEILING = 10.0
+#: How far past its bound a negative control must land.
+MARGIN = 1.25
+
+
+@dataclass
+class Run:
+    """One side of a workload: its best CPU and wall seconds, and the
+    records of its last run."""
+
+    cpu: float
+    wall: float
+    records: object
+
+
+def measure(sides, rounds=ROUNDS):
+    """Run every side once per round, reversing the order each round;
+    returns a :class:`Run` per side."""
+    best = {}
+    order = list(sides)
+    for _ in range(rounds):
+        for name in order:
+            cpu, wall = time.process_time(), time.perf_counter()
+            records = sides[name]()
+            cpu = time.process_time() - cpu
+            wall = time.perf_counter() - wall
+            if name in best:
+                cpu = min(cpu, best[name].cpu)
+                wall = min(wall, best[name].wall)
+            best[name] = Run(cpu, wall, records)
+        order.reverse()
+    return best
+
+
+def once(side):
+    return measure({"side": side}, rounds=1)["side"]
+
+
+def timed(**fields):
+    return collect_records(TIMED.with_(**fields), POLICY, LAUNCHES)[1]
+
+
+def event_timed():
+    return timed(batched_timing=False)
+
+
+def profiled():
+    # A fresh Telemetry per run, so no run inherits a fuller tracer.
+    return timed(telemetry=Telemetry(profile=True))
+
+
+def counts(**fields):
+    return collect_records(COUNTS.with_(**fields), POLICY, SAMPLES,
+                           counts_only=True)[1]
+
+
+def ledgered():
+    with tempfile.TemporaryDirectory() as tmp:
+        return counts(journal=RunJournal(Path(tmp) / "events.jsonl"))
+
+
+def sharded():
+    with tempfile.TemporaryDirectory() as tmp:
+        store = CheckpointStore.open(
+            Path(tmp) / "run",
+            campaign_fingerprint("floors", COUNTS, instrumented=False))
+        return counts(checkpoint=store,
+                      shard=ShardPolicy(worker="floors", lease_seconds=30.0,
+                                        chunk_samples=1))
+
+
+def append_burst(appends=APPENDS):
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = RunJournal(Path(tmp) / "events.jsonl")
+        for index in range(appends):
+            journal.append("tick", index=index)
+
+
+def sim_cycles_per_second(run):
+    return sum(record.total_time for record in run.records) / run.cpu
+
+
+def burn(seconds):
+    """Busy-wait: a delay that ``time.process_time`` sees."""
+    end = time.process_time() + seconds
+    while time.process_time() < end:
+        pass
+
+
+def delay(monkeypatch, owner, name, wait, seconds):
+    """Make every call of ``owner.name`` first ``wait(seconds)``."""
+    original = getattr(owner, name)
+
+    def delayed(*args, **kwargs):
+        wait(seconds)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, delayed)
+
+
+@pytest.fixture(scope="module")
+def timing():
+    return measure({"default": timed, "event": event_timed,
+                    "profiled": profiled})
+
+
+@pytest.fixture(scope="module")
+def counting():
+    return measure({"plain": counts, "ledgered": ledgered,
+                    "sharded": sharded})
+
+
+@pytest.fixture(scope="module")
+def event_counts():
+    """The counts workload on the event engine, run once: the reference
+    of the counts parity check, and the regression the ms-per-sample
+    ceiling guards against."""
+    return once(lambda: counts(batched=False))
+
+
+class TestTimedLaunches:
+    def test_sim_cycles_per_second(self, timing):
+        assert sim_cycles_per_second(timing["default"]) \
+            >= SIM_CYCLES_PER_SECOND_FLOOR
+
+    def test_speedup_vs_event(self, timing):
+        assert timing["event"].cpu / timing["default"].cpu \
+            >= SPEEDUP_VS_EVENT_FLOOR
+
+    def test_cycles_identical(self, timing):
+        assert timing["default"].records == timing["event"].records
+
+    def test_profiler_overhead(self, timing):
+        assert timing["profiled"].cpu / timing["event"].cpu \
+            <= PROFILER_OVERHEAD_CEILING
+
+
+class TestCountsSamples:
+    def test_ms_per_sample(self, counting):
+        assert counting["plain"].cpu / SAMPLES * 1e3 <= MS_PER_SAMPLE_CEILING
+
+    def test_counts_identical(self, counting, event_counts):
+        assert counting["plain"].records == event_counts.records
+
+    def test_journal_overhead(self, counting):
+        assert counting["ledgered"].wall / counting["plain"].wall \
+            <= JOURNAL_OVERHEAD_CEILING
+
+    def test_shard_overhead(self, counting):
+        assert counting["sharded"].wall / counting["plain"].wall \
+            <= SHARD_OVERHEAD_CEILING
+
+    def test_records_identical(self, counting):
+        assert counting["sharded"].records == counting["plain"].records
+
+
+def test_appends_per_second():
+    burst = measure({"burst": append_burst})["burst"]
+    assert APPENDS / burst.wall >= APPENDS_PER_SECOND_FLOOR
+
+
+class TestNegativeControls:
+    def test_a_slow_timing_core_breaks_the_cycle_floor(self, monkeypatch):
+        delay(monkeypatch, BatchedTimingCore, "run", burn, 0.06)
+        assert sim_cycles_per_second(once(timed)) \
+            < SIM_CYCLES_PER_SECOND_FLOOR / MARGIN
+
+    def test_a_core_that_falls_back_breaks_the_speedup_floor(
+            self, monkeypatch):
+        run = BatchedTimingCore.run
+
+        def fall_back(self, programs, sid_maps):
+            run(self, programs, sid_maps)
+            raise UnsupportedLaunch("forced")
+
+        monkeypatch.setattr(BatchedTimingCore, "run", fall_back)
+        # Both sides now end on the event engine, so single runs would
+        # differ by little more than noise: keep the best of three.
+        fallen = measure({"default": timed, "event": event_timed})
+        assert fallen["event"].cpu / fallen["default"].cpu \
+            < SPEEDUP_VS_EVENT_FLOOR / MARGIN
+
+    def test_a_core_one_cycle_off_breaks_cycle_parity(self, timing,
+                                                      monkeypatch):
+        run = BatchedTimingCore.run
+
+        def late(self, programs, sid_maps):
+            result = run(self, programs, sid_maps)
+            return replace(result, total_cycles=result.total_cycles + 1)
+
+        monkeypatch.setattr(BatchedTimingCore, "run", late)
+        assert timed() != timing["event"].records
+
+    def test_a_slow_tracer_breaks_the_profiler_ceiling(self, timing,
+                                                       monkeypatch):
+        event = timing["event"].cpu
+        # Tracing each launch costs four event-engine launches more, so
+        # the ratio exceeds 4 however fast the profiled run itself is.
+        delay(monkeypatch, Tracer, "advance_time_base", burn,
+              4 * event / LAUNCHES)
+        assert once(profiled).cpu / event > PROFILER_OVERHEAD_CEILING * MARGIN
+
+    def test_the_event_engine_breaks_the_counts_ceiling(self, event_counts):
+        assert event_counts.cpu / SAMPLES * 1e3 \
+            > MS_PER_SAMPLE_CEILING * MARGIN
+
+    def test_a_miscounting_core_breaks_counts_parity(self, event_counts,
+                                                     monkeypatch):
+        encrypt_batch = BatchedCountsCore.encrypt_batch
+
+        def miscount(self, plaintexts, rngs, on_record=None):
+            first, *rest = encrypt_batch(self, plaintexts, rngs,
+                                         on_record=on_record)
+            return [replace(first, total_accesses=first.total_accesses + 1),
+                    *rest]
+
+        monkeypatch.setattr(BatchedCountsCore, "encrypt_batch", miscount)
+        assert counts() != event_counts.records
+
+    def test_a_slow_append_breaks_the_append_floor(self, monkeypatch):
+        delay(monkeypatch, RunJournal, "append", time.sleep, 0.025)
+        # The floor is a per-append rate, so a short burst shows it.
+        burst = once(lambda: append_burst(appends=16))
+        assert 16 / burst.wall < APPENDS_PER_SECOND_FLOOR / MARGIN
+
+    def test_a_slow_append_breaks_the_journal_ceiling(self, counting,
+                                                      monkeypatch):
+        # Each ledger append costs two plain runs more.
+        delay(monkeypatch, RunJournal, "append", time.sleep,
+              2 * counting["plain"].wall)
+        assert once(ledgered).wall / counting["plain"].wall \
+            > JOURNAL_OVERHEAD_CEILING * MARGIN
+
+    def test_a_slow_lease_claim_breaks_the_shard_ceiling(self, counting,
+                                                         monkeypatch):
+        # Each of the four leases costs five plain runs more.
+        delay(monkeypatch, LeaseManager, "claim", time.sleep,
+              5 * counting["plain"].wall)
+        assert once(sharded).wall / counting["plain"].wall \
+            > SHARD_OVERHEAD_CEILING * MARGIN
+
+    def test_a_lease_path_one_sample_off_breaks_shard_parity(
+            self, counting, monkeypatch):
+        simulate = PhaseWork.simulate
+
+        def shifted(self, indices, attempt, progress, in_worker=False,
+                    telemetry=None):
+            if in_worker:  # the lease scheduler's call
+                indices = [(index + 1) % self.num_samples
+                           for index in indices]
+            return simulate(self, indices, attempt, progress,
+                            in_worker=in_worker, telemetry=telemetry)
+
+        monkeypatch.setattr(PhaseWork, "simulate", shifted)
+        assert sharded() != counting["plain"].records
