@@ -54,11 +54,13 @@ serve:
 attribute:
 	REPRO_FAST=1 rcoal attribute
 
-# Gate the metrics snapshot against the committed baseline (what CI runs).
+# Gate the metrics snapshot and the cost-center profile against their
+# committed baselines (what CI runs).
 check-metrics:
 	rcoal metrics fig05 --samples 4 --check BASELINE_METRICS.json
 	rcoal metrics fig07 --samples 4 --check BASELINE_METRICS.json
 	rcoal metrics fig13 --samples 4 --check BASELINE_METRICS.json
+	REPRO_FAST=1 rcoal profile fig05 --samples 4 --check BASELINE_PROFILE.json
 
 # Campaign progress from the run ledger + checkpoint store; pass the
 # campaign directory as DIR (default ckpt). See

@@ -22,10 +22,7 @@ uid-stamped trace events:
   (FR-FCFS queueing plus bank-timing waits such as precharge);
 * ``dram.activate`` — the row-miss ACTIVATE (tRCD) span;
 * ``dram.column_hit`` / ``dram.column_miss`` — CAS-to-burst-completion
-  service, split by row-buffer outcome;
-* ``partition.l2`` / ``mshr.wait`` — L2-hit service and MSHR-merged
-  waiting (non-default configs; classified via the partition's
-  uid-stamped instants).
+  service, split by row-buffer outcome.
 
 The stage spans of one access tile its lifetime ``[fwd.ts, reply_end]``
 contiguously (each span's end is the next span's start, by construction of
@@ -70,8 +67,6 @@ COST_CENTER_NAMES = (
     "dram.activate",
     "dram.column_hit",
     "dram.column_miss",
-    "partition.l2",
-    "mshr.wait",
 )
 
 
@@ -123,7 +118,7 @@ class _EventIndex:
     def __init__(self, tracer: Tracer):
         self._by_uid: Dict[str, Dict[int, List[TraceEvent]]] = {
             "fwd_xbar": {}, "reply_xbar": {}, "activate": {},
-            "column": {}, "l2_hit": {}, "mshr_merge": {},
+            "column": {},
         }
         #: warp id -> sorted [(ts, end)] of its coalesce spans.
         self._coalesce: Dict[int, List[Tuple[float, float]]] = {}
@@ -282,10 +277,6 @@ def _split_access(
         center = ("dram.column_hit" if column.name == "column_hit"
                   else "dram.column_miss")
         spans.append((column.ts, center))
-    elif index.lookup("l2_hit", uid, window) is not None:
-        spans.append((fwd_end, "partition.l2"))
-    elif index.lookup("mshr_merge", uid, window) is not None:
-        spans.append((fwd_end, "mshr.wait"))
     else:
         # A read that reached DRAM always has a column event (attribution
         # requires a complete trace); keep the account balanced anyway.

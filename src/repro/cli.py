@@ -513,6 +513,9 @@ def _build_profile_parser() -> argparse.ArgumentParser:
 def _run_profile_command(argv: List[str]) -> int:
     args = _build_profile_parser().parse_args(argv)
     _check_tolerance(args.tolerance)
+    if args.top is not None and args.top < 1:
+        raise ConfigurationError(
+            f"impossible --top: must be at least 1, got {args.top}")
     configure_logging(args.verbose)
 
     telemetry = Telemetry(trace_capacity=args.capacity, profile=True)

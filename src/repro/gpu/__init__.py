@@ -9,9 +9,10 @@ the RCoal evaluation depends on (Table I of the paper):
   hook all three defenses plug into;
 * a crossbar interconnect to 6 memory partitions, global address space
   interleaved in 256-byte chunks;
-* banked GDDR5 DRAM with FR-FCFS scheduling and Hynix timing parameters;
-* optional MSHR merging and caching (both **disabled by default** to match
-  the paper's evaluation, Section VII).
+* banked GDDR5 DRAM with FR-FCFS scheduling and Hynix timing parameters.
+
+Like the paper's evaluation (Section VII), the machine has no caches and no
+MSHRs, so the intra-warp coalescer is the only bandwidth filter.
 
 The simulator is event-driven (no per-cycle loop), so kernel launches with
 tens of thousands of memory requests simulate in milliseconds while

@@ -24,7 +24,6 @@ class DramTiming:
     t_ras: int = 28
     t_ccd: int = 2
     t_rcd: int = 12
-    t_rrd: int = 6
     #: Memory cycles to stream one 64-byte access over the bank-group bus.
     t_burst: int = 4
 
@@ -40,7 +39,6 @@ class DramTiming:
             t_ras=conv(self.t_ras),
             t_ccd=conv(self.t_ccd),
             t_rcd=conv(self.t_rcd),
-            t_rrd=conv(self.t_rrd),
             t_burst=conv(self.t_burst),
         )
 
@@ -49,18 +47,17 @@ class DramTiming:
 class GPUConfig:
     """Architectural parameters of the simulated GPU (paper Table I).
 
-    The defaults reproduce the paper's configuration: 15 SMs at 1400 MHz with
-    SIMT width 32 (16x2), two warp schedulers per SM, 6 GDDR5 memory
-    controllers at 924 MHz with 16 banks in 4 bank groups each, FR-FCFS
-    scheduling, and 256-byte partition interleaving. MSHRs and caches exist
-    but are disabled, matching the paper's evaluation setup.
+    The defaults reproduce the paper's configuration: 15 SMs at 1400 MHz,
+    two warp schedulers per SM, 6 GDDR5 memory controllers at 924 MHz with
+    16 banks in 4 bank groups each, FR-FCFS scheduling, and 256-byte
+    partition interleaving. Like the paper's evaluation, the machine has no
+    caches and no MSHRs: every coalesced access is one DRAM service.
     """
 
     # -- core ---------------------------------------------------------------
     num_sms: int = 15
     core_clock_mhz: int = 1400
     warp_size: int = 32
-    simt_width: int = 16
     warp_schedulers_per_sm: int = 2
     max_warps_per_sm: int = 48
     #: Core cycles of ALU work per AES round per warp (XOR/shift/byte ops).
@@ -77,7 +74,6 @@ class GPUConfig:
 
     # -- interconnect -------------------------------------------------------
     icnt_latency: int = 8
-    icnt_clock_mhz: int = 1400
     #: Requests a partition's ingress port accepts per core cycle.
     icnt_requests_per_cycle: int = 1
     #: Crossbar flit width; a 64 B data reply is split into
@@ -96,19 +92,12 @@ class GPUConfig:
     row_bytes: int = 2048
     dram_timing: DramTiming = field(default_factory=DramTiming)
 
-    # -- optional features (disabled in the paper's evaluation) -------------
-    enable_mshr: bool = False
-    mshr_entries: int = 32
-    enable_l2: bool = False
-    l2_lines: int = 1024
-    l2_ways: int = 8
-    l2_hit_latency: int = 20
-
     def __post_init__(self) -> None:
         positive_fields = {
             "num_sms": self.num_sms,
+            "core_clock_mhz": self.core_clock_mhz,
+            "memory_clock_mhz": self.memory_clock_mhz,
             "warp_size": self.warp_size,
-            "simt_width": self.simt_width,
             "warp_schedulers_per_sm": self.warp_schedulers_per_sm,
             "access_bytes": self.access_bytes,
             "num_partitions": self.num_partitions,
@@ -122,6 +111,15 @@ class GPUConfig:
         for name, value in positive_fields.items():
             if value <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {value}")
+        non_negative_fields = {
+            "issue_cycles": self.issue_cycles,
+            "round_compute_cycles": self.round_compute_cycles,
+            "coalescer_cycles_per_access": self.coalescer_cycles_per_access,
+        }
+        for name, value in non_negative_fields.items():
+            if value < 0:
+                raise ConfigurationError(
+                    f"{name} must be non-negative, got {value}")
         if self.partition_chunk_bytes % self.access_bytes != 0:
             raise ConfigurationError(
                 "partition chunk size must be a multiple of the access size"

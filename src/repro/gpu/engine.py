@@ -27,8 +27,8 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.gpu.address import AddressMap
 from repro.gpu.coalescer import CoalescingUnit
 from repro.gpu.config import GPUConfig
+from repro.gpu.dram import MemoryController
 from repro.gpu.interconnect import Crossbar
-from repro.gpu.partition import MemoryPartition
 from repro.gpu.request import MemoryAccess
 from repro.gpu.scheduler import SchedulerSet
 from repro.gpu.stats import KernelResult, RoundWindow
@@ -136,16 +136,14 @@ class GPUSimulator:
     def _resolve_timed_core(self):
         """Resolve the wavefront-batched core once, lazily.
 
-        The core only covers the uninstrumented fast-memory machine; any
-        launch it cannot reproduce exactly raises ``UnsupportedLaunch``
-        at run time and we fall back to the event path for that launch.
+        The core only covers uninstrumented launches; any launch it
+        cannot reproduce exactly raises ``UnsupportedLaunch`` at run time
+        and we fall back to the event path for that launch.
         """
         self._timed_core_resolved = True
         if not self._batched_timing:
             return
         if self.telemetry.enabled:
-            return
-        if self.config.enable_l2 or self.config.enable_mshr:
             return
         from repro.gpu.timed_batch import BatchedTimingCore
 
@@ -199,8 +197,10 @@ class GPUSimulator:
                 "coalescer.ldst_wait_cycles")
         else:
             ctr_serialize = ctr_ldst_wait = None
-        partitions = [
-            MemoryPartition(p, config, self.address_map, telemetry=tele_arg)
+        timing = config.dram_timing_core
+        controllers = [
+            MemoryController(config.num_banks, timing, telemetry=tele_arg,
+                             partition_id=p)
             for p in range(config.num_partitions)
         ]
         forward = Crossbar(config.num_partitions, config.icnt_latency,
@@ -275,51 +275,12 @@ class GPUSimulator:
         forward_traverse = forward.traverse
         reply_traverse = reply_net.traverse
         windows = result.round_windows
-        controllers = [p.controller for p in partitions]
-        # With L2 and MSHRs disabled (the paper's Table I machine) an
-        # arrival always decodes + enqueues and a DRAM completion always
-        # releases exactly its own access, so the partition's general
-        # arrive/service_complete bookkeeping can be bypassed.
-        fast_memory = not config.enable_l2 and not config.enable_mshr
 
         def push(cycle: int, tag: str, payload: object) -> None:
             heappush(events, (cycle, next_seq(), tag, payload))
 
         for warp_id in warps:
             push(0, "warp", warp_id)
-
-        def kick_controller(controller, partition_id: int,
-                            cycle: int) -> None:
-            """Start the controller's next request if its command slot frees."""
-            if controller.busy:
-                return
-            started = controller.start_next(cycle)
-            if started is not None:
-                access, completion, next_slot = started
-                heappush(events, (completion, next_seq(), "dram",
-                                  (partition_id, access)))
-                heappush(events, (next_slot, next_seq(), "dslot",
-                                  partition_id))
-
-        def complete_access(access: MemoryAccess, cycle: int) -> None:
-            """An access finished at memory; route the reply if needed."""
-            nonlocal last_completion
-            if cycle > last_completion:
-                last_completion = cycle
-            if access.is_write:
-                return
-            reply_cycle = reply_traverse(access.sm_id, cycle,
-                                         flits=reply_flits)
-            if tracer is not None:
-                tracer.complete("reply_xbar", "interconnect",
-                                trace_base + cycle, reply_cycle - cycle,
-                                pid=PID_ICNT, tid=access.sm_id,
-                                args={"warp": access.warp_id,
-                                      "uid": access.uid,
-                                      "round": access.round_index})
-            heappush(events, (reply_cycle, next_seq(), "reply", access))
-
-        # -- event handlers ---------------------------------------------------
 
         def handle_warp(warp_id: int, cycle: int) -> None:
             warp = warps[warp_id]
@@ -427,170 +388,93 @@ class GPUSimulator:
                 # the pipeline while these loads are in flight.
                 push(issue + issue_cycles, "warp", warp_id)
 
-        def handle_inject(access: MemoryAccess, cycle: int) -> None:
-            partition_id = partition_of(access.address)
-            arrival = forward_traverse(partition_id, cycle)
-            if tracer is not None:
-                tracer.complete("fwd_xbar", "interconnect",
-                                trace_base + cycle, arrival - cycle,
-                                pid=PID_ICNT, tid=partition_id,
-                                args={"warp": access.warp_id,
-                                      "uid": access.uid,
-                                      "round": access.round_index})
-            heappush(events, (arrival, next_seq(), "arrive",
-                              (partition_id, access)))
-
-        def handle_arrive(partition_id: int, access: MemoryAccess,
-                          cycle: int) -> None:
-            if fast_memory:
-                access.arrival_cycle = cycle
-                controller = controllers[partition_id]
-                controller.enqueue(access, decode(access.address), cycle)
-                kick_controller(controller, partition_id, cycle)
-                return
-            partition = partitions[partition_id]
-            outcome = partition.arrive(access, cycle)
-            for finished, completion in outcome.immediate:
-                complete_access(finished, completion)
-            if outcome.queued:
-                kick_controller(partition.controller, partition_id, cycle)
-
-        def handle_dram(partition_id: int, access: MemoryAccess,
-                        cycle: int) -> None:
-            if fast_memory:
-                access.complete_cycle = cycle
-                complete_access(access, cycle)
-                return
-            partition = partitions[partition_id]
-            released = partition.service_complete(access, cycle)
-            for finished in released:
-                complete_access(finished, cycle)
-
-        def handle_dslot(partition_id: int, cycle: int) -> None:
-            controller = controllers[partition_id]
-            controller.release()
-            kick_controller(controller, partition_id, cycle)
-
-        def handle_reply(access: MemoryAccess, cycle: int) -> None:
-            warp = warps[access.warp_id]
-            round_index = access.round_index
-            if round_index is not None:
-                # The window exists: the issuing instruction created it.
-                window = windows[(access.warp_id, round_index)]
-                if window.end is None or cycle > window.end:
-                    window.end = cycle
-            outstanding = warp.outstanding - 1
-            warp.outstanding = outstanding
-            if outstanding < 0:
-                raise ProtocolError("reply for a warp with no pending load")
-            if outstanding == 0 and warp.waiting:
-                warp.waiting = False
-                push(cycle, "warp", access.warp_id)
-
         # -- main loop --------------------------------------------------------
         # Tags ordered by event frequency (~1 warp event per instruction vs
         # one inject/arrive/dram/dslot/reply each per coalesced access).
-        #
-        # Two dispatch loops, cycle-for-cycle identical: on the default
-        # machine (no L2/MSHRs) with telemetry off, the per-access handlers
-        # reduce to a few statement bodies, and the function-call overhead
-        # of dispatching ~5 of them per coalesced access is a measurable
-        # slice of simulation time — so the hot loop inlines them. Every
-        # heappush below sits exactly where the handler version pushes it
-        # (push order is behaviour: (cycle, seq) ordering means a reordered
-        # push reorders same-cycle ties and changes FR-FCFS decisions).
-        # The golden engine battery pins both loops to the same digest.
-
-        if fast_memory and tracer is None:
-            while events:
-                cycle, _seq, tag, payload = heappop(events)
-                if tag == "inject":
-                    # handle_inject, inlined.
-                    partition_id = partition_of(payload.address)
-                    arrival = forward_traverse(partition_id, cycle)
-                    heappush(events, (arrival, next_seq(), "arrive",
-                                      (partition_id, payload)))
-                elif tag == "arrive":
-                    # handle_arrive fast path + kick_controller, inlined.
-                    partition_id, access = payload
-                    access.arrival_cycle = cycle
-                    controller = controllers[partition_id]
-                    controller.enqueue(access, decode(access.address),
-                                       cycle)
-                    if not controller.busy:
-                        started = controller.start_next(cycle)
-                        if started is not None:
-                            started_access, completion, next_slot = started
-                            heappush(events,
-                                     (completion, next_seq(), "dram",
-                                      (partition_id, started_access)))
-                            heappush(events, (next_slot, next_seq(),
-                                              "dslot", partition_id))
-                elif tag == "dram":
-                    # handle_dram fast path + complete_access, inlined.
-                    _partition_id, access = payload
-                    access.complete_cycle = cycle
-                    if cycle > last_completion:
-                        last_completion = cycle
-                    if not access.is_write:
-                        reply_cycle = reply_traverse(access.sm_id, cycle,
-                                                     flits=reply_flits)
-                        heappush(events, (reply_cycle, next_seq(),
-                                          "reply", access))
-                elif tag == "dslot":
-                    # handle_dslot + kick_controller, inlined.
-                    controller = controllers[payload]
-                    controller.release()
-                    if not controller.busy:
-                        started = controller.start_next(cycle)
-                        if started is not None:
-                            started_access, completion, next_slot = started
-                            heappush(events,
-                                     (completion, next_seq(), "dram",
-                                      (payload, started_access)))
-                            heappush(events, (next_slot, next_seq(),
-                                              "dslot", payload))
-                elif tag == "reply":
-                    # handle_reply, inlined.
-                    access = payload
-                    warp = warps[access.warp_id]
-                    round_index = access.round_index
-                    if round_index is not None:
-                        window = windows[(access.warp_id, round_index)]
-                        if window.end is None or cycle > window.end:
-                            window.end = cycle
-                    outstanding = warp.outstanding - 1
-                    warp.outstanding = outstanding
-                    if outstanding < 0:
-                        raise ProtocolError(
-                            "reply for a warp with no pending load")
-                    if outstanding == 0 and warp.waiting:
-                        warp.waiting = False
-                        heappush(events, (cycle, next_seq(), "warp",
-                                          access.warp_id))
-                elif tag == "warp":
-                    handle_warp(payload, cycle)  # type: ignore[arg-type]
-                else:  # pragma: no cover - defensive
-                    raise ProtocolError(f"unknown event tag {tag!r}")
-        else:
-            while events:
-                cycle, _seq, tag, payload = heappop(events)
-                if tag == "inject":
-                    handle_inject(payload, cycle)  # type: ignore[arg-type]
-                elif tag == "arrive":
-                    partition_id, access = payload  # type: ignore[misc]
-                    handle_arrive(partition_id, access, cycle)
-                elif tag == "dram":
-                    partition_id, access = payload  # type: ignore[misc]
-                    handle_dram(partition_id, access, cycle)
-                elif tag == "dslot":
-                    handle_dslot(payload, cycle)  # type: ignore[arg-type]
-                elif tag == "reply":
-                    handle_reply(payload, cycle)  # type: ignore[arg-type]
-                elif tag == "warp":
-                    handle_warp(payload, cycle)  # type: ignore[arg-type]
-                else:  # pragma: no cover - defensive
-                    raise ProtocolError(f"unknown event tag {tag!r}")
+        # The per-access events are handled inline: dispatching ~5 handler
+        # calls per coalesced access is a measurable slice of simulation
+        # time. Tracing adds two guarded records and pushes nothing, so a
+        # traced launch takes the same path as an untraced one. Event
+        # *push order is behaviour* (see above): keep every heappush where
+        # it is.
+        while events:
+            cycle, _seq, tag, payload = heappop(events)
+            if tag == "inject":
+                partition_id = partition_of(payload.address)
+                arrival = forward_traverse(partition_id, cycle)
+                if tracer is not None:
+                    tracer.complete("fwd_xbar", "interconnect",
+                                    trace_base + cycle, arrival - cycle,
+                                    pid=PID_ICNT, tid=partition_id,
+                                    args={"warp": payload.warp_id,
+                                          "uid": payload.uid,
+                                          "round": payload.round_index})
+                heappush(events, (arrival, next_seq(), "arrive",
+                                  (partition_id, payload)))
+            elif tag == "arrive":
+                partition_id, access = payload
+                access.arrival_cycle = cycle
+                controller = controllers[partition_id]
+                controller.enqueue(access, decode(access.address), cycle)
+                if not controller.busy:
+                    started = controller.start_next(cycle)
+                    if started is not None:
+                        started_access, completion, next_slot = started
+                        heappush(events, (completion, next_seq(), "dram",
+                                          (partition_id, started_access)))
+                        heappush(events, (next_slot, next_seq(), "dslot",
+                                          partition_id))
+            elif tag == "dram":
+                _partition_id, access = payload
+                access.complete_cycle = cycle
+                if cycle > last_completion:
+                    last_completion = cycle
+                if not access.is_write:
+                    reply_cycle = reply_traverse(access.sm_id, cycle,
+                                                 flits=reply_flits)
+                    if tracer is not None:
+                        tracer.complete("reply_xbar", "interconnect",
+                                        trace_base + cycle,
+                                        reply_cycle - cycle,
+                                        pid=PID_ICNT, tid=access.sm_id,
+                                        args={"warp": access.warp_id,
+                                              "uid": access.uid,
+                                              "round": access.round_index})
+                    heappush(events, (reply_cycle, next_seq(), "reply",
+                                      access))
+            elif tag == "dslot":
+                controller = controllers[payload]
+                controller.release()
+                if not controller.busy:
+                    started = controller.start_next(cycle)
+                    if started is not None:
+                        started_access, completion, next_slot = started
+                        heappush(events, (completion, next_seq(), "dram",
+                                          (payload, started_access)))
+                        heappush(events, (next_slot, next_seq(), "dslot",
+                                          payload))
+            elif tag == "reply":
+                access = payload
+                warp = warps[access.warp_id]
+                round_index = access.round_index
+                if round_index is not None:
+                    # The window exists: the issuing instruction created it.
+                    window = windows[(access.warp_id, round_index)]
+                    if window.end is None or cycle > window.end:
+                        window.end = cycle
+                outstanding = warp.outstanding - 1
+                warp.outstanding = outstanding
+                if outstanding < 0:
+                    raise ProtocolError(
+                        "reply for a warp with no pending load")
+                if outstanding == 0 and warp.waiting:
+                    warp.waiting = False
+                    heappush(events, (cycle, next_seq(), "warp",
+                                      access.warp_id))
+            elif tag == "warp":
+                handle_warp(payload, cycle)  # type: ignore[arg-type]
+            else:  # pragma: no cover - defensive
+                raise ProtocolError(f"unknown event tag {tag!r}")
 
         unfinished = [w for w, s in warps.items() if not s.finished]
         if unfinished:
@@ -598,7 +482,7 @@ class GPUSimulator:
 
         result.total_cycles = max(result.warp_finish.values())
         result.drain_cycles = max(result.total_cycles, last_completion)
-        result.dram_stats = [p.controller.stats for p in partitions]
+        result.dram_stats = [c.stats for c in controllers]
 
         if telemetry.enabled:
             metrics = telemetry.metrics

@@ -34,10 +34,9 @@ wavefront), and a barrier resolving on the exact cycle of its last reply.
 
 Coverage contract: the core handles single-warp launches (the shape of
 every timed experiment in this repository — 32-line plaintexts are one
-warp) on the fast-memory machine (no L2, no MSHRs) with telemetry
-disabled, including partial warps, stores, ``RoundAwareSidMap`` selective
-maps and permuted address maps. Anything else — multi-warp launches,
-instrumented runs, cache configurations, exotic address maps, or a
+warp) with telemetry disabled, including partial warps, stores,
+``RoundAwareSidMap`` selective maps and permuted address maps. Anything
+else — multi-warp launches, instrumented runs, exotic address maps, or a
 wavefront whose store traffic is still queued when the next wavefront
 arrives — raises :class:`UnsupportedLaunch` and the caller falls back to
 the event engine, which remains the semantic reference.

@@ -5,6 +5,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.gpu.config import DramTiming, GPUConfig
 
+#: Cycle counts a machine may set to zero but not below.
+CYCLE_COUNTS = ("issue_cycles", "round_compute_cycles",
+                "coalescer_cycles_per_access")
+
 
 class TestDefaults:
     def test_table1_parameters(self, gpu_config):
@@ -20,12 +24,7 @@ class TestDefaults:
         assert gpu_config.memory_clock_mhz == 924
         timing = gpu_config.dram_timing
         assert (timing.t_cl, timing.t_rp, timing.t_rc) == (12, 12, 40)
-        assert (timing.t_ras, timing.t_ccd, timing.t_rcd,
-                timing.t_rrd) == (28, 2, 12, 6)
-
-    def test_paper_disables_mshr_and_caches(self, gpu_config):
-        assert not gpu_config.enable_mshr
-        assert not gpu_config.enable_l2
+        assert (timing.t_ras, timing.t_ccd, timing.t_rcd) == (28, 2, 12)
 
 
 class TestScaling:
@@ -71,6 +70,30 @@ class TestValidation:
     def test_rejects_configs_the_engines_cannot_run(self, overrides):
         with pytest.raises(ConfigurationError):
             GPUConfig(**overrides)
+
+    # A zero memory clock divides by zero when the DRAM timings are
+    # scaled to core cycles; a non-positive core clock silently scales
+    # every DRAM timing down to one cycle.
+    @pytest.mark.parametrize("overrides", [
+        {"memory_clock_mhz": 0},
+        {"memory_clock_mhz": -924},
+        {"core_clock_mhz": 0},
+        {"core_clock_mhz": -1400},
+    ])
+    def test_rejects_nonpositive_clocks(self, overrides):
+        with pytest.raises(ConfigurationError, match="_clock_mhz"):
+            GPUConfig(**overrides)
+
+    # A negative cycle count describes no machine; at
+    # coalescer_cycles_per_access=-1 the two timing engines even disagree.
+    @pytest.mark.parametrize("name", CYCLE_COUNTS)
+    def test_rejects_negative_cycle_counts(self, name):
+        with pytest.raises(ConfigurationError, match=name):
+            GPUConfig(**{name: -1})
+
+    @pytest.mark.parametrize("name", CYCLE_COUNTS)
+    def test_zero_cycle_counts_are_allowed(self, name):
+        assert getattr(GPUConfig(**{name: 0}), name) == 0
 
     def test_row_may_span_several_chunks(self):
         assert GPUConfig(partition_chunk_bytes=512, row_bytes=1024) \

@@ -10,7 +10,7 @@ policies plus selective RCoal, any subwarp count, partial, full and
 multi-warp launches, and seeds.
 
 Every case encrypts the same two plaintexts, with the same key and victim
-stream, on three servers:
+stream, on three servers, and the first of them on a fourth:
 
 * the event engine (``batched_timing=False``), the reference;
 * the wavefront core (``batched_timing=True``): records, kernel results
@@ -18,7 +18,11 @@ stream, on three servers:
   event engine through ``UnsupportedLaunch``; any other exception from it
   propagates and fails the test;
 * the counts core (``counts_only=True``): records must equal the
-  reference's with both times zero and no kernel result.
+  reference's with both times zero and no kernel result;
+* the event engine under an enabled :class:`Telemetry`, which traces
+  every event: its record must equal the reference's once the kernel
+  result's metrics snapshot is cleared. Tracing must not change what is
+  simulated.
 """
 
 from dataclasses import replace
@@ -31,6 +35,7 @@ from repro.core.selective import SelectiveRCoalPolicy
 from repro.gpu.address import PermutedAddressMap
 from repro.gpu.config import DramTiming, GPUConfig
 from repro.rng import RngStream
+from repro.telemetry import Telemetry
 from repro.workloads.plaintext import random_plaintexts
 from repro.workloads.server import EncryptionServer
 
@@ -60,6 +65,9 @@ def machines(draw):
         icnt_latency=draw(st.integers(1, 24)),
         icnt_requests_per_cycle=draw(st.integers(1, 3)),
         round_compute_cycles=draw(st.integers(1, 80)),
+        issue_cycles=draw(st.integers(0, 3)),
+        coalescer_cycles_per_access=draw(st.integers(0, 3)),
+        warp_schedulers_per_sm=draw(st.integers(1, 4)),
         core_clock_mhz=draw(st.sampled_from([700, 924, 1400, 2100])),
         dram_timing=DramTiming(
             t_cl=draw(st.integers(1, 16)),
@@ -81,11 +89,14 @@ def policies(draw):
     return make_policy(name, subwarps)
 
 
-def _records(config, permuted, policy, lines, seed, **server_kwargs):
-    """Two launches on a fresh server; every server of a case shares the
-    key, the plaintexts, the victim stream and the address map."""
+def _records(config, permuted, policy, lines, seed, launches=LAUNCHES,
+             **server_kwargs):
+    """The first ``launches`` launches on a fresh server; every server of
+    a case shares the key, the plaintexts, the victim stream and the
+    address map."""
     key = bytes(RngStream(seed, "key").random_bytes(16))
-    plaintexts = random_plaintexts(LAUNCHES, lines, RngStream(seed, "pt"))
+    plaintexts = random_plaintexts(LAUNCHES, lines,
+                                   RngStream(seed, "pt"))[:launches]
     address_map = (PermutedAddressMap(config, RngStream(seed, "map"))
                    if permuted else None)
     server = EncryptionServer(
@@ -108,3 +119,9 @@ def test_fast_engines_match_the_event_engine(config, permuted, policy,
     assert _records(*case, counts_only=True) == [
         replace(record, total_time=0, last_round_time=0, kernel_result=None)
         for record in reference]
+    traced = _records(*case, launches=1, telemetry=Telemetry(),
+                      batched_timing=False, retain_kernel_results=True)
+    for record in traced:
+        assert record.kernel_result.metrics is not None
+        record.kernel_result.metrics = None
+    assert traced == reference[:1]

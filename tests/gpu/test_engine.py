@@ -110,22 +110,6 @@ class TestMultiWarp:
         assert multi.total_cycles > single.total_cycles
 
 
-class TestOptionalFeatures:
-    def test_l2_reduces_dram_reads(self):
-        no_cache = run_kernel()
-        cached = run_kernel(config=GPUConfig(enable_l2=True))
-        assert cached.aggregate_dram().reads < no_cache.aggregate_dram().reads
-        # The coalescer-level access count is unchanged.
-        assert cached.total_accesses == no_cache.total_accesses
-
-    def test_mshr_reduces_dram_reads(self):
-        no_mshr = run_kernel()
-        merged = run_kernel(config=GPUConfig(enable_mshr=True))
-        assert merged.aggregate_dram().reads \
-            <= no_mshr.aggregate_dram().reads
-        assert merged.total_accesses == no_mshr.total_accesses
-
-
 class TestValidation:
     def test_rejects_empty_launch(self):
         sim = GPUSimulator()

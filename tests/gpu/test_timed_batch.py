@@ -311,14 +311,6 @@ class TestEngineSelection:
         simulator.run([WarpProgram(warp_id=0, num_threads=32)], {0: [0] * 32})
         assert (simulator._timed_core is not None) is batched_timing
 
-    def test_l2_and_mshr_configs_fall_back(self):
-        for config in (GPUConfig(enable_l2=True),
-                       GPUConfig(enable_mshr=True)):
-            simulator = GPUSimulator(config, batched_timing=True)
-            simulator.run([WarpProgram(warp_id=0, num_threads=32)],
-                          {0: [0] * 32})
-            assert simulator._timed_core is None
-
     def test_telemetry_falls_back(self):
         from repro.telemetry import Telemetry
 

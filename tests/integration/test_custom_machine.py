@@ -18,7 +18,7 @@ from repro.rng import RngStream
 from repro.workloads.plaintext import random_plaintexts
 from repro.workloads.server import EncryptionServer
 
-WARP16 = GPUConfig(warp_size=16, simt_width=8)
+WARP16 = GPUConfig(warp_size=16)
 
 
 class TestWarp16Machine:

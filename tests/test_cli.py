@@ -56,6 +56,8 @@ class TestImpossibleInput:
           "--tolerance", "-1"], "impossible tolerance"),
         (["metrics", "fig05", "--tolerance", "nan"], "impossible tolerance"),
         (["profile", "fig05", "--tolerance", "inf"], "impossible tolerance"),
+        (["profile", "fig05", "--top", "0"], "impossible --top"),
+        (["profile", "fig05", "--top", "-1"], "impossible --top"),
     ])
     def test_exits_with_config_code_before_running(self, argv, message,
                                                    capsys):

@@ -14,6 +14,8 @@ import pytest
 from repro.attack.estimator import AccessEstimator
 from repro.core.policies import make_policy
 from repro.rng import RngStream, derive_seed
+from repro.telemetry import Telemetry
+from repro.telemetry.metrics import stable_json
 from repro.workloads.plaintext import random_plaintexts
 from repro.workloads.server import EncryptionServer
 
@@ -175,3 +177,39 @@ class TestGoldenEstimator:
                            .astype("<i4").tobytes())
         assert sig.hexdigest() == ("62c99c9fc9694322220618bdae04e381"
                                    "a9eabb0f7eb876d2190da5b1ce90edb1")
+
+
+class TestGoldenTrace:
+    """Pin traced event-engine runs: the Chrome trace and the metrics.
+
+    Tracing sends every launch to the event engine. One digest covers
+    two-launch batches of a single warp, several warps and a partial warp
+    (40 lines: one full warp and 8 lanes), so any change to which events
+    are traced, their timestamps or arguments, or the metrics the engine
+    records shows up here.
+    """
+
+    CASES = (
+        # (policy, subwarps, lines)
+        ("baseline", 1, 32), ("rss_rts", 8, 32), ("rss_rts", 8, 64),
+        ("fss_rts", 4, 96), ("rss", 4, 40),
+    )
+
+    def test_trace_and_metrics_digest_is_stable(self):
+        sig = hashlib.sha256()
+        key = bytes(RngStream(GOLDEN_SEED, "key").random_bytes(16))
+        for name, subwarps, lines in self.CASES:
+            plaintexts = random_plaintexts(
+                2, lines, RngStream(GOLDEN_SEED, f"pt-{lines}"))
+            policy = make_policy(name, subwarps)
+            telemetry = Telemetry()
+            server = EncryptionServer(
+                key, policy,
+                rng=(RngStream(GOLDEN_SEED, "victim")
+                     if policy.is_randomized else None),
+                telemetry=telemetry)
+            server.encrypt_batch(plaintexts)
+            sig.update(stable_json(telemetry.tracer.chrome_trace()).encode())
+            sig.update(stable_json(telemetry.metrics.snapshot()).encode())
+        assert sig.hexdigest() == ("fbfc43ecbaf82f1709ee9ec111108629"
+                                   "72ca7dbbf9846f2335540366dea8daf5")
