@@ -72,7 +72,7 @@ class ExperimentContext:
     #: keeps only its counts. Tests and benchmarks turn it off to check
     #: the core against the reference; the records are equal either way.
     batched: bool = True
-    #: Timed phases run on the wavefront-batched core (launches it does
+    #: Timed phases run on the batched timing core (launches it does
     #: not cover fall back to the event engine); False runs every launch
     #: on the event engine, the reference. The KernelResult is identical
     #: either way; only tests and benchmarks turn it off.

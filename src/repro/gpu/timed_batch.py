@@ -1,9 +1,10 @@
-"""Wavefront-batched exact timing engine.
+"""Batched exact timing engine: wavefront replay and calendar replay.
 
 :class:`BatchedTimingCore` produces the *same* :class:`KernelResult` as the
-discrete-event engine (:class:`repro.gpu.engine.GPUSimulator`) without
-dispatching ~5 heap events per coalesced access. It exploits two structural
-facts about the simulated machine:
+discrete-event engine (:class:`repro.gpu.engine.GPUSimulator`) without its
+heap, ``MemoryAccess`` objects or component instances. A single-warp
+launch takes the wavefront replay, which exploits two structural facts
+about the simulated machine:
 
 **Wavefront decomposition.** Within one warp, loads stay in flight and only
 :class:`~repro.gpu.warp.ComputeInstruction` waits on ``outstanding == 0``,
@@ -32,18 +33,43 @@ completions from different partitions meeting at the reply port (the reply
 tied accesses feed different round windows — never within a single-round
 wavefront), and a barrier resolving on the exact cycle of its last reply.
 
-Coverage contract: the core handles single-warp launches (the shape of
-every timed experiment in this repository — 32-line plaintexts are one
-warp) with telemetry disabled, including partial warps, stores,
-``RoundAwareSidMap`` selective maps and permuted address maps. Anything
-else — multi-warp launches, instrumented runs, exotic address maps, or a
-wavefront whose store traffic is still queued when the next wavefront
-arrives — raises :class:`UnsupportedLaunch` and the caller falls back to
-the event engine, which remains the semantic reference.
+**Multi-warp launches: calendar replay.** With many warps, other warps'
+traffic is in flight at every barrier, so no wavefront meets an empty
+memory system. The core then runs the event engine's own handlers on
+plain ints and lists, in the engine's own event order: every push of
+``GPUSimulator.run`` lands at or after the cycle being processed, and
+``seq`` is push order, so one FIFO list per cycle, drained front to back
+while handlers append to it, pops events in exactly the heap's ``(cycle,
+seq)`` order. No tie rule between warps is re-derived. On single-warp
+launches the wavefront path is the faster of the two, so it keeps them.
+
+Coverage contract: with telemetry disabled, the core handles every launch
+the event engine simulates on the stock or the permuted address map: any
+warp count, partial warps, stores, ``RoundAwareSidMap`` selective maps,
+and warps sharing an SM. It raises :class:`UnsupportedLaunch`, and the
+caller replays the launch on the event engine, for:
+
+* instrumented runs (the simulator never builds the core for them);
+* any other address map class, whose decode only the engine can call;
+* a negative interconnect latency, which only the engine rejects, and a
+  multi-warp launch with a negative-cycle compute instruction, whose
+  warp event the engine would push into the past;
+* a negative address: its DRAM row can be -1, the core's closed-row
+  sentinel;
+* a launch the engine rejects (duplicate warp ids, a sid map of the wrong
+  length or a missing one, SM occupancy overflow, lane counts that do not
+  match the warp size): the engine then raises its own error;
+* a single-warp wavefront whose store traffic is still queued when the
+  next wavefront arrives.
+
+A ``ProtocolError`` the engine would raise mid-launch (a full pending
+request table, an instruction with no active lane, a full controller
+queue) the core raises with the engine's message.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -79,7 +105,9 @@ _MULTI = object()
 
 
 class BatchedTimingCore:
-    """Exact-cycle wavefront replay of one single-warp kernel launch."""
+    """Exact-cycle replay of one kernel launch: the wavefront path for a
+    single warp, the calendar replay for several (see the module
+    docstring for the coverage contract)."""
 
     def __init__(self, config: GPUConfig, address_map: AddressMap):
         am_type = type(address_map)
@@ -95,6 +123,9 @@ class BatchedTimingCore:
             # Unknown decode semantics: only the event engine (which calls
             # the map's own methods) can honour them.
             raise UnsupportedLaunch(f"address map {am_type.__name__}")
+        if config.icnt_latency < 0:
+            # The engine's Crossbar rejects it; the error is the engine's.
+            raise UnsupportedLaunch("negative interconnect latency")
         self.config = config
         timing = config.dram_timing_core
         self._t_cl = timing.t_cl
@@ -120,15 +151,33 @@ class BatchedTimingCore:
         except UnsupportedLaunch:
             return None
 
+    def _sid_source(self, warp_id, sid_maps):
+        """The warp's lane->sid source (a tuple, or a per-round lookup) and
+        whether it varies by round. Raises :class:`UnsupportedLaunch`
+        where the event engine rejects the warp, so the engine raises its
+        own error."""
+        config = self.config
+        raw_map = sid_maps.get(warp_id)
+        if raw_map is None:
+            raise UnsupportedLaunch("missing sid map")
+        if len(raw_map) != config.warp_size:
+            raise UnsupportedLaunch("sid map lane count")
+        if warp_id // config.num_sms >= config.max_warps_per_sm:
+            raise UnsupportedLaunch("SM occupancy")
+        if isinstance(raw_map, RoundAwareSidMap):
+            return raw_map.for_round, True
+        return tuple(raw_map), False
+
     # -- launch-wide vectorized coalesce ------------------------------------
 
     def _coalesce_program(self, mem_instrs, sid_source, round_aware, W):
-        """Coalesce every memory instruction of the launch at once.
+        """Coalesce every memory instruction of one warp at once.
 
-        Returns per-instruction access counts/offsets plus flat per-access
-        DRAM coordinates, all in the engine's exact generation order:
-        groups ascending by sid, blocks in first-touch thread order within
-        a group (the contract of ``CoalescingUnit.coalesce``).
+        Returns per-instruction access counts, offsets and logged lanes
+        plus flat per-access DRAM coordinates (partition, bank, row
+        arrays), all in the engine's exact generation order: groups
+        ascending by sid, blocks in first-touch thread order within a
+        group (the contract of ``CoalescingUnit.coalesce``).
         """
         M = len(mem_instrs)
         addr_rows = []
@@ -148,6 +197,9 @@ class BatchedTimingCore:
             sid_rows.append(sid_source(ins.round_index) if round_aware
                             else sid_source)
         addr = np.array(addr_rows, dtype=np.int64)
+        if addr.size and addr.min() < 0:
+            # Row -1 would read as the closed-row sentinel.
+            raise UnsupportedLaunch("negative address")
         sid = np.array(sid_rows, dtype=np.int64)
         blk = addr & self._block_mask
 
@@ -192,33 +244,19 @@ class BatchedTimingCore:
             bank = self._bank_perm[bank]
         starts = np.concatenate(([0], np.cumsum(counts)))
         return (counts.tolist(), starts.tolist(), logged.tolist(),
-                part, bank, row,
-                np.repeat(np.arange(M), counts).tolist(),
-                (np.arange(len(rB)) - np.repeat(starts[:-1],
-                                                counts)).tolist())
+                part, bank, row)
 
     # -- the launch ----------------------------------------------------------
 
     def run(self, programs: Sequence[WarpProgram],
             sid_maps: Mapping[int, Sequence[int]]) -> KernelResult:
         if len(programs) != 1:
-            raise UnsupportedLaunch("multi-warp launch")
+            return self._replay_calendar(programs, sid_maps)
         config = self.config
         program = programs[0]
         warp_id = program.warp_id
-        raw_map = sid_maps.get(warp_id)
-        if raw_map is None:
-            raise UnsupportedLaunch("missing sid map")
-        round_aware = isinstance(raw_map, RoundAwareSidMap)
-        if round_aware:
-            sid_source = raw_map.for_round
-        else:
-            sid_source = tuple(raw_map)
+        sid_source, round_aware = self._sid_source(warp_id, sid_maps)
         W = config.warp_size
-        if (len(raw_map) if round_aware else len(sid_source)) != W:
-            raise UnsupportedLaunch("sid map lane count")
-        if warp_id // config.num_sms >= config.max_warps_per_sm:
-            raise UnsupportedLaunch("SM occupancy")
 
         instructions = program.instructions
         mem_instrs = [ins for ins in instructions
@@ -227,9 +265,14 @@ class BatchedTimingCore:
         windows = result.round_windows
 
         if mem_instrs:
-            (m_counts, m_starts, m_logged, A_part, A_bank, A_row,
-             a_instr, a_jpos) = self._coalesce_program(
-                mem_instrs, sid_source, round_aware, W)
+            (m_counts, m_starts, m_logged, A_part, A_bank,
+             A_row) = self._coalesce_program(mem_instrs, sid_source,
+                                             round_aware, W)
+            # Per access: its instruction and its position within it.
+            a_instr = np.repeat(np.arange(len(mem_instrs)), m_counts)
+            a_jpos = (np.arange(len(a_instr))
+                      - np.repeat(m_starts[:-1], m_counts)).tolist()
+            a_instr = a_instr.tolist()
         else:
             m_counts = m_starts = m_logged = a_instr = a_jpos = []
             A_part = A_bank = A_row = np.empty(0, dtype=np.int64)
@@ -670,6 +713,380 @@ class BatchedTimingCore:
         result.drain_cycles = (finish if finish > self._last_completion
                                else self._last_completion)
         result.dram_stats = dstats
+        return result
+
+    # -- multi-warp launches: calendar replay --------------------------------
+
+    def _replay_calendar(self, programs: Sequence[WarpProgram],
+                         sid_maps: Mapping[int, Sequence[int]]
+                         ) -> KernelResult:
+        """Run the event engine's handlers in its own event order.
+
+        Every push of ``GPUSimulator.run`` lands at or after the cycle
+        being processed, and ``seq`` is push order. So one FIFO list per
+        cycle, drained front to back while handlers append to it, pops
+        events in exactly the heap's ``(cycle, seq)`` order, ties between
+        warps included. Events are ints, ``payload << 3 | kind``; the
+        payload is an access slot, a partition or a warp index. An
+        access's slot is recycled at its reply (a store's at its DRAM
+        completion), so per-access state is bounded by the accesses in
+        flight.
+        """
+        config = self.config
+        W = config.warp_size
+        num_sms = config.num_sms
+        nsched = config.warp_schedulers_per_sm
+        P = config.num_partitions
+        B = config.num_banks
+
+        # Validate and coalesce up front: a launch the event engine would
+        # reject is its to reject, before anything is simulated.
+        warp_ids: List[int] = []
+        w_sm: List[int] = []
+        w_sched: List[int] = []
+        w_ops: List[list] = []
+        w_coords = []
+        served = np.zeros(P, dtype=np.int64)
+        written = np.zeros(P, dtype=np.int64)
+        seen = set()
+        for program in programs:
+            warp_id = program.warp_id
+            if warp_id in seen:
+                raise UnsupportedLaunch("duplicate warp id")
+            seen.add(warp_id)
+            sid_source, round_aware = self._sid_source(warp_id, sid_maps)
+            mem_instrs = [ins for ins in program.instructions
+                          if not isinstance(ins, ComputeInstruction)]
+            if mem_instrs:
+                (counts, starts, logged, part, bank,
+                 row) = self._coalesce_program(mem_instrs, sid_source,
+                                               round_aware, W)
+                is_write = np.array([ins.is_write for ins in mem_instrs])
+                served += np.bincount(part, minlength=P)
+                written += np.bincount(
+                    part[np.repeat(is_write, counts)], minlength=P)
+                # A flat bank index names the partition too.
+                w_coords.append(((part * B + bank).astype(np.int32), row))
+            else:
+                w_coords.append(None)
+            # One op per instruction: (True, round, cycles) for compute,
+            # (False, round, kind, is_write, accesses, first access,
+            # logged lanes) for memory.
+            ops = []
+            m = 0
+            for ins in program.instructions:
+                if isinstance(ins, ComputeInstruction):
+                    if ins.cycles < 0:
+                        # Its warp event would land before the current
+                        # cycle, where a FIFO per cycle no longer
+                        # follows the heap.
+                        raise UnsupportedLaunch("negative compute cycles")
+                    ops.append((True, ins.round_index, ins.cycles))
+                else:
+                    ops.append((False, ins.round_index, ins.kind,
+                                ins.is_write, counts[m], starts[m],
+                                logged[m]))
+                    m += 1
+            warp_ids.append(warp_id)
+            sm = warp_id % num_sms
+            w_sm.append(sm)
+            w_sched.append(sm * nsched + (warp_id // num_sms) % nsched)
+            w_ops.append(ops)
+
+        nw = len(warp_ids)
+        result = KernelResult(num_warps=nw)
+        count_accesses = result.count_accesses
+        warp_finish = result.warp_finish
+
+        issue_cycles = config.issue_cycles
+        per_access = config.coalescer_cycles_per_access
+        icnt_lat = config.icnt_latency
+        rate = config.icnt_requests_per_cycle
+        flits = self._reply_flits
+        reply_lat = icnt_lat + flits - 1
+        t_cl, t_rp, t_rc = self._t_cl, self._t_rp, self._t_rc
+        t_ras, t_ccd, t_rcd = self._t_ras, self._t_ccd, self._t_rcd
+        t_burst = self._t_burst
+
+        # Machine state as flat int lists. Banks are indexed
+        # ``partition * B + bank``; -1 is a closed row (rows are >= 0).
+        bank_part = [pb // B for pb in range(P * B)]
+        sched_free = [0] * (num_sms * nsched)
+        ldst_free = [0] * num_sms
+        fwd_free = [0] * P
+        fwd_accepted = [0] * P
+        reply_free = [0] * num_sms
+        open_row = [-1] * (P * B)
+        next_cas = [0] * (P * B)
+        next_act = [0] * (P * B)
+        next_pre = [0] * (P * B)
+        bus_free = [0] * P
+        busy = [False] * P
+        queues: List[List[int]] = [[] for _ in range(P)]
+        misses = [0] * P
+        qwait = [0] * P
+
+        # Per warp: program counter, loads in flight, barrier stall.
+        w_pc = [0] * nw
+        w_out = [0] * nw
+        w_wait = [False] * nw
+        w_len = [len(ops) for ops in w_ops]
+
+        # Round windows, by index in creation (event) order. Index 0
+        # absorbs replies of loads outside any round.
+        win_index = {}
+        win_start = [0]
+        win_end = [-1]
+
+        # Per-access slots: flat bank, row, warp index, window index (-1
+        # marks a store) and queue arrival cycle.
+        a_pb: List[int] = []
+        a_row: List[int] = []
+        a_w: List[int] = []
+        a_win: List[int] = []
+        a_arr: List[int] = []
+        free: List[int] = []
+        free_pop = free.pop
+        free_append = free.append
+
+        # The calendar: cycle -> FIFO of events. Kinds, low three bits:
+        # 0 inject, 1 DRAM completion, 2 arrival, 3 command slot frees,
+        # 4 reply, 5 warp.
+        buckets = defaultdict(list)
+        buckets[0].extend(wi << 3 | 5 for wi in range(nw))
+        buckets_get = buckets.get
+        queue_capacity = _QUEUE_CAPACITY
+        window = _FRFCFS_WINDOW
+        cycle = 0
+        idle = 0
+        while buckets:
+            bucket = buckets_get(cycle)
+            if bucket is None:
+                idle += 1
+                if idle > 64:
+                    # A long quiet stretch: jump to the next busy cycle.
+                    cycle = min(buckets)
+                    idle = 0
+                else:
+                    cycle += 1
+                continue
+            idle = 0
+            for ev in bucket:
+                kind = ev & 7
+                s = ev >> 3
+                if kind < 2:
+                    if kind:
+                        # DRAM completion: a store retires, a load
+                        # replies through its SM's ejection port.
+                        if a_win[s] < 0:
+                            free_append(s)
+                            continue
+                        sm = w_sm[a_w[s]]
+                        acc = reply_free[sm]
+                        if cycle > acc:
+                            acc = cycle
+                        reply_free[sm] = acc + flits
+                        buckets[acc + reply_lat].append(s << 3 | 4)
+                        continue
+                    # Inject: the partition's forward-crossbar port.
+                    p = bank_part[a_pb[s]]
+                    acc = fwd_free[p]
+                    if cycle > acc:
+                        acc = cycle
+                    if rate == 1:
+                        fwd_free[p] = acc + 1
+                    else:
+                        ct = fwd_accepted[p] + 1
+                        fwd_accepted[p] = ct
+                        fwd_free[p] = acc + 1 if ct % rate == 0 else acc
+                    buckets[acc + icnt_lat].append(s << 3 | 2)
+                    continue
+                if kind < 4:
+                    if kind == 2:
+                        # Arrival. An idle controller's queue is empty,
+                        # so FR-FCFS picks this access at once.
+                        p = bank_part[a_pb[s]]
+                        if busy[p]:
+                            q = queues[p]
+                            if len(q) >= queue_capacity:
+                                raise ProtocolError(
+                                    "memory controller queue overflow")
+                            a_arr[s] = cycle
+                            q.append(s)
+                            continue
+                        arrival = cycle
+                    else:
+                        # Command slot frees: FR-FCFS select, the oldest
+                        # row hit in the window, else the oldest.
+                        p = s
+                        q = queues[p]
+                        n = len(q)
+                        if not n:
+                            busy[p] = False
+                            continue
+                        if n == 1:
+                            s = q.pop()
+                        else:
+                            idx = 0
+                            for i in range(n if n < window else window):
+                                x = q[i]
+                                if open_row[a_pb[x]] == a_row[x]:
+                                    idx = i
+                                    break
+                            s = q.pop(idx)
+                        arrival = a_arr[s]
+                    # Service (MemoryController._service).
+                    pb = a_pb[s]
+                    rw = a_row[s]
+                    if open_row[pb] == rw:
+                        cas = next_cas[pb]
+                        if cycle > cas:
+                            cas = cycle
+                    else:
+                        misses[p] += 1
+                        pre = next_cas[pb]
+                        x = next_pre[pb]
+                        if x > pre:
+                            pre = x
+                        if cycle > pre:
+                            pre = cycle
+                        act = pre + t_rp
+                        x = next_act[pb]
+                        if x > act:
+                            act = x
+                        next_act[pb] = act + t_rc
+                        next_pre[pb] = act + t_ras
+                        open_row[pb] = rw
+                        cas = act + t_rcd
+                    slot = cas + t_ccd
+                    next_cas[pb] = slot
+                    ready = cas + t_cl
+                    x = bus_free[p]
+                    if x > ready:
+                        ready = x
+                    if ready > arrival:
+                        qwait[p] += ready - arrival
+                    ready += t_burst
+                    bus_free[p] = ready
+                    busy[p] = True
+                    buckets[ready].append(s << 3 | 1)
+                    buckets[slot].append(p << 3 | 3)
+                    continue
+                if kind == 4:
+                    # Reply: close the round window, wake a warp waiting
+                    # on its last load.
+                    win = a_win[s]
+                    if cycle > win_end[win]:
+                        win_end[win] = cycle
+                    wi = a_w[s]
+                    free_append(s)
+                    o = w_out[wi] - 1
+                    w_out[wi] = o
+                    if not o and w_wait[wi]:
+                        w_wait[wi] = False
+                        bucket.append(wi << 3 | 5)
+                    continue
+                # Warp: GPUSimulator.run's handle_warp.
+                wi = s
+                pc = w_pc[wi]
+                if pc >= w_len[wi]:
+                    if w_out[wi]:
+                        w_wait[wi] = True
+                    else:
+                        warp_finish[warp_ids[wi]] = cycle
+                    continue
+                op = w_ops[wi][pc]
+                if op[0] and w_out[wi]:
+                    w_wait[wi] = True
+                    continue
+                w_pc[wi] = pc + 1
+                sc = w_sched[wi]
+                issue = sched_free[sc]
+                if cycle > issue:
+                    issue = cycle
+                sched_free[sc] = issue + issue_cycles
+                rix = op[1]
+                if op[0]:
+                    t = issue + issue_cycles + op[2]
+                    key = (warp_ids[wi], rix)
+                    win = win_index.get(key)
+                    if win is None:
+                        win = win_index[key] = len(win_start)
+                        win_start.append(issue)
+                        win_end.append(t)
+                    else:
+                        if issue < win_start[win]:
+                            win_start[win] = issue
+                        if t > win_end[win]:
+                            win_end[win] = t
+                    buckets[t].append(wi << 3 | 5)
+                    continue
+                _, rix, akind, is_write, nb, lo, logged = op
+                if rix is None:
+                    win = 0
+                else:
+                    key = (warp_ids[wi], rix)
+                    win = win_index.get(key)
+                    if win is None:
+                        win = win_index[key] = len(win_start)
+                        win_start.append(issue)
+                        win_end.append(-1)
+                    elif issue < win_start[win]:
+                        win_start[win] = issue
+                if logged > _PRT_CAPACITY:
+                    raise ProtocolError("pending request table overflow")
+                if not nb:
+                    raise ProtocolError(
+                        "memory instruction produced no accesses")
+                sm = w_sm[wi]
+                t = issue + issue_cycles
+                if ldst_free[sm] > t:
+                    t = ldst_free[sm]
+                if len(free) < nb:
+                    base = len(a_pb)
+                    grow = nb + base
+                    for column in (a_pb, a_row, a_w, a_win, a_arr):
+                        column.extend([0] * grow)
+                    free.extend(range(base + grow - 1, base - 1, -1))
+                hi = lo + nb
+                pbank, row = w_coords[wi]
+                if is_write:
+                    win = -1
+                for pb, rw in zip(pbank[lo:hi].tolist(),
+                                  row[lo:hi].tolist()):
+                    x = free_pop()
+                    a_pb[x] = pb
+                    a_row[x] = rw
+                    a_w[x] = wi
+                    a_win[x] = win
+                    buckets[t].append(x << 3)
+                    t += per_access
+                count_accesses(akind, rix, nb)
+                ldst_free[sm] = t
+                if not is_write:
+                    w_out[wi] += nb
+                    t = issue + issue_cycles
+                buckets[t].append(wi << 3 | 5)
+            del buckets[cycle]
+            cycle += 1
+
+        if len(warp_finish) < nw:
+            raise ProtocolError("warps never finished: "
+                                f"{[w for w in warp_ids if w not in warp_finish]}")
+        windows = result.round_windows
+        for key, win in win_index.items():
+            end = win_end[win]
+            windows[key] = RoundWindow(win_start[win],
+                                       end if end >= 0 else None)
+        result.total_cycles = max(warp_finish.values())
+        # A partition's bus frees at its last completion.
+        result.drain_cycles = max(result.total_cycles, *bus_free)
+        result.dram_stats = [
+            DramStats(row_hits=n - miss, row_misses=miss, reads=n - w,
+                      writes=w, bus_busy_cycles=n * t_burst,
+                      queue_wait_cycles=wait)
+            for n, w, miss, wait in zip(served.tolist(), written.tolist(),
+                                        misses, qwait)]
         return result
 
     # -- reply crossbar ------------------------------------------------------

@@ -1,22 +1,25 @@
 """Differential test of the fast engines against the event engine.
 
-The event engine defines the simulator's semantics; the wavefront timing
+The event engine defines the simulator's semantics; the batched timing
 core and the structure-of-arrays counts core are only faster ways to
 compute the same records. The hand-picked parity batteries
 (``test_timed_batch``, ``test_batched``) sweep the stock machine; here
 Hypothesis generates the cases: machines across the space
-:class:`GPUConfig` accepts, stock and permuted address maps, all six
-policies plus selective RCoal, any subwarp count, partial, full and
-multi-warp launches, and seeds.
+:class:`GPUConfig` accepts, with 1 to 4 SMs so that the warps of a
+multi-warp launch share SMs (their schedulers, LD/ST egress and reply
+port), stock and permuted address maps, all six policies plus selective
+RCoal, any subwarp count, partial, full and multi-warp launches, and
+seeds.
 
 Every case encrypts the same two plaintexts, with the same key and victim
 stream, on three servers, and the first of them on a fourth:
 
 * the event engine (``batched_timing=False``), the reference;
-* the wavefront core (``batched_timing=True``): records, kernel results
-  included, must be equal. Launches it does not cover fall back to the
-  event engine through ``UnsupportedLaunch``; any other exception from it
-  propagates and fails the test;
+* the batched timing core (``batched_timing=True``): records, kernel
+  results included, must be equal. A spy asserts that the core served
+  every launch, single-warp ones on its wavefront path and multi-warp
+  ones on its calendar replay, so no case compares the event engine with
+  itself. Any exception from the core propagates and fails the test;
 * the counts core (``counts_only=True``): records must equal the
   reference's with both times zero and no kernel result;
 * the event engine under an enabled :class:`Telemetry`, which traces
@@ -26,6 +29,7 @@ stream, on three servers, and the first of them on a fourth:
 """
 
 from dataclasses import replace
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +38,7 @@ from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.selective import SelectiveRCoalPolicy
 from repro.gpu.address import PermutedAddressMap
 from repro.gpu.config import DramTiming, GPUConfig
+from repro.gpu.timed_batch import BatchedTimingCore
 from repro.rng import RngStream
 from repro.telemetry import Telemetry
 from repro.workloads.plaintext import random_plaintexts
@@ -56,6 +61,7 @@ def machines(draw):
     chunk = access * draw(st.integers(1, 4))
     groups = draw(st.integers(1, 4))
     return GPUConfig(
+        num_sms=draw(st.integers(1, 4)),
         num_partitions=draw(st.integers(1, 8)),
         num_banks=groups * draw(st.integers(1, 4)),
         num_bank_groups=groups,
@@ -115,7 +121,17 @@ def test_fast_engines_match_the_event_engine(config, permuted, policy,
     case = (config, permuted, policy, lines, seed)
     reference = _records(*case, batched_timing=False,
                          retain_kernel_results=True)
-    assert _records(*case, retain_kernel_results=True) == reference
+    served = []
+    run = BatchedTimingCore.run
+
+    def spy(self, programs, sid_maps):
+        result = run(self, programs, sid_maps)
+        served.append(len(programs))
+        return result
+
+    with patch.object(BatchedTimingCore, "run", spy):
+        assert _records(*case, retain_kernel_results=True) == reference
+    assert served == [-(-lines // 32)] * LAUNCHES
     assert _records(*case, counts_only=True) == [
         replace(record, total_time=0, last_round_time=0, kernel_result=None)
         for record in reference]

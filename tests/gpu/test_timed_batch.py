@@ -1,18 +1,23 @@
-"""Wavefront-batched exact timing engine: golden parity and edge cases.
+"""Batched exact timing core: golden parity and edge cases.
 
 The parity battery compares the *full* :class:`KernelResult` — total and
 drain cycles, warp finish times, access counts, round windows and
 per-partition DRAM statistics — between ``batched_timing=True`` and
 ``batched_timing=False`` servers, across every policy, subwarp sizes,
-seeds, partial warps and selective ``RoundAwareSidMap`` assignments. The
-two paths share nothing below ``GPUSimulator.run``, so equality here is
-the engine-parity contract the default engine selection rides on.
+seeds, partial warps, selective ``RoundAwareSidMap`` assignments and
+multi-warp launches up to 32 warps. The two paths share nothing below
+``GPUSimulator.run``, so equality here is the engine-parity contract the
+default engine selection rides on. Single-warp launches take the core's
+wavefront path, multi-warp launches its calendar replay; a spy asserts
+that the core, not an event-engine fallback, served each launch.
 
 The edge-case classes drive the core directly on launches the AES battery
 cannot produce: write-only store streams (stores retire at LD/ST egress
 and generate no replies), a single-partition machine (degenerate
 wavefronts — every access lands in one FR-FCFS queue), and
-``icnt_requests_per_cycle > 1`` forward-crossbar rate semantics.
+``icnt_requests_per_cycle > 1`` forward-crossbar rate semantics. Each has
+a multi-warp case whose warps share an SM, and so its schedulers, LD/ST
+egress and reply port.
 """
 
 import pytest
@@ -25,6 +30,7 @@ from repro.experiments.runner import CampaignStats, SupervisionPolicy
 from repro.faults import parse_fault_plan
 from repro.gpu.address import CIPHERTEXT_REGION_BASE, AddressMap
 from repro.gpu.config import GPUConfig
+from repro.errors import ConfigurationError
 from repro.gpu.engine import GPUSimulator
 from repro.gpu.interconnect import Crossbar
 from repro.gpu.request import AccessKind
@@ -96,9 +102,9 @@ def core_runs(monkeypatch):
 
 
 class TestGoldenParity:
-    """Every single-warp, stock-machine launch must run on the core —
-    a core that fell back on every launch would otherwise compare the
-    event engine with itself and pass."""
+    """Every stock-machine launch, of one warp or of many, must run on
+    the core — a core that fell back on every launch would otherwise
+    compare the event engine with itself and pass."""
 
     @pytest.mark.parametrize("policy_name", POLICY_NAMES)
     def test_every_policy(self, policy_name, core_runs):
@@ -132,21 +138,40 @@ class TestGoldenParity:
         assert_kernel_results_equal(golden, batched)
         assert core_runs == [True]
 
-    def test_multi_warp_launch_falls_back_and_still_agrees(self, core_runs):
-        # 64 lines = two warps: outside the core's coverage, so the
-        # batched server silently replays on the event engine — the
-        # results must still be identical (trivially, but the fallback
-        # path itself is what is under test).
+    def test_multi_warp_launch_runs_on_the_core(self, core_runs):
+        # 64 lines = two warps: the calendar replay serves them.
         golden, batched = encrypt_both(make_policy("rss_rts", 8),
                                        lines=64)
         assert_kernel_results_equal(golden, batched)
+        assert core_runs == [True]
+
+    @pytest.mark.parametrize("lines", [33, 480])
+    def test_multi_warp_partial_and_full_launches(self, lines, core_runs):
+        # A partial second warp; fifteen warps, one per SM.
+        golden, batched = encrypt_both(make_policy("fss_rts", 4),
+                                       lines=lines)
+        assert_kernel_results_equal(golden, batched)
+        assert core_runs == [True]
+
+    def test_fig18_shaped_1024_line_launch(self, core_runs):
+        # 32 warps on 15 SMs: warps share SMs, schedulers, LD/ST egress
+        # and reply ports, and contend for every partition.
+        golden, batched = encrypt_both(make_policy("rss_rts", 8),
+                                       lines=1024)
+        assert_kernel_results_equal(golden, batched)
+        assert core_runs == [True]
+
+    def test_occupancy_overflow_still_raises(self, core_runs):
+        # Two warps on one single-slot SM: the core declines the launch
+        # and the event engine rejects it, as before the core existed.
+        config = GPUConfig(num_sms=1, max_warps_per_sm=1)
+        key = bytes(RngStream(2018, "key").random_bytes(16))
+        plaintext = random_plaintexts(1, 64, RngStream(2018, "pt"))[0]
+        server = EncryptionServer(key, make_policy("baseline"),
+                                  config=config)
+        with pytest.raises(ConfigurationError, match="SM occupancy"):
+            server.encrypt(plaintext)
         assert core_runs == [False]
-        core = BatchedTimingCore.try_create(GPUConfig(),
-                                            AddressMap(GPUConfig()))
-        programs = [WarpProgram(warp_id=w, num_threads=32)
-                    for w in range(2)]
-        with pytest.raises(UnsupportedLaunch):
-            core.run(programs, {0: [0] * 32, 1: [0] * 32})
 
 
 class TestDefaultPhasesRunOnTheCore:
@@ -176,23 +201,47 @@ class TestDefaultPhasesRunOnTheCore:
         # The fault fired, and the retry re-simulated on the core.
         assert campaign.retries == (form == "supervised")
 
+    @pytest.mark.parametrize("form", ["plain", "checkpoint", "supervised"])
+    def test_every_multi_warp_sample_runs_on_the_core_once(
+            self, form, core_runs, tmp_path):
+        # 64-line samples: two warps per launch, on the calendar replay.
+        ctx = ExperimentContext(root_seed=2018, samples=self.SAMPLES,
+                                lines=64)
+        campaign = CampaignStats()
+        if form == "checkpoint":
+            ctx = ctx.with_(checkpoint=CheckpointStore.open(
+                tmp_path / "run", campaign_fingerprint("unit", ctx, False)))
+        elif form == "supervised":
+            ctx = ctx.with_(supervision=SupervisionPolicy(backoff_base=0.0),
+                            faults=parse_fault_plan("raise@1"),
+                            campaign=campaign)
+        _, records = collect_records(ctx, make_policy("rss_rts", 8),
+                                     self.SAMPLES)
+        assert len(records) == self.SAMPLES
+        assert core_runs == [True] * self.SAMPLES
+        assert campaign.retries == (form == "supervised")
 
-def run_both(config, program):
-    """Run one program under each engine; asserts the core engaged."""
-    sid_maps = {program.warp_id: [0] * config.warp_size}
-    golden = GPUSimulator(config, batched_timing=False).run([program],
+
+def run_both(core_runs, config, *programs):
+    """Run one launch under each engine; asserts, through the
+    ``core_runs`` spy, that the core served it."""
+    sid_maps = {program.warp_id: [0] * config.warp_size
+                for program in programs}
+    golden = GPUSimulator(config, batched_timing=False).run(programs,
                                                             sid_maps)
-    simulator = GPUSimulator(config, batched_timing=True)
-    batched = simulator.run([program], sid_maps)
-    assert simulator._timed_core is not None, \
-        "the batched core should cover this launch"
+    calls = len(core_runs)
+    batched = GPUSimulator(config, batched_timing=True).run(programs,
+                                                            sid_maps)
+    assert core_runs[calls:] == [True], \
+        "the batched core should serve this launch"
     return golden, batched
 
 
-def store_instruction(address_map, request_size=16):
+def store_instruction(address_map, request_size=16, first_line=0):
     return MemoryInstruction(
         addresses=tuple(
-            address_map.line_address(CIPHERTEXT_REGION_BASE, lane)
+            address_map.line_address(CIPHERTEXT_REGION_BASE,
+                                     first_line + lane)
             for lane in range(32)),
         kind=AccessKind.OUTPUT_STORE, round_index=None, is_write=True,
         request_size=request_size)
@@ -210,39 +259,53 @@ def load_instruction(address_map, table_id=0, stride=7, round_index=1):
 class TestStoreOnlyStreams:
     """Stores retire at LD/ST egress: no replies, no warp blocking."""
 
-    def test_single_store(self):
+    def test_single_store(self, core_runs):
         config = GPUConfig()
         program = WarpProgram(warp_id=0, num_threads=32, instructions=[
             store_instruction(AddressMap(config))])
-        golden, batched = run_both(config, program)
+        golden, batched = run_both(core_runs, config, program)
         assert_kernel_results_equal(golden, batched)
 
-    def test_store_compute_store(self):
+    def test_store_compute_store(self, core_runs):
         # A compute barrier between stores must not wait on them —
         # only loads raise ``outstanding``.
         config = GPUConfig()
         store = store_instruction(AddressMap(config))
         program = WarpProgram(warp_id=0, num_threads=32, instructions=[
             store, ComputeInstruction(40, 1), store])
-        golden, batched = run_both(config, program)
+        golden, batched = run_both(core_runs, config, program)
         assert_kernel_results_equal(golden, batched)
         # The warp finishes at its last issue, while drain waits for the
         # store traffic still in the memory system.
         assert batched.drain_cycles >= batched.total_cycles
 
-    def test_store_counts_as_write_in_dram_stats(self):
+    def test_store_counts_as_write_in_dram_stats(self, core_runs):
         config = GPUConfig()
         program = WarpProgram(warp_id=0, num_threads=32, instructions=[
             store_instruction(AddressMap(config))])
-        _, batched = run_both(config, program)
+        _, batched = run_both(core_runs, config, program)
         assert sum(d.writes for d in batched.dram_stats) > 0
+        assert sum(d.reads for d in batched.dram_stats) == 0
+
+    def test_warps_sharing_an_sm_store_in_turn(self, core_runs):
+        # Two SMs, four warps: warps 0 and 2 share SM 0's LD/ST egress,
+        # warps 1 and 3 share SM 1's.
+        config = GPUConfig(num_sms=2)
+        address_map = AddressMap(config)
+        programs = [WarpProgram(warp_id=w, num_threads=32, instructions=[
+            store_instruction(address_map, first_line=32 * w),
+            ComputeInstruction(40, 1),
+            store_instruction(address_map, first_line=32 * w + 128)])
+            for w in range(4)]
+        golden, batched = run_both(core_runs, config, *programs)
+        assert_kernel_results_equal(golden, batched)
         assert sum(d.reads for d in batched.dram_stats) == 0
 
 
 class TestSinglePartitionLaunch:
     """One partition: every wavefront degenerates to one FR-FCFS queue."""
 
-    def test_loads_and_stores_agree(self):
+    def test_loads_and_stores_agree(self, core_runs):
         config = GPUConfig(num_partitions=1)
         address_map = AddressMap(config)
         program = WarpProgram(warp_id=0, num_threads=32, instructions=[
@@ -252,7 +315,7 @@ class TestSinglePartitionLaunch:
                              round_index=2),
             ComputeInstruction(40, 2),
             store_instruction(address_map)])
-        golden, batched = run_both(config, program)
+        golden, batched = run_both(core_runs, config, program)
         assert_kernel_results_equal(golden, batched)
         assert len(batched.dram_stats) == 1
 
@@ -260,6 +323,30 @@ class TestSinglePartitionLaunch:
         golden, batched = encrypt_both(make_policy("rss_rts", 8), lines=8,
                                        config=GPUConfig(num_partitions=1))
         assert_kernel_results_equal(golden, batched)
+
+    def test_multi_warp_loads_and_stores_agree(self, core_runs):
+        # Warps 0 and 2 share SM 0; warps 1 and 5 share SM 1 and its
+        # first scheduler (slots 0 and 2).
+        config = GPUConfig(num_partitions=1, num_sms=2)
+        address_map = AddressMap(config)
+        programs = [WarpProgram(warp_id=w, num_threads=32, instructions=[
+            load_instruction(address_map, stride=11 + 2 * w),
+            ComputeInstruction(40, 1),
+            load_instruction(address_map, table_id=w % 5, stride=3,
+                             round_index=2),
+            ComputeInstruction(40, 2),
+            store_instruction(address_map, first_line=32 * w)])
+            for w in (0, 1, 2, 5)]
+        golden, batched = run_both(core_runs, config, *programs)
+        assert_kernel_results_equal(golden, batched)
+        assert len(batched.dram_stats) == 1
+
+    def test_multi_warp_encryption_single_partition(self, core_runs):
+        golden, batched = encrypt_both(
+            make_policy("rss_rts", 8), lines=96,
+            config=GPUConfig(num_partitions=1, num_sms=2))
+        assert_kernel_results_equal(golden, batched)
+        assert core_runs == [True]
 
 
 class TestIcntRateSemantics:
@@ -284,7 +371,7 @@ class TestIcntRateSemantics:
         # The port is busy until cycle 3 regardless of the rate group.
         assert crossbar.traverse(0, 0) == 3
 
-    def test_engine_parity_at_rate_two(self):
+    def test_engine_parity_at_rate_two(self, core_runs):
         config = GPUConfig(icnt_requests_per_cycle=2)
         address_map = AddressMap(config)
         program = WarpProgram(warp_id=0, num_threads=32, instructions=[
@@ -294,7 +381,7 @@ class TestIcntRateSemantics:
                              round_index=2),
             ComputeInstruction(40, 2),
             store_instruction(address_map)])
-        golden, batched = run_both(config, program)
+        golden, batched = run_both(core_runs, config, program)
         assert_kernel_results_equal(golden, batched)
 
     def test_full_encryption_at_rate_two(self):
@@ -303,6 +390,29 @@ class TestIcntRateSemantics:
             config=GPUConfig(icnt_requests_per_cycle=2))
         assert_kernel_results_equal(golden, batched)
 
+    @pytest.mark.parametrize("rate", [2, 3])
+    def test_multi_warp_parity_at_higher_rates(self, rate, core_runs):
+        # Six warps on three SMs: two per SM, one per scheduler.
+        config = GPUConfig(icnt_requests_per_cycle=rate, num_sms=3)
+        address_map = AddressMap(config)
+        programs = [WarpProgram(warp_id=w, num_threads=32, instructions=[
+            load_instruction(address_map, stride=13 + w),
+            ComputeInstruction(40, 1),
+            load_instruction(address_map, table_id=2, stride=5 + w,
+                             round_index=2),
+            ComputeInstruction(40, 2),
+            store_instruction(address_map, first_line=32 * w)])
+            for w in range(6)]
+        golden, batched = run_both(core_runs, config, *programs)
+        assert_kernel_results_equal(golden, batched)
+
+    def test_multi_warp_encryption_at_rate_two(self, core_runs):
+        golden, batched = encrypt_both(
+            make_policy("nocoal"), lines=128,
+            config=GPUConfig(icnt_requests_per_cycle=2, num_sms=2))
+        assert_kernel_results_equal(golden, batched)
+        assert core_runs == [True]
+
 
 class TestEngineSelection:
     @pytest.mark.parametrize("batched_timing", [False, True])
@@ -310,6 +420,34 @@ class TestEngineSelection:
         simulator = GPUSimulator(batched_timing=batched_timing)
         simulator.run([WarpProgram(warp_id=0, num_threads=32)], {0: [0] * 32})
         assert (simulator._timed_core is not None) is batched_timing
+
+    @pytest.mark.parametrize("warps", [1, 2])
+    def test_negative_latency_is_the_engines_error(self, warps):
+        # GPUConfig accepts it; the event engine's crossbar does not, and
+        # the core must not simulate a machine the engine rejects.
+        simulator = GPUSimulator(GPUConfig(icnt_latency=-1),
+                                 batched_timing=True)
+        with pytest.raises(ConfigurationError, match="latency"):
+            simulator.run([WarpProgram(warp_id=w, num_threads=32)
+                           for w in range(warps)],
+                          {w: [0] * 32 for w in range(warps)})
+        assert simulator._timed_core is None
+
+    @pytest.mark.parametrize("warps", [1, 2])
+    def test_negative_addresses_replay_on_the_engine(self, warps,
+                                                     core_runs):
+        # Their DRAM row is -1, the core's closed-row sentinel: the core
+        # declines them, so the records stay the engine's.
+        load = MemoryInstruction(
+            addresses=tuple(-64 * (lane + 1) for lane in range(32)),
+            kind=AccessKind.TABLE_LOAD, round_index=1)
+        programs = [WarpProgram(warp_id=w, num_threads=32, instructions=[
+            load, ComputeInstruction(40, 1), load]) for w in range(warps)]
+        sid_maps = {w: [0] * 32 for w in range(warps)}
+        golden = GPUSimulator(batched_timing=False).run(programs, sid_maps)
+        batched = GPUSimulator(batched_timing=True).run(programs, sid_maps)
+        assert_kernel_results_equal(golden, batched)
+        assert core_runs == [False]
 
     def test_telemetry_falls_back(self):
         from repro.telemetry import Telemetry

@@ -13,6 +13,9 @@ import pytest
 
 from repro.attack.estimator import AccessEstimator
 from repro.core.policies import make_policy
+from repro.core.selective import SelectiveRCoalPolicy
+from repro.gpu.address import PermutedAddressMap
+from repro.gpu.config import GPUConfig
 from repro.rng import RngStream, derive_seed
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import stable_json
@@ -140,6 +143,47 @@ class TestGoldenEngineDetail:
                 sig.update(_record_fingerprint(server.encrypt(plaintext)))
         assert sig.hexdigest() == ("89c21d9aa548795e749d680dac4a8af0"
                                    "21802d3f825736f1f559bc5fcab0923f")
+
+
+class TestGoldenMultiWarp:
+    """Pin untraced multi-warp timed launches.
+
+    Every other timed pin above is one 32-line warp. This digest covers
+    partial and full multi-warp launches up to the 32 warps of a
+    1024-line plaintext, under the stock and a permuted address map, so
+    any change to how warps contend for schedulers, LD/ST egress,
+    crossbar ports, DRAM queues and reply ports shows up here. It was
+    computed while the event engine simulated every one of these
+    launches.
+    """
+
+    CASES = (
+        # (policy, subwarps, lines, permuted address map)
+        ("baseline", 1, 33, False), ("rss_rts", 8, 40, False),
+        ("fss_rts", 4, 64, False), ("selective", 8, 96, False),
+        ("rss_rts", 8, 64, True), ("rss_rts", 8, 1024, False),
+    )
+
+    def test_multi_warp_digest_is_stable(self):
+        sig = hashlib.sha256()
+        key = bytes(RngStream(GOLDEN_SEED, "key").random_bytes(16))
+        for name, subwarps, lines, permuted in self.CASES:
+            plaintext = random_plaintexts(
+                1, lines, RngStream(GOLDEN_SEED, f"pt-{lines}"))[0]
+            policy = (SelectiveRCoalPolicy(make_policy("rss_rts", subwarps))
+                      if name == "selective"
+                      else make_policy(name, subwarps))
+            server = EncryptionServer(
+                key, policy,
+                rng=(RngStream(GOLDEN_SEED, "victim")
+                     if policy.is_randomized else None),
+                address_map=(PermutedAddressMap(GPUConfig(),
+                                                RngStream(GOLDEN_SEED, "map"))
+                             if permuted else None),
+                retain_kernel_results=True)
+            sig.update(_record_fingerprint(server.encrypt(plaintext)))
+        assert sig.hexdigest() == ("d93146ae55772a8c3e18ee1b651cf2c6"
+                                   "aed54de79953a2168ef05278a1a4f8c3")
 
 
 class TestGoldenEstimator:

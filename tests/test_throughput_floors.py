@@ -2,8 +2,9 @@
 
 The parity tests prove that the fast engines compute what the event
 engine computes; they cannot see a fast path that quietly stops being
-fast. These gates can. Every bound sits several-fold below what a healthy
-tree measures (the bounds were set against ``BENCH_6.json``), so it
+fast. These gates can. Every bound sits well below what a healthy tree
+measures (most were set against ``BENCH_6.json`` with several-fold
+slack; the multi-warp floor of 1.5 against a measured 2.4-2.9), so it
 catches a disabled fast path, a silent fallback or a quadratic loop, not
 10% noise. Ranking work by speed is the job of the benchmark under
 ``bench/``.
@@ -12,6 +13,8 @@ The workloads:
 
 * *timed*: 8 timed 32-line ``rss_rts`` M=8 launches, on the default
   engine, on the event engine and under ``Telemetry(profile=True)``;
+* *wide*: 2 timed 128-line (4-warp) ``rss_rts`` M=8 launches, on the
+  default engine and on the event engine;
 * *counts*: 4 counts-only 256-line samples, plain, with a run journal,
   and drained through the shard lease protocol in 1-sample chunks;
 * *appends*: 512 fsync'd run-journal appends.
@@ -49,14 +52,17 @@ from repro.telemetry.tracer import Tracer
 
 POLICY = make_policy("rss_rts", 8)
 LAUNCHES = 8
+WIDE_LAUNCHES = 2
 SAMPLES = 4
 APPENDS = 512
 ROUNDS = 3
 TIMED = ExperimentContext(root_seed=2018, samples=LAUNCHES)
+WIDE = ExperimentContext(root_seed=2018, samples=WIDE_LAUNCHES, lines=128)
 COUNTS = ExperimentContext(root_seed=2018, samples=SAMPLES, lines=256)
 
 SIM_CYCLES_PER_SECOND_FLOOR = 400_000
 SPEEDUP_VS_EVENT_FLOOR = 1.5
+MULTI_WARP_SPEEDUP_FLOOR = 1.5
 PROFILER_OVERHEAD_CEILING = 3.3
 MS_PER_SAMPLE_CEILING = 15.0
 APPENDS_PER_SECOND_FLOOR = 100
@@ -105,6 +111,14 @@ def timed(**fields):
 
 def event_timed():
     return timed(batched_timing=False)
+
+
+def wide(**fields):
+    return collect_records(WIDE.with_(**fields), POLICY, WIDE_LAUNCHES)[1]
+
+
+def event_wide():
+    return wide(batched_timing=False)
 
 
 def profiled():
@@ -168,6 +182,11 @@ def timing():
 
 
 @pytest.fixture(scope="module")
+def wide_timing():
+    return measure({"default": wide, "event": event_wide})
+
+
+@pytest.fixture(scope="module")
 def counting():
     return measure({"plain": counts, "ledgered": ledgered,
                     "sharded": sharded})
@@ -196,6 +215,15 @@ class TestTimedLaunches:
     def test_profiler_overhead(self, timing):
         assert timing["profiled"].cpu / timing["event"].cpu \
             <= PROFILER_OVERHEAD_CEILING
+
+
+class TestMultiWarpLaunches:
+    def test_speedup_vs_event(self, wide_timing):
+        assert wide_timing["event"].cpu / wide_timing["default"].cpu \
+            >= MULTI_WARP_SPEEDUP_FLOOR
+
+    def test_records_identical(self, wide_timing):
+        assert wide_timing["default"].records == wide_timing["event"].records
 
 
 class TestCountsSamples:
@@ -242,6 +270,21 @@ class TestNegativeControls:
         fallen = measure({"default": timed, "event": event_timed})
         assert fallen["event"].cpu / fallen["default"].cpu \
             < SPEEDUP_VS_EVENT_FLOOR / MARGIN
+
+    def test_a_core_that_declines_multi_warp_launches_breaks_the_floor(
+            self, monkeypatch):
+        run = BatchedTimingCore.run
+
+        def decline(self, programs, sid_maps):
+            result = run(self, programs, sid_maps)
+            if len(programs) > 1:
+                raise UnsupportedLaunch("forced")
+            return result
+
+        monkeypatch.setattr(BatchedTimingCore, "run", decline)
+        fallen = measure({"default": wide, "event": event_wide})
+        assert fallen["event"].cpu / fallen["default"].cpu \
+            < MULTI_WARP_SPEEDUP_FLOOR / MARGIN
 
     def test_a_core_one_cycle_off_breaks_cycle_parity(self, timing,
                                                       monkeypatch):
