@@ -73,11 +73,12 @@ status:
 chaos:
 	REPRO_FAST=1 pytest tests/robustness/
 
-# Long differential fuzzing: the fast engines against the event engine,
-# and the attack estimator against its reference, at 1000 examples each
-# on a fresh random seed (the `fuzz` Hypothesis profile, registered in
-# tests/conftest.py). A plain `make test` keeps the derandomized tier-1
-# settings.
+# Long differential fuzzing: the fast engines against the event engine
+# (generated machines with AES launches, and tiny machines with raw warp
+# streams), and the attack estimator against its reference, at 1000
+# examples each on a fresh random seed (the `fuzz` Hypothesis profile,
+# registered in tests/conftest.py). A plain `make test` keeps the
+# derandomized tier-1 settings. CI's `fuzz` job runs this target.
 fuzz:
 	pytest tests/gpu/test_differential.py \
 	    tests/attack/test_estimator.py::test_access_matrix_matches_the_reference \

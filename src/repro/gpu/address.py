@@ -58,7 +58,6 @@ class AddressMap:
     """
 
     def __init__(self, config: GPUConfig):
-        self._config = config
         self._chunk = config.partition_chunk_bytes
         self._block = config.access_bytes
         self._num_partitions = config.num_partitions
@@ -113,11 +112,6 @@ class AddressMap:
             row=row,
             block_address=self.block_address(address),
         )
-
-    def bank_group_of(self, bank: int) -> int:
-        """Bank group a bank belongs to (consecutive grouping)."""
-        banks_per_group = self._num_banks // self._config.num_bank_groups
-        return bank // banks_per_group
 
 
 class PermutedAddressMap(AddressMap):

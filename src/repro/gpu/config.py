@@ -24,7 +24,8 @@ class DramTiming:
     t_ras: int = 28
     t_ccd: int = 2
     t_rcd: int = 12
-    #: Memory cycles to stream one 64-byte access over the bank-group bus.
+    #: Memory cycles to stream one 64-byte access over the partition's
+    #: data bus.
     t_burst: int = 4
 
     def scaled(self, ratio: float) -> "DramTiming":
@@ -49,7 +50,7 @@ class GPUConfig:
 
     The defaults reproduce the paper's configuration: 15 SMs at 1400 MHz,
     two warp schedulers per SM, 6 GDDR5 memory controllers at 924 MHz with
-    16 banks in 4 bank groups each, FR-FCFS scheduling, and 256-byte
+    16 banks each sharing one data bus, FR-FCFS scheduling, and 256-byte
     partition interleaving. Like the paper's evaluation, the machine has no
     caches and no MSHRs: every coalesced access is one DRAM service.
     """
@@ -85,7 +86,6 @@ class GPUConfig:
     num_partitions: int = 6
     memory_clock_mhz: int = 924
     num_banks: int = 16
-    num_bank_groups: int = 4
     #: Global linear address space interleave chunk (bytes).
     partition_chunk_bytes: int = 256
     #: DRAM row size per bank (bytes).
@@ -102,7 +102,6 @@ class GPUConfig:
             "access_bytes": self.access_bytes,
             "num_partitions": self.num_partitions,
             "num_banks": self.num_banks,
-            "num_bank_groups": self.num_bank_groups,
             "partition_chunk_bytes": self.partition_chunk_bytes,
             "row_bytes": self.row_bytes,
             "icnt_requests_per_cycle": self.icnt_requests_per_cycle,
@@ -115,6 +114,7 @@ class GPUConfig:
             "issue_cycles": self.issue_cycles,
             "round_compute_cycles": self.round_compute_cycles,
             "coalescer_cycles_per_access": self.coalescer_cycles_per_access,
+            "icnt_latency": self.icnt_latency,
         }
         for name, value in non_negative_fields.items():
             if value < 0:
@@ -127,10 +127,6 @@ class GPUConfig:
         if self.row_bytes % self.partition_chunk_bytes != 0:
             raise ConfigurationError(
                 "row size must be a multiple of the partition chunk size"
-            )
-        if self.num_banks % self.num_bank_groups != 0:
-            raise ConfigurationError(
-                "num_banks must be divisible by num_bank_groups"
             )
 
     @property

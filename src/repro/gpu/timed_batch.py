@@ -2,46 +2,52 @@
 
 :class:`BatchedTimingCore` produces the *same* :class:`KernelResult` as the
 discrete-event engine (:class:`repro.gpu.engine.GPUSimulator`) without its
-heap, ``MemoryAccess`` objects or component instances. A single-warp
-launch takes the wavefront replay, which exploits two structural facts
-about the simulated machine:
+heap, ``MemoryAccess`` objects or component instances. It has two paths.
 
-**Wavefront decomposition.** Within one warp, loads stay in flight and only
+**Calendar replay: the exactness argument.** The core runs the event
+engine's own handlers on plain ints and lists, in the engine's own event
+order: every push of ``GPUSimulator.run`` lands at or after the cycle
+being processed, and ``seq`` is push order, so one FIFO list per cycle,
+drained front to back while handlers append to it, pops events in exactly
+the heap's ``(cycle, seq)`` order. No tie rule is re-derived. Multi-warp
+launches, where other warps' traffic is in flight at every barrier, take
+this path, and so does every single-warp launch the wavefront path hands
+off.
+
+**Wavefront replay: a closed-form accelerator for one warp.** Within one
+warp, loads stay in flight and only
 :class:`~repro.gpu.warp.ComputeInstruction` waits on ``outstanding == 0``,
-so the issue stream between two compute barriers is memory-independent: the
-issue/coalesce/inject timestamps of every access in that *wavefront* are
-pure scheduler arithmetic. When the barrier resolves, every load of the
-wavefront has replied — and because a reply trails its DRAM completion by
-the reply-crossbar latency while the controller's command slot frees a mere
-``tCCD`` after CAS, every partition is fully drained *before* the warp
-resumes. Each wavefront therefore sees an empty memory system (bank row
-state, bus recurrences and crossbar ports carry over as plain integers),
-and the launch is an alternation of vectorized issue phases and independent
-per-partition FR-FCFS replays.
+so the issue stream between two compute barriers is memory-independent:
+the issue/coalesce/inject timestamps of every access in that *wavefront*
+are pure scheduler arithmetic. When the barrier resolves, every load of
+the wavefront has replied, so a wavefront normally meets an idle memory
+system (bank row state, bus recurrences and crossbar ports carry over as
+plain integers), and the launch is an alternation of vectorized issue
+phases and independent per-partition FR-FCFS replays. Partitions whose
+accesses all hit open rows serve them in FIFO order in closed form; the
+others run the FR-FCFS loop. The reply port needs only the *multiset* of
+completion cycles, which same-cycle completions cannot change.
 
-**Exact tie resolution without a heap.** The event engine orders events by
-``(cycle, seq)`` where ``seq`` is global push order. Push order is exactly
-"parent event's processing order, then intra-parent push index", so every
-event has an order key ``(cycle, parent_key, index)`` — nested tuples whose
-lexicographic order provably equals the heap's ``(cycle, seq)`` order. The
-core never materializes these keys on the hot path: the only places a tie
-can matter are an arrival landing on the same cycle as a controller's
-command-slot event (decided by a one-int compare of the parents' cycles,
-with full key reconstruction as the rare second level), same-cycle DRAM
-completions from different partitions meeting at the reply port (the reply
-*cycle multiset* is permutation-invariant, so order only matters when the
-tied accesses feed different round windows — never within a single-round
-wavefront), and a barrier resolving on the exact cycle of its last reply.
+**Hand-offs.** The wavefront path decides every event order from cycles
+alone. An event pushed by a parent that ran on an earlier cycle runs
+first, so an arrival on the cycle a controller's command slot frees is
+queued before the slot's decision when its parent (the inject) ran before
+the slot's parent (the last decision), and after it when it ran later.
+A warp whose last reply lands on the cycle its barrier is reached
+resumes on that cycle either way. Where cycles cannot settle an order,
+the path raises a private exception naming the reason, and :meth:`run`
+replays the launch from scratch on the calendar:
 
-**Multi-warp launches: calendar replay.** With many warps, other warps'
-traffic is in flight at every barrier, so no wavefront meets an empty
-memory system. The core then runs the event engine's own handlers on
-plain ints and lists, in the engine's own event order: every push of
-``GPUSimulator.run`` lands at or after the cycle being processed, and
-``seq`` is push order, so one FIFO list per cycle, drained front to back
-while handlers append to it, pops events in exactly the heap's ``(cycle,
-seq)`` order. No tie rule between warps is re-derived. On single-warp
-launches the wavefront path is the faster of the two, so it keeps them.
+* an arrival and a pending command-slot event on one cycle whose parents
+  also ran on one cycle;
+* one wavefront's loads in two round windows (the merged reply order
+  then decides each window's end);
+* a partition still busy with an earlier wavefront's traffic (a store,
+  or a command slot that frees late) when this wavefront arrives;
+* ``icnt_requests_per_cycle`` above one, decided before anything is
+  simulated;
+* 65,536 or more accesses for one partition in one wavefront, the
+  controller queue's capacity.
 
 Coverage contract: with telemetry disabled, the core handles every launch
 the event engine simulates on the stock or the permuted address map: any
@@ -51,16 +57,13 @@ caller replays the launch on the event engine, for:
 
 * instrumented runs (the simulator never builds the core for them);
 * any other address map class, whose decode only the engine can call;
-* a negative interconnect latency, which only the engine rejects, and a
-  multi-warp launch with a negative-cycle compute instruction, whose
-  warp event the engine would push into the past;
+* a launch on the calendar replay with a negative-cycle compute
+  instruction, whose warp event the engine would push into the past;
 * a negative address: its DRAM row can be -1, the core's closed-row
   sentinel;
 * a launch the engine rejects (duplicate warp ids, a sid map of the wrong
   length or a missing one, SM occupancy overflow, lane counts that do not
-  match the warp size): the engine then raises its own error;
-* a single-warp wavefront whose store traffic is still queued when the
-  next wavefront arrives.
+  match the warp size): the engine then raises its own error.
 
 A ``ProtocolError`` the engine would raise mid-launch (a full pending
 request table, an instruction with no active lane, a full controller
@@ -94,20 +97,26 @@ class UnsupportedLaunch(Exception):
     """
 
 
+class _HandOff(Exception):
+    """The wavefront path cannot settle this launch from cycles alone;
+    :meth:`BatchedTimingCore.run` replays it on the calendar. The message
+    names the reason."""
+
+
 #: The engine builds its CoalescingUnit/MemoryController with defaults.
 _PRT_CAPACITY = 64
 _FRFCFS_WINDOW = 64
 _QUEUE_CAPACITY = 65536
 
-#: Wavefront window-tracking sentinels (identity-compared).
+#: Sentinel for a wavefront with no load yet (identity-compared).
 _UNSET = object()
-_MULTI = object()
 
 
 class BatchedTimingCore:
     """Exact-cycle replay of one kernel launch: the wavefront path for a
-    single warp, the calendar replay for several (see the module
-    docstring for the coverage contract)."""
+    single warp whose event order cycles settle, the calendar replay for
+    every other launch (see the module docstring for the coverage
+    contract)."""
 
     def __init__(self, config: GPUConfig, address_map: AddressMap):
         am_type = type(address_map)
@@ -123,9 +132,6 @@ class BatchedTimingCore:
             # Unknown decode semantics: only the event engine (which calls
             # the map's own methods) can honour them.
             raise UnsupportedLaunch(f"address map {am_type.__name__}")
-        if config.icnt_latency < 0:
-            # The engine's Crossbar rejects it; the error is the engine's.
-            raise UnsupportedLaunch("negative interconnect latency")
         self.config = config
         timing = config.dram_timing_core
         self._t_cl = timing.t_cl
@@ -141,7 +147,6 @@ class BatchedTimingCore:
         self._chunk = config.partition_chunk_bytes
         self._rows_chunks = config.row_bytes // self._chunk
         self._reply_next_free = 0
-        self._last_completion = 0
 
     @classmethod
     def try_create(cls, config: GPUConfig,
@@ -250,13 +255,25 @@ class BatchedTimingCore:
 
     def run(self, programs: Sequence[WarpProgram],
             sid_maps: Mapping[int, Sequence[int]]) -> KernelResult:
-        if len(programs) != 1:
-            return self._replay_calendar(programs, sid_maps)
+        if len(programs) == 1:
+            try:
+                return self._replay_wavefronts(programs[0], sid_maps)
+            except _HandOff:
+                # The calendar replay starts from scratch: nothing the
+                # wavefront path computed is kept.
+                pass
+        return self._replay_calendar(programs, sid_maps)
+
+    # -- single-warp launches: wavefront replay ------------------------------
+
+    def _replay_wavefronts(self, program: WarpProgram,
+                           sid_maps: Mapping[int, Sequence[int]]
+                           ) -> KernelResult:
         config = self.config
-        program = programs[0]
+        if config.icnt_requests_per_cycle != 1:
+            raise _HandOff("forward-crossbar rate above one")
         warp_id = program.warp_id
         sid_source, round_aware = self._sid_source(warp_id, sid_maps)
-        W = config.warp_size
 
         instructions = program.instructions
         mem_instrs = [ins for ins in instructions
@@ -264,38 +281,25 @@ class BatchedTimingCore:
         result = KernelResult(num_warps=1)
         windows = result.round_windows
 
-        if mem_instrs:
+        M = len(mem_instrs)
+        if M:
             (m_counts, m_starts, m_logged, A_part, A_bank,
              A_row) = self._coalesce_program(mem_instrs, sid_source,
-                                             round_aware, W)
-            # Per access: its instruction and its position within it.
-            a_instr = np.repeat(np.arange(len(mem_instrs)), m_counts)
-            a_jpos = (np.arange(len(a_instr))
-                      - np.repeat(m_starts[:-1], m_counts)).tolist()
-            a_instr = a_instr.tolist()
-        else:
-            m_counts = m_starts = m_logged = a_instr = a_jpos = []
-            A_part = A_bank = A_row = np.empty(0, dtype=np.int64)
-
-        M = len(mem_instrs)
-        m_write = [getattr(ins, "is_write", False) for ins in mem_instrs]
-        if M:
-            A_write = np.repeat(np.array(m_write, dtype=bool),
-                                np.array(m_counts))
-        else:
-            A_write = np.empty(0, dtype=bool)
-        a_write = A_write.tolist()
-        m_win: List[Optional[RoundWindow]] = [None] * M
+                                             round_aware, config.warp_size)
+            counts = np.array(m_counts)
+            # Per access: its position within its instruction, and
+            # whether it is a store.
+            A_jpos = (np.arange(m_starts[M])
+                      - np.repeat(m_starts[:-1], counts))
+            A_write = np.repeat(
+                np.array([ins.is_write for ins in mem_instrs], dtype=bool),
+                counts)
         ibase = [0] * M        # per-instruction first-access inject cycle
-        iwkey: List[object] = [None] * M   # warp-event key at issue
 
         # Timing constants / launch-local machine state -----------------------
         issue_cycles = config.issue_cycles
         per_access = config.coalescer_cycles_per_access
         icnt_lat = config.icnt_latency
-        rate = config.icnt_requests_per_cycle
-        reply_flits = self._reply_flits
-        reply_lat = icnt_lat + reply_flits - 1
         t_cl, t_rp, t_rc = self._t_cl, self._t_rp, self._t_rc
         t_ras, t_ccd, t_rcd = self._t_ras, self._t_ccd, self._t_rcd
         t_burst = self._t_burst
@@ -313,141 +317,59 @@ class BatchedTimingCore:
         dstats = [DramStats() for _ in range(P)]
         part_idle = [0] * P
         fwd_next_free = [0] * P
-        fwd_accepted = [0] * P
         self._reply_next_free = 0
-        self._last_completion = 0
 
-        def inject_key(g):
-            ai = a_instr[g]
-            jp = a_jpos[g]
-            return (ibase[ai] + jp * per_access, iwkey[ai], jp)
-
-        def dec_key(ctx, di):
-            """Order key of the event that triggered decision ``di``.
-
-            ``ctx = (g_l, arr_l, dec_slot, dec_trig)`` of one partition's
-            wavefront replay. Keys are ``(cycle, parent_key, push_index)``
-            nested tuples — only built on the rare tie paths.
-
-            A ``dec_trig`` of None marks a fast-path (all-row-hit FIFO)
-            replay, which never materialized trigger identities; they are
-            reconstructed here from the arrival/slot chains: decision j was
-            command-slot-triggered iff arrival j was queued (absorbed) when
-            slot j-1 freed, which on an exact cycle tie is itself an event
-            order comparison.
+        def flush(mw0, mw1, ready, wf_win, wf_writes):
+            """Replay the accesses of instructions ``[mw0, mw1)`` through
+            the memory system; returns the cycle the warp resumes at after
+            the barrier.
             """
-            g_l, arr_l, dec_slot, dec_trig = ctx
-            if dec_trig is not None:
-                base = di
-                while dec_trig[base] < 0:
-                    base -= 1
-                k = dec_trig[base]
-                g = g_l[k]
-                key = (arr_l[k], inject_key(g), 0)
-                for j in range(base, di):
-                    key = (dec_slot[j], key, 1)
-                return key
-            # Descend to a definite arrival-triggered base, then ascend;
-            # ties are resolved on the way up (the deeper key is at hand).
-            steps = []
-            j = di
-            while j > 0:
-                sp = dec_slot[j - 1]
-                a = arr_l[j]
-                if a > sp:
-                    break
-                steps.append(j)
-                j -= 1
-            key = (arr_l[j], inject_key(g_l[j]), 0)
-            for j in reversed(steps):
-                sp = dec_slot[j - 1]
-                if arr_l[j] < sp:
-                    key = (sp, key, 1)
-                    continue
-                ka = inject_key(g_l[j])
-                if (ka, 0) < (key, 1):
-                    # Arrival beat the slot event: it was absorbed, so the
-                    # decision was slot-triggered.
-                    key = (sp, key, 1)
-                else:
-                    key = (arr_l[j], ka, 0)
-            return key
-
-        self._dec_key = dec_key
-
-        def flush(g0, g1, mw0, mw1, ready, wkey, wf_win, wf_writes):
-            """Replay the accumulated wavefront through the memory system.
-
-            Accesses ``[g0, g1)`` of instructions ``[mw0, mw1)``. Returns
-            the warp's (ready cycle, warp-event key) after the barrier:
-            unchanged when every reply (if any) lands before the pending
-            warp event, else the wake pushed by the zeroing reply.
-            """
-            if per_access == 1:
-                inj = (np.repeat(np.asarray(ibase[mw0:mw1], dtype=np.int64),
-                                 np.asarray(m_counts[mw0:mw1]))
-                       + np.array(a_jpos[g0:g1], dtype=np.int64))
-            else:
-                inj = (np.repeat(np.asarray(ibase[mw0:mw1], dtype=np.int64),
-                                 np.asarray(m_counts[mw0:mw1]))
-                       + np.array(a_jpos[g0:g1], dtype=np.int64)
-                       * per_access)
+            g0 = m_starts[mw0]
+            g1 = m_starts[mw1]
+            inj = (np.repeat(np.asarray(ibase[mw0:mw1], dtype=np.int64),
+                             counts[mw0:mw1])
+                   + A_jpos[g0:g1] * per_access)
             partv = A_part[g0:g1]
             wv_bank = A_bank[g0:g1]
             wv_row = A_row[g0:g1]
             order = np.argsort(partv, kind="stable")
-            sortedp = partv[order]
-            bounds = np.searchsorted(sortedp, np.arange(P + 1))
-            part_data = []
+            bounds = np.searchsorted(partv[order], np.arange(P + 1)).tolist()
+            load_comps = []
             for p in range(P):
-                lo = int(bounds[p])
-                hi = int(bounds[p + 1])
+                lo = bounds[p]
+                hi = bounds[p + 1]
                 if lo == hi:
                     continue
-                sel = order[lo:hi]
                 n = hi - lo
+                if n >= _QUEUE_CAPACITY:
+                    raise _HandOff("controller queue capacity")
+                sel = order[lo:hi]
                 idxn = np.arange(n)
 
                 # Forward crossbar: per-partition ingress port recurrence.
                 # accept_k = max(inject_k, accept_{k-1} + 1) unrolls to
                 # k + max(next_free, max_{j<=k}(inject_j - j)).
-                if rate == 1:
-                    inj_seg = inj[sel]
-                    acc = idxn + np.maximum(
-                        np.maximum.accumulate(inj_seg - idxn),
-                        fwd_next_free[p])
-                    fwd_next_free[p] = int(acc[-1]) + 1
-                    arr_np = acc + icnt_lat
-                else:
-                    nf = fwd_next_free[p]
-                    ct = fwd_accepted[p]
-                    arr_l = []
-                    append_arr = arr_l.append
-                    for c in inj[sel].tolist():
-                        a0 = nf if nf > c else c
-                        ct += 1
-                        nf = a0 + 1 if ct % rate == 0 else a0
-                        append_arr(a0 + icnt_lat)
-                    fwd_next_free[p] = nf
-                    fwd_accepted[p] = ct
-                    arr_np = np.asarray(arr_l, dtype=np.int64)
-                # A prior wavefront's store may still be queued when this
-                # wavefront arrives: cross-wavefront FR-FCFS interleaving
-                # the per-wavefront replay cannot express.
+                inj_seg = inj[sel]
+                acc = idxn + np.maximum(
+                    np.maximum.accumulate(inj_seg - idxn),
+                    fwd_next_free[p])
+                fwd_next_free[p] = int(acc[-1]) + 1
+                arr_np = acc + icnt_lat
+                # An earlier wavefront's store, or a command slot freeing
+                # late, still holds the controller when this wavefront
+                # arrives: FR-FCFS would interleave the two.
                 if int(arr_np[0]) < part_idle[p]:
-                    raise UnsupportedLaunch("store drain overlaps wavefront")
+                    raise _HandOff("earlier wavefront still in a partition")
 
                 bank_seg = wv_bank[sel]
                 row_seg = wv_row[sel]
-                careful = n >= _QUEUE_CAPACITY
-                if not careful and bool(
-                        np.all(brow_np[p][bank_seg] == row_seg)):
+                if bool(np.all(brow_np[p][bank_seg] == row_seg)):
                     # All-row-hit fast path: every select is a head hit, so
                     # FR-FCFS degenerates to FIFO and absorb-order ties
                     # cannot change service order or timing. Slots strictly
                     # increase, so per-bank CAS state never binds (the
                     # global tCCD chain dominates, and the cross-wavefront
-                    # case is covered by the drain check above):
+                    # case is covered by the check above):
                     #   cas_k  = max(arr_k, cas_{k-1} + tCCD)
                     #   comp_k = max(cas_k + tCL, comp_{k-1}) + tBURST
                     # — two running-max recurrences in closed form.
@@ -457,184 +379,139 @@ class BatchedTimingCore:
                     comp = (idxn + 1) * t_burst + np.maximum(
                         np.maximum.accumulate(cas + t_cl - idxn * t_burst),
                         bus_free[p])
+                    hits = n
                     qwait = int(comp.sum() - arr_np.sum()) - n * t_burst
                     bus_free[p] = int(comp[-1])
                     part_idle[p] = int(slot[-1])
-                    slot_l = slot.tolist()
                     bcas = bank_cas[p]
-                    for bk, sl in zip(bank_seg.tolist(), slot_l):
+                    for bk, sl in zip(bank_seg.tolist(), slot.tolist()):
                         bcas[bk] = sl
-                    g_l = (sel + g0).tolist()
-                    comps_c = comp.tolist()
-                    if wf_writes:
-                        nw = int(np.count_nonzero(A_write[g0:g1][sel]))
-                    else:
-                        nw = 0
-                    st = dstats[p]
-                    st.row_hits += n
-                    st.reads += n - nw
-                    st.writes += nw
-                    st.bus_busy_cycles += n * t_burst
-                    st.queue_wait_cycles += qwait
-                    if comps_c[-1] > self._last_completion:
-                        self._last_completion = comps_c[-1]
-                    part_data.append((g_l, arr_np.tolist(), slot_l, None,
-                                      comps_c, range(n), nw))
-                    continue
-
-                arr_l = arr_np.tolist()
-                g_l = (sel + g0).tolist()
-                bank_l = bank_seg.tolist()
-                row_l = row_seg.tolist()
-
-                # FR-FCFS replay: the exact event alternation of arrivals
-                # and command-slot (dslot) events, minus the heap.
-                brow = bank_row[p]
-                brow_np_p = brow_np[p]
-                bcas = bank_cas[p]
-                bact = bank_act[p]
-                bpre = bank_pre[p]
-                busf = bus_free[p]
-                hits = misses = qwait = 0
-                queue: List[int] = []
-                queue_append = queue.append
-                ctx = None
-                i = 0
-                pending = False
-                d = 0
-                last_s = 0
-                dec_slot: List[int] = []
-                dec_trig: List[int] = []
-                comps_c: List[int] = []
-                comps_k: List[int] = []
-                while True:
-                    if not pending:
-                        if i >= n:
-                            break
-                        queue_append(i)
-                        s = arr_l[i]
-                        trig = i
-                        i += 1
-                    else:
-                        while i < n:
-                            a = arr_l[i]
-                            if a >= d:
-                                if a > d:
-                                    break
-                                # Same-cycle tie: does the arrival's event
-                                # key precede the pending dslot's? First
-                                # level is the parents' cycles — the last
-                                # decision's trigger cycle vs this
-                                # arrival's inject cycle.
-                                g = g_l[i]
-                                ai = a_instr[g]
-                                ic = ibase[ai] + a_jpos[g] * per_access
-                                if last_s != ic:
+                else:
+                    # FR-FCFS replay: the exact event alternation of
+                    # arrivals and command-slot (dslot) events, minus the
+                    # heap.
+                    arr_l = arr_np.tolist()
+                    bank_l = bank_seg.tolist()
+                    row_l = row_seg.tolist()
+                    brow = bank_row[p]
+                    brow_np_p = brow_np[p]
+                    bcas = bank_cas[p]
+                    bact = bank_act[p]
+                    bpre = bank_pre[p]
+                    busf = bus_free[p]
+                    hits = qwait = 0
+                    comp_at = [0] * n
+                    queue: List[int] = []
+                    queue_append = queue.append
+                    i = 0
+                    pending = False
+                    d = last_s = 0
+                    while True:
+                        if not pending:
+                            if i >= n:
+                                break
+                            queue_append(i)
+                            s = arr_l[i]
+                            i += 1
+                        else:
+                            while i < n:
+                                a = arr_l[i]
+                                if a >= d:
+                                    if a > d:
+                                        break
+                                    # The arrival lands on the pending
+                                    # dslot's cycle. The event whose
+                                    # parent ran first was pushed first:
+                                    # the last decision's cycle against
+                                    # the arrival's inject cycle.
+                                    ic = int(inj_seg[i])
                                     if last_s < ic:
                                         break
-                                else:
-                                    if ctx is None:
-                                        ctx = (g_l, arr_l, dec_slot,
-                                               dec_trig)
-                                    if ((dec_key(ctx, len(dec_slot) - 1), 1)
-                                            < ((ic, iwkey[ai],
-                                                a_jpos[g]), 0)):
-                                        break
-                            if careful and len(queue) >= _QUEUE_CAPACITY:
-                                raise ProtocolError(
-                                    "memory controller queue overflow")
-                            queue_append(i)
-                            i += 1
-                        pending = False
-                        if not queue:
-                            continue
-                        s = d
-                        trig = -1
-                    # FR-FCFS select: oldest row hit in the window, else
-                    # oldest.
-                    qn = len(queue)
-                    if qn == 1:
-                        k = queue.pop()
-                    else:
-                        idx = 0
-                        lim = qn if qn < _FRFCFS_WINDOW else _FRFCFS_WINDOW
-                        for qi in range(lim):
-                            kq = queue[qi]
-                            if brow[bank_l[kq]] == row_l[kq]:
-                                idx = qi
-                                break
-                        k = queue.pop(idx)
-                    bk = bank_l[k]
-                    rw = row_l[k]
-                    if brow[bk] == rw:
-                        hits += 1
-                        cas = bcas[bk]
-                        if s > cas:
-                            cas = s
-                    else:
-                        misses += 1
-                        pre = bcas[bk]
-                        x = bpre[bk]
-                        if x > pre:
-                            pre = x
-                        if s > pre:
-                            pre = s
-                        act = pre + t_rp
-                        x = bact[bk]
-                        if x > act:
-                            act = x
-                        bact[bk] = act + t_rc
-                        bpre[bk] = act + t_ras
-                        brow[bk] = rw
-                        brow_np_p[bk] = rw
-                        cas = act + t_rcd
-                    slot = cas + t_ccd
-                    bcas[bk] = slot
-                    drdy = cas + t_cl
-                    if busf > drdy:
-                        drdy = busf
-                    comp = drdy + t_burst
-                    busf = comp
-                    w = drdy - arr_l[k]
-                    if w > 0:
-                        qwait += w
-                    comps_c.append(comp)
-                    comps_k.append(k)
-                    dec_slot.append(slot)
-                    dec_trig.append(trig)
-                    pending = True
-                    d = slot
-                    last_s = s
-
-                bus_free[p] = busf
-                part_idle[p] = d
+                                    if last_s == ic:
+                                        raise _HandOff(
+                                            "same-cycle tie at a controller")
+                                queue_append(i)
+                                i += 1
+                            pending = False
+                            if not queue:
+                                continue
+                            s = d
+                        # FR-FCFS select: oldest row hit in the window, else
+                        # oldest.
+                        qn = len(queue)
+                        if qn == 1:
+                            k = queue.pop()
+                        else:
+                            idx = 0
+                            lim = (qn if qn < _FRFCFS_WINDOW
+                                   else _FRFCFS_WINDOW)
+                            for qi in range(lim):
+                                kq = queue[qi]
+                                if brow[bank_l[kq]] == row_l[kq]:
+                                    idx = qi
+                                    break
+                            k = queue.pop(idx)
+                        bk = bank_l[k]
+                        rw = row_l[k]
+                        if brow[bk] == rw:
+                            hits += 1
+                            cas = bcas[bk]
+                            if s > cas:
+                                cas = s
+                        else:
+                            pre = bcas[bk]
+                            x = bpre[bk]
+                            if x > pre:
+                                pre = x
+                            if s > pre:
+                                pre = s
+                            act = pre + t_rp
+                            x = bact[bk]
+                            if x > act:
+                                act = x
+                            bact[bk] = act + t_rc
+                            bpre[bk] = act + t_ras
+                            brow[bk] = rw
+                            brow_np_p[bk] = rw
+                            cas = act + t_rcd
+                        d = cas + t_ccd
+                        bcas[bk] = d
+                        drdy = cas + t_cl
+                        if busf > drdy:
+                            drdy = busf
+                        busf = drdy + t_burst
+                        comp_at[k] = busf
+                        w = drdy - arr_l[k]
+                        if w > 0:
+                            qwait += w
+                        pending = True
+                        last_s = s
+                    bus_free[p] = busf
+                    part_idle[p] = d
+                    comp = np.array(comp_at, dtype=np.int64)
+                nw = 0
                 if wf_writes:
-                    nw = int(np.count_nonzero(A_write[g0:g1][sel]))
-                else:
-                    nw = 0
+                    w_seg = A_write[g0:g1][sel]
+                    nw = int(np.count_nonzero(w_seg))
+                    if nw:
+                        comp = comp[~w_seg]
                 st = dstats[p]
                 st.row_hits += hits
-                st.row_misses += misses
+                st.row_misses += n - hits
                 st.reads += n - nw
                 st.writes += nw
                 st.bus_busy_cycles += n * t_burst
                 st.queue_wait_cycles += qwait
-                if comps_c[-1] > self._last_completion:
-                    self._last_completion = comps_c[-1]
-                part_data.append((g_l, arr_l, dec_slot, dec_trig,
-                                  comps_c, comps_k, nw))
-            return self._replies(part_data, ready, wkey, wf_win,
-                                 wf_writes, reply_flits, reply_lat,
-                                 a_write, m_win, a_instr)
+                if nw < n:
+                    load_comps.append(comp)
+            return self._replies(load_comps, ready, wf_win)
 
         # -- issue loop -------------------------------------------------------
         sched_free = 0
         ldst_free = 0
         ready = 0
-        wkey: object = (0, (), 0)
         count_accesses = result.count_accesses
         mi = 0
-        wf_g0 = 0
         wf_m0 = 0
         wf_loads = 0
         wf_writes = False
@@ -642,9 +519,7 @@ class BatchedTimingCore:
         for ins in instructions:
             if isinstance(ins, ComputeInstruction):
                 if wf_loads:
-                    ready, wkey = flush(wf_g0, m_starts[mi], wf_m0, mi,
-                                        ready, wkey, wf_win, wf_writes)
-                    wf_g0 = m_starts[mi]
+                    ready = flush(wf_m0, mi, ready, wf_win, wf_writes)
                     wf_m0 = mi
                     wf_loads = 0
                     wf_writes = False
@@ -660,7 +535,6 @@ class BatchedTimingCore:
                 wnd.observe_start(issue)
                 wnd.observe_end(done)
                 ready = done
-                wkey = (done, wkey, 0)
                 continue
             m = mi
             mi += 1
@@ -672,6 +546,7 @@ class BatchedTimingCore:
             issue = ready if ready > sched_free else sched_free
             sched_free = issue + issue_cycles
             rix = ins.round_index
+            wnd = None
             if rix is not None:
                 key = (warp_id, rix)
                 wnd = windows.get(key)
@@ -679,43 +554,33 @@ class BatchedTimingCore:
                     wnd = RoundWindow()
                     windows[key] = wnd
                 wnd.observe_start(issue)
-                m_win[m] = wnd
             inject = issue + issue_cycles
             if ldst_free > inject:
                 inject = ldst_free
             ibase[m] = inject
-            iwkey[m] = wkey
             ldst_free = inject + nb * per_access
             count_accesses(ins.kind, rix, nb)
-            if m_write[m]:
+            if ins.is_write:
                 ready = ldst_free
                 wf_writes = True
             else:
                 wf_loads += nb
                 ready = issue + issue_cycles
-                w = m_win[m]
                 if wf_win is _UNSET:
-                    wf_win = w
-                elif wf_win is not w:
-                    wf_win = _MULTI
-            wkey = (ready, wkey, nb)
+                    wf_win = wnd
+                elif wf_win is not wnd:
+                    raise _HandOff("wavefront spans two round windows")
 
-        total = m_starts[M] if M else 0
-        if wf_g0 < total:
-            had_loads = wf_loads > 0
-            end_ready, _end_key = flush(wf_g0, total, wf_m0, M,
-                                        ready, wkey, wf_win, wf_writes)
-            finish = end_ready if had_loads else ready
-        else:
-            finish = ready
-        result.warp_finish[warp_id] = finish
-        result.total_cycles = finish
-        result.drain_cycles = (finish if finish > self._last_completion
-                               else self._last_completion)
+        if wf_m0 < M:
+            ready = flush(wf_m0, M, ready, wf_win, wf_writes)
+        result.warp_finish[warp_id] = ready
+        result.total_cycles = ready
+        # A partition's bus frees at its last completion.
+        result.drain_cycles = max(ready, *bus_free)
         result.dram_stats = dstats
         return result
 
-    # -- multi-warp launches: calendar replay --------------------------------
+    # -- calendar replay: multi-warp and handed-off launches ----------------
 
     def _replay_calendar(self, programs: Sequence[WarpProgram],
                          sid_maps: Mapping[int, Sequence[int]]
@@ -1089,130 +954,35 @@ class BatchedTimingCore:
                                         misses, qwait)]
         return result
 
+
     # -- reply crossbar ------------------------------------------------------
 
-    def _replies(self, part_data, ready, wkey, wf_win, wf_writes,
-                 reply_flits, reply_lat, a_write, m_win, a_instr):
-        """Run the SM ejection-port recurrence over this wavefront's loads.
+    def _replies(self, load_comps, ready, wf_win):
+        """Run the SM ejection-port recurrence over this wavefront's loads
+        and return the cycle the warp resumes at.
 
-        The reply-cycle *multiset* is invariant under permutation of
-        same-cycle completions, so the common path never materializes the
-        merged reply order: it sorts raw completion cycles and computes the
-        final accept with a closed-form running max. Identity (which access
-        got which cycle) is reconstructed only for the last reply (the
-        barrier wake) and, via :meth:`_replies_exact`, for the rare
-        wavefront whose loads span several round windows.
+        ``load_comps`` holds each partition's load completion cycles. The
+        reply-cycle *multiset* is invariant under permutation of same-cycle
+        completions, so the merged reply order is never materialized: the
+        raw completion cycles are sorted and the last accept comes from a
+        closed-form running max. The warp resumes at the later of its
+        pending warp event and the last reply; when the two fall on one
+        cycle, it resumes there whichever event runs first.
         """
-        if not part_data:
-            return ready, wkey
-        if wf_win is _MULTI:
-            return self._replies_exact(part_data, ready, wkey,
-                                       reply_flits, reply_lat, a_write,
-                                       m_win, a_instr)
-        load_comps = []
-        for pd in part_data:
-            comps_c, comps_k, nw = pd[4], pd[5], pd[6]
-            if not nw:
-                load_comps.append(comps_c)
-            elif nw < len(comps_c):
-                g_l = pd[0]
-                load_comps.append(
-                    [c for c, k in zip(comps_c, comps_k)
-                     if not a_write[g_l[k]]])
-        total = sum(len(c) for c in load_comps)
-        if not total:
-            return ready, wkey
-        if len(load_comps) == 1:
-            c = np.asarray(load_comps[0], dtype=np.int64)
-        else:
-            c = np.sort(np.concatenate(
-                [np.asarray(x, dtype=np.int64) for x in load_comps]))
+        if not load_comps:
+            return ready
+        c = np.sort(np.concatenate(load_comps))
+        total = len(c)
+        flits = self._reply_flits
         # accept_j = max(comp_j, accept_{j-1} + flits) unrolls to
         # flits*j + max(next_free, max_{k<=j}(comp_k - flits*k)).
-        peak = int((c - reply_flits * np.arange(total)).max())
+        peak = int((c - flits * np.arange(total)).max())
         nf0 = self._reply_next_free
-        accept_last = (reply_flits * (total - 1)
-                       + (peak if peak > nf0 else nf0))
-        last_rc = accept_last + reply_lat
-        self._reply_next_free = accept_last + reply_flits
+        accept_last = flits * (total - 1) + (peak if peak > nf0 else nf0)
+        last_rc = accept_last + self.config.icnt_latency + flits - 1
+        self._reply_next_free = accept_last + flits
         if wf_win is not None:
             e = wf_win.end
             if e is None or last_rc > e:
                 wf_win.end = last_rc
-        if last_rc < ready:
-            return ready, wkey
-        dec_key = self._dec_key
-        c_max = int(c[-1])
-        cands = []
-        for pd in part_data:
-            g_l, comps_c, comps_k, nw = pd[0], pd[4], pd[5], pd[6]
-            j = len(comps_c) - 1
-            if nw:
-                while j >= 0 and a_write[g_l[comps_k[j]]]:
-                    j -= 1
-            if j >= 0 and comps_c[j] == c_max:
-                cands.append((pd, j))
-        if len(cands) == 1:
-            pd, j = cands[0]
-        else:
-            # Same-cycle final completions: the last reply belongs to the
-            # last one in true dram-event order.
-            pd, j = max(cands, key=lambda e: dec_key(e[0][:4], e[1]))
-        rkey = (last_rc, (c_max, dec_key(pd[:4], j), 0), 0)
-        if last_rc == ready and not rkey > wkey:
-            return ready, wkey
-        return last_rc, (last_rc, rkey, 0)
-
-    def _replies_exact(self, part_data, ready, wkey,
-                       reply_flits, reply_lat, a_write, m_win, a_instr):
-        """Per-reply replay in true merged order (multi-window wavefront).
-
-        Same-cycle completions from different partitions are reordered by
-        their reconstructed dram-event keys, so each round window sees the
-        exact reply cycles the event engine would give it.
-        """
-        dec_key = self._dec_key
-        merged = []
-        for pdi, pd in enumerate(part_data):
-            g_l, comps_c, comps_k = pd[0], pd[4], pd[5]
-            for j, comp in enumerate(comps_c):
-                g = g_l[comps_k[j]]
-                if not a_write[g]:
-                    merged.append((comp, pdi, j, g))
-        if not merged:
-            return ready, wkey
-        merged.sort(key=lambda e: e[0])
-        run = 0
-        for j in range(1, len(merged) + 1):
-            if j == len(merged) or merged[j][0] != merged[run][0]:
-                if j - run > 1 and len({e[1] for e in merged[run:j]}) > 1:
-                    seg = merged[run:j]
-                    seg.sort(key=lambda e: dec_key(part_data[e[1]][:4],
-                                                   e[2]))
-                    merged[run:j] = seg
-                run = j
-        nf = self._reply_next_free
-        rc = 0
-        for comp, pdi, j, g in merged:
-            a0 = comp if comp > nf else nf
-            nf = a0 + reply_flits
-            rc = a0 + reply_lat
-            wnd = m_win[a_instr[g]]
-            if wnd is not None:
-                e = wnd.end
-                if e is None or rc > e:
-                    wnd.end = rc
-        last_rc = rc
-        self._reply_next_free = nf
-        comp, pdi, j, _g = merged[-1]
-        if last_rc > ready:
-            blocked = True
-        elif last_rc < ready:
-            blocked = False
-        else:
-            rkey = (last_rc, (comp, dec_key(part_data[pdi][:4], j), 0), 0)
-            blocked = rkey > wkey
-        if blocked:
-            rkey = (last_rc, (comp, dec_key(part_data[pdi][:4], j), 0), 0)
-            return last_rc, (last_rc, rkey, 0)
-        return ready, wkey
+        return last_rc if last_rc > ready else ready

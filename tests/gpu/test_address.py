@@ -74,13 +74,6 @@ class TestDecoding:
         partitions = [address_map.partition_of(i * 256) for i in range(12)]
         assert partitions == [0, 1, 2, 3, 4, 5] * 2
 
-    def test_bank_group_mapping(self, gpu_config):
-        address_map = AddressMap(gpu_config)
-        assert address_map.bank_group_of(0) == 0
-        assert address_map.bank_group_of(3) == 0
-        assert address_map.bank_group_of(4) == 1
-        assert address_map.bank_group_of(15) == 3
-
     def test_line_addresses_are_contiguous(self, gpu_config):
         address_map = AddressMap(gpu_config)
         a0 = address_map.line_address(PLAINTEXT_REGION_BASE, 0)

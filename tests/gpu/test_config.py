@@ -7,7 +7,7 @@ from repro.gpu.config import DramTiming, GPUConfig
 
 #: Cycle counts a machine may set to zero but not below.
 CYCLE_COUNTS = ("issue_cycles", "round_compute_cycles",
-                "coalescer_cycles_per_access")
+                "coalescer_cycles_per_access", "icnt_latency")
 
 
 class TestDefaults:
@@ -18,7 +18,6 @@ class TestDefaults:
         assert gpu_config.warp_schedulers_per_sm == 2
         assert gpu_config.num_partitions == 6
         assert gpu_config.num_banks == 16
-        assert gpu_config.num_bank_groups == 4
         assert gpu_config.partition_chunk_bytes == 256
         assert gpu_config.core_clock_mhz == 1400
         assert gpu_config.memory_clock_mhz == 924
@@ -53,17 +52,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             GPUConfig(partition_chunk_bytes=100, access_bytes=64)
 
-    def test_rejects_bad_bank_grouping(self):
-        with pytest.raises(ConfigurationError):
-            GPUConfig(num_banks=10, num_bank_groups=4)
-
     # Machines the engines cannot run: each divides by zero in an engine,
     # or (a row smaller than a chunk) lets the wavefront core time a
     # machine the event engine cannot decode addresses for.
     @pytest.mark.parametrize("overrides", [
         {"row_bytes": 128},
         {"row_bytes": 384},
-        {"num_bank_groups": 0},
         {"icnt_requests_per_cycle": 0},
         {"icnt_flit_bytes": 0},
     ])
@@ -85,7 +79,9 @@ class TestValidation:
             GPUConfig(**overrides)
 
     # A negative cycle count describes no machine; at
-    # coalescer_cycles_per_access=-1 the two timing engines even disagree.
+    # coalescer_cycles_per_access=-1 the two timing engines even disagree,
+    # and the event engine's crossbar rejects a negative icnt_latency only
+    # once a launch runs.
     @pytest.mark.parametrize("name", CYCLE_COUNTS)
     def test_rejects_negative_cycle_counts(self, name):
         with pytest.raises(ConfigurationError, match=name):

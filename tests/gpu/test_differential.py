@@ -26,6 +26,17 @@ stream, on three servers, and the first of them on a fourth:
   every event: its record must equal the reference's once the kernel
   result's metrics snapshot is cleared. Tracing must not change what is
   simulated.
+
+AES launches are load-heavy and never mix round windows inside a
+wavefront, so a second property generates raw :class:`WarpProgram`
+streams instead: one or two warps on one SM, stores about 30% of the time,
+instructions outside any round or in a neighbouring round, on tiny
+machines with equal core and memory clocks and DRAM timings of a few
+cycles, so that events tie often. These are the launches the wavefront
+path hands to the calendar replay (same-cycle ties, wavefronts spanning
+two round windows, stores still queued when the next wavefront arrives,
+a forward-crossbar rate of two); the core must serve every one and equal
+the event engine's ``KernelResult``.
 """
 
 from dataclasses import replace
@@ -38,7 +49,10 @@ from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.selective import SelectiveRCoalPolicy
 from repro.gpu.address import PermutedAddressMap
 from repro.gpu.config import DramTiming, GPUConfig
+from repro.gpu.engine import GPUSimulator
+from repro.gpu.request import AccessKind
 from repro.gpu.timed_batch import BatchedTimingCore
+from repro.gpu.warp import ComputeInstruction, MemoryInstruction, WarpProgram
 from repro.rng import RngStream
 from repro.telemetry import Telemetry
 from repro.workloads.plaintext import random_plaintexts
@@ -59,12 +73,10 @@ def machines(draw):
     """Valid machine descriptions, far from the paper's Table I."""
     access = draw(st.sampled_from([32, 64, 128]))
     chunk = access * draw(st.integers(1, 4))
-    groups = draw(st.integers(1, 4))
     return GPUConfig(
         num_sms=draw(st.integers(1, 4)),
         num_partitions=draw(st.integers(1, 8)),
-        num_banks=groups * draw(st.integers(1, 4)),
-        num_bank_groups=groups,
+        num_banks=draw(st.integers(1, 16)),
         access_bytes=access,
         partition_chunk_bytes=chunk,
         row_bytes=chunk * draw(st.sampled_from([1, 2, 8])),
@@ -141,3 +153,79 @@ def test_fast_engines_match_the_event_engine(config, permuted, policy,
         assert record.kernel_result.metrics is not None
         record.kernel_result.metrics = None
     assert traced == reference[:1]
+
+
+@st.composite
+def tiny_machines(draw):
+    """One SM, a few partitions and banks, two blocks per row, equal core
+    and memory clocks and DRAM timings of 1 to 8 cycles."""
+    cycles = st.integers(1, 8)
+    return GPUConfig(
+        num_sms=1,
+        num_partitions=draw(st.integers(1, 3)),
+        num_banks=draw(st.integers(1, 4)),
+        partition_chunk_bytes=64,
+        row_bytes=128,
+        core_clock_mhz=924,
+        issue_cycles=draw(st.integers(0, 2)),
+        coalescer_cycles_per_access=draw(st.integers(0, 2)),
+        icnt_latency=draw(st.integers(0, 6)),
+        # Rate 2 hands a single-warp launch off before anything else is
+        # looked at, so it is drawn one time in four.
+        icnt_requests_per_cycle=draw(st.sampled_from([1, 1, 1, 2])),
+        dram_timing=DramTiming(
+            t_cl=draw(cycles), t_rp=draw(cycles), t_rc=draw(cycles),
+            t_ras=draw(cycles), t_ccd=draw(cycles), t_rcd=draw(cycles),
+            t_burst=draw(cycles)),
+    )
+
+
+@st.composite
+def raw_launches(draw):
+    """One or two warps of 1 to 5 rounds; a round is a 0- to 6-cycle
+    compute instruction, then 1 to 4 loads or stores of 1 to 6 distinct
+    64 B blocks."""
+    programs = []
+    # Two warps always take the calendar replay, which the AES property
+    # covers too; one warp is drawn three times in four.
+    for warp_id in range(draw(st.sampled_from([1, 1, 1, 2]))):
+        instructions = []
+        for rnd in range(1, draw(st.integers(1, 5)) + 1):
+            instructions.append(ComputeInstruction(draw(st.integers(0, 6)),
+                                                   rnd))
+            for _ in range(draw(st.integers(1, 4))):
+                blocks = draw(st.lists(st.integers(0, 63), min_size=1,
+                                       max_size=6, unique=True))
+                is_write = draw(st.integers(0, 9)) < 3
+                # Mostly the round's own window: a wavefront with loads in
+                # two windows is handed off before its traffic is replayed.
+                instructions.append(MemoryInstruction(
+                    addresses=tuple(64 * blocks[lane % len(blocks)]
+                                    for lane in range(32)),
+                    kind=(AccessKind.OUTPUT_STORE if is_write
+                          else AccessKind.TABLE_LOAD),
+                    round_index=draw(st.sampled_from(
+                        [rnd] * 5 + [rnd - 1, rnd + 1, None])),
+                    is_write=is_write))
+        programs.append(WarpProgram(warp_id=warp_id, num_threads=32,
+                                    instructions=instructions))
+    return programs
+
+
+@settings(deadline=None, database=None, **TIER1)
+@given(config=tiny_machines(), programs=raw_launches())
+def test_raw_streams_match_the_event_engine(config, programs):
+    sid_maps = {program.warp_id: [0] * 32 for program in programs}
+    reference = GPUSimulator(config, batched_timing=False).run(programs,
+                                                               sid_maps)
+    served = []
+    run = BatchedTimingCore.run
+
+    def spy(self, programs, sid_maps):
+        result = run(self, programs, sid_maps)
+        served.append(len(programs))
+        return result
+
+    with patch.object(BatchedTimingCore, "run", spy):
+        assert GPUSimulator(config).run(programs, sid_maps) == reference
+    assert served == [len(programs)]
