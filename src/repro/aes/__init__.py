@@ -13,7 +13,10 @@ implementation needs:
   to recovering the master key);
 * :mod:`repro.aes.cipher` — a reference FIPS-197 implementation;
 * :mod:`repro.aes.ttable` — the T-table formulation used on GPUs, recording
-  the per-round table-lookup indices each thread generates;
+  the per-round table-lookup indices each thread generates (one line at a
+  time: the reference);
+* :mod:`repro.aes.batch` — the same computation over whole line batches as
+  numpy arrays, which every simulated launch takes its lookups from;
 * :mod:`repro.aes.modes` — multi-line plaintext encryption (one 16-byte line
   per GPU thread).
 """

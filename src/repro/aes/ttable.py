@@ -1,24 +1,25 @@
-"""T-table AES-128 with per-round memory-lookup traces.
+"""T-table AES-128 with per-round memory-lookup traces: the reference.
 
 GPU AES kernels express each main round as 16 table lookups (4 per output
 column, one into each of T0..T3) and the last round as 16 lookups into T4.
 Each lookup is a global-memory load executed in lockstep by every thread of a
 warp — exactly the loads the coalescing unit merges.
 
-:class:`TTableAES` performs the encryption this way and records, per round,
-the ordered list of ``(table_id, index)`` lookups a thread issues. A warp's
-k-th load instruction of a round gathers the k-th entry of each of its 32
-threads' traces; the coalescer then merges them. The last-round trace is
-ordered by ciphertext byte position ``j`` so that it aligns byte-for-byte
-with the attack's Equation 3 inversion (``t_j = InvS[c_j ^ k_j]``).
+:class:`TTableAES` performs the encryption this way, one line at a time,
+and records, per round, the ordered list of ``(table_id, index)`` lookups
+one thread performs. The last-round trace is ordered by ciphertext byte
+position ``j`` so that it aligns byte-for-byte with the attack's Equation 3
+inversion (``t_j = InvS[c_j ^ k_j]``).
+
+No collection path calls it: every launch takes its ciphertexts and lookup
+indices from the vectorized :func:`repro.aes.batch.encrypt_batch`, which
+the tests pin to this class line for line.
 """
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.aes.cipher import BLOCK_BYTES
 from repro.aes.key_schedule import NUM_ROUNDS, expand_key
@@ -72,20 +73,6 @@ class EncryptionTrace:
         return sum(len(r.lookups) for r in self.rounds)
 
 
-# Traces depend only on (key, plaintext) — never on the coalescing policy —
-# so experiments that encrypt the same plaintext batch under many policies
-# share one trace computation. LRU-bounded; traces are immutable and safe to
-# share. Size override: REPRO_TRACE_CACHE (entries; 0 disables).
-_TRACE_CACHE: "OrderedDict[Tuple[bytes, bytes], EncryptionTrace]" = \
-    OrderedDict()
-_TRACE_CACHE_CAPACITY = int(os.environ.get("REPRO_TRACE_CACHE", "40000"))
-
-
-def clear_trace_cache() -> None:
-    """Drop all memoized encryption traces (mainly for tests)."""
-    _TRACE_CACHE.clear()
-
-
 class TTableAES:
     """AES-128 encryption via T-table lookups, with trace recording.
 
@@ -96,14 +83,7 @@ class TTableAES:
     """
 
     def __init__(self, key: bytes):
-        self._key = bytes(key)
         self._round_keys = expand_key(key)
-
-    @property
-    def key(self) -> bytes:
-        """The master key (victim-internal; the batched core re-expands
-        it for its vectorized encryption)."""
-        return self._key
 
     @property
     def last_round_key(self) -> bytes:
@@ -116,13 +96,6 @@ class TTableAES:
             raise BlockSizeError(
                 f"AES blocks are 16 bytes, got {len(plaintext)}"
             )
-        cache_key: Optional[Tuple[bytes, bytes]] = None
-        if _TRACE_CACHE_CAPACITY > 0:
-            cache_key = (self._key, bytes(plaintext))
-            cached = _TRACE_CACHE.get(cache_key)
-            if cached is not None:
-                _TRACE_CACHE.move_to_end(cache_key)
-                return cached
         # State as 4 rows x 4 columns, column-major input mapping.
         state = [[plaintext[r + 4 * c] ^ self._round_keys[0][4 * c + r]
                   for c in range(4)] for r in range(4)]
@@ -136,12 +109,7 @@ class TTableAES:
         ciphertext, lookups = self._last_round(state,
                                                self._round_keys[NUM_ROUNDS])
         round_traces.append(RoundTrace(NUM_ROUNDS, tuple(lookups)))
-        trace = EncryptionTrace(bytes(ciphertext), tuple(round_traces))
-        if cache_key is not None:
-            _TRACE_CACHE[cache_key] = trace
-            if len(_TRACE_CACHE) > _TRACE_CACHE_CAPACITY:
-                _TRACE_CACHE.popitem(last=False)
-        return trace
+        return EncryptionTrace(bytes(ciphertext), tuple(round_traces))
 
     # -- internals ---------------------------------------------------------
 
@@ -150,9 +118,8 @@ class TTableAES:
                     ) -> Tuple[List[List[int]], List[Lookup]]:
         """One T-table round: 16 lookups (4 columns x tables T0..T3).
 
-        Unrolled over the four tables: this runs once per round per
-        plaintext line (9216 times for a 1024-line launch), making it one
-        of the hottest pure-Python loops outside the timing engine.
+        Lookup ``4c + t`` of column ``c`` reads table ``t``: the order
+        :func:`repro.aes.batch.encrypt_batch` reproduces.
         """
         lookups: List[Lookup] = []
         append = lookups.append
@@ -190,8 +157,3 @@ class TTableAES:
             lookups.append((LAST_ROUND_TABLE_ID, index))
             ciphertext[j] = T4[index][r] ^ round_key[4 * c + r]
         return ciphertext, lookups
-
-
-def last_round_indices(trace: EncryptionTrace) -> Tuple[int, ...]:
-    """Convenience: the 16 T4 indices (t_0..t_15) of a trace."""
-    return trace.last_round.indices

@@ -368,7 +368,7 @@ class _Phase:
         self.label = phase_label(ctx, policy, num_samples, counts_only,
                                  retain_kernel_results)
         self.engine = phase_engine(counts_only, ctx.batched,
-                                   ctx.batched_timing)
+                                   ctx.batched_timing, ctx.instrumented)
         journal = ctx.journal if ctx.journal is not None \
             else getattr(self.store, "journal", None)
         self.journal = journal if journal is not None \

@@ -10,11 +10,13 @@ as numpy array arithmetic over a whole *batch* of launches:
 2. table indices gather through a precomputed ``(table, index) -> block``
    grid (derived from the server's address map, so permuted layouts work
    unchanged) into one ``(samples, lanes, instructions)`` block matrix;
-3. each lane's ``(block, sid)`` pair is packed into one int64 key —
-   the packing of the server's per-byte ``_distinct_blocks`` — and distinct
-   pairs per (warp, instruction) are counted by sorting along the lane
-   axis and counting value transitions (cf. the ``calculate_bursts``
-   distinct-blocks-per-subwarp arithmetic the ROADMAP cites).
+3. each lane's ``(block, sid)`` pair is packed into one int64 key,
+   ``(block << 8) | sid`` (subwarp ids are lane indices, below 256), and
+   distinct pairs per (warp, instruction) are counted by sorting along the
+   lane axis and counting value transitions: per instruction, the
+   coalesced accesses a :class:`~repro.gpu.coalescer.CoalescingUnit`
+   generates (cf. the ``calculate_bursts`` distinct-blocks-per-subwarp
+   arithmetic the ROADMAP cites).
 
 Policy randomization is reproduced *exactly*: the core draws one partition
 per warp per sample from the same per-sample RNG stream, in the same order,

@@ -361,7 +361,7 @@ class GPUSimulator:
                     num_blocks += 1
             if not num_blocks:
                 raise ProtocolError("memory instruction produced no accesses")
-            result.count_accesses(kind, round_index, num_blocks)
+            result.count_accesses(warp_id, kind, round_index, num_blocks)
             sm.ldst_free = inject
 
             if tracer is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
 from repro.aes.key_schedule import NUM_ROUNDS
@@ -51,6 +52,10 @@ class KernelResult:
     access_counts: Dict[AccessKind, int] = field(default_factory=dict)
     #: Table-load accesses per round (1..10).
     round_accesses: Dict[int, int] = field(default_factory=dict)
+    #: last_round_loads[warp] = the warp's round-10 table-load accesses,
+    #: one count per instruction in program order (load ``j`` reads the
+    #: T4 entry of ciphertext byte ``j``).
+    last_round_loads: Dict[int, List[int]] = field(default_factory=dict)
     #: Per-warp, per-round execution windows.
     round_windows: Dict[Tuple[int, int], RoundWindow] = field(
         default_factory=dict)
@@ -71,19 +76,18 @@ class KernelResult:
             self.round_windows[key] = RoundWindow()
         return self.round_windows[key]
 
-    def count_access(self, kind: AccessKind, round_index: Optional[int]
-                     ) -> None:
-        self.count_accesses(kind, round_index, 1)
-
-    def count_accesses(self, kind: AccessKind, round_index: Optional[int],
-                       count: int) -> None:
-        """Record ``count`` accesses at once (one call per instruction —
-        all of an instruction's coalesced accesses share kind and round)."""
+    def count_accesses(self, warp_id: int, kind: AccessKind,
+                       round_index: Optional[int], count: int) -> None:
+        """Record the ``count`` coalesced accesses of one instruction of
+        warp ``warp_id`` (they share kind and round). Each warp's
+        instructions must be recorded in program order."""
         self.access_counts[kind] = self.access_counts.get(kind, 0) + count
         if kind is AccessKind.TABLE_LOAD and round_index is not None:
             self.round_accesses[round_index] = (
                 self.round_accesses.get(round_index, 0) + count
             )
+            if round_index == NUM_ROUNDS:
+                self.last_round_loads.setdefault(warp_id, []).append(count)
 
     # -- derived metrics (experiment-facing) ----------------------------------
 
@@ -100,6 +104,14 @@ class KernelResult:
     def last_round_accesses(self) -> int:
         """Coalesced T4 accesses in round 10 (the attack's estimand)."""
         return self.round_accesses.get(NUM_ROUNDS, 0)
+
+    @property
+    def last_round_byte_accesses(self) -> List[int]:
+        """Round-10 coalesced accesses per ciphertext byte position: the
+        ``j``-th round-10 load of every warp, summed over warps (the
+        per-instruction ground truth of Fig 18a's methodology)."""
+        return [sum(column) for column in
+                zip_longest(*self.last_round_loads.values(), fillvalue=0)]
 
     def round_span(self, round_index: int) -> int:
         """Earliest start to latest end of a round across warps."""

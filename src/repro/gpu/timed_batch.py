@@ -559,7 +559,7 @@ class BatchedTimingCore:
                 inject = ldst_free
             ibase[m] = inject
             ldst_free = inject + nb * per_access
-            count_accesses(ins.kind, rix, nb)
+            count_accesses(warp_id, ins.kind, rix, nb)
             if ins.is_write:
                 ready = ldst_free
                 wf_writes = True
@@ -926,7 +926,7 @@ class BatchedTimingCore:
                     a_win[x] = win
                     buckets[t].append(x << 3)
                     t += per_access
-                count_accesses(akind, rix, nb)
+                count_accesses(warp_ids[wi], akind, rix, nb)
                 ldst_free[sm] = t
                 if not is_write:
                     w_out[wi] += nb

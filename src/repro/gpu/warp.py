@@ -1,14 +1,14 @@
 """Warp programs: the instruction streams the simulator executes.
 
 A warp program linearizes one warp's share of the AES kernel into compute
-phases and memory instructions, derived from the per-thread lookup traces of
-:class:`repro.aes.ttable.TTableAES`:
+phases and memory instructions, gathered from the per-line table-lookup
+indices of :func:`repro.aes.batch.encrypt_batch`:
 
 1. one coalesced **input load** (each thread reads its 16-byte plaintext
    line);
 2. per round 1..10: a compute phase (AddRoundKey/XOR work) followed by 16
    **table load** instructions — the k-th load gathers the k-th lookup of
-   every thread's trace for that round, in lockstep;
+   every thread for that round, in lockstep;
 3. one **output store** (each thread writes its ciphertext line).
 
 Line-to-thread mapping is sequential and deterministic (Section II-B):
@@ -18,11 +18,14 @@ thread ``tid`` of warp ``w`` processes plaintext line ``w*32 + tid``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 from weakref import WeakKeyDictionary
 
+import numpy as np
+
+from repro.aes.batch import table_id_grid
 from repro.aes.key_schedule import NUM_ROUNDS
-from repro.aes.ttable import LOOKUPS_PER_ROUND, EncryptionTrace
+from repro.aes.ttable import LOOKUPS_PER_ROUND
 from repro.errors import ConfigurationError
 from repro.gpu.address import (
     CIPHERTEXT_REGION_BASE,
@@ -57,9 +60,9 @@ class MemoryInstruction:
 
 Instruction = Union[ComputeInstruction, MemoryInstruction]
 
-#: Per-address-map cache of the resolved 5x256 table-entry address grid
+#: Per-address-map cache of the resolved (5, 256) table-entry address grid
 #: (weak keys: dropping a server drops its grid with it).
-_TABLE_ADDRESS_GRIDS: "WeakKeyDictionary[AddressMap, List[List[int]]]" = \
+_TABLE_ADDRESS_GRIDS: "WeakKeyDictionary[AddressMap, np.ndarray]" = \
     WeakKeyDictionary()
 
 
@@ -71,11 +74,6 @@ class WarpProgram:
     num_threads: int
     instructions: List[Instruction] = field(default_factory=list)
 
-    @property
-    def num_memory_instructions(self) -> int:
-        return sum(1 for i in self.instructions
-                   if isinstance(i, MemoryInstruction))
-
     def round_memory_instructions(self, round_index: int
                                   ) -> List[MemoryInstruction]:
         """The memory instructions belonging to one AES round."""
@@ -85,19 +83,20 @@ class WarpProgram:
 
 
 def build_warp_programs(
-    traces: Sequence[EncryptionTrace],
+    indices: np.ndarray,
     address_map: AddressMap,
     warp_size: int = 32,
     round_compute_cycles: int = 40,
     include_io: bool = True,
 ) -> List[WarpProgram]:
-    """Build warp programs from per-thread (per-line) encryption traces.
+    """Build warp programs from per-line table-lookup indices.
 
     Parameters
     ----------
-    traces:
-        One :class:`EncryptionTrace` per plaintext line; line ``i`` maps to
-        warp ``i // warp_size``, thread ``i % warp_size``.
+    indices:
+        The ``(lines, 10, 16)`` lookup indices of
+        :func:`repro.aes.batch.encrypt_batch`; line ``i`` maps to warp
+        ``i // warp_size``, thread ``i % warp_size``.
     address_map:
         Address layout used to place tables and data buffers.
     warp_size:
@@ -107,67 +106,70 @@ def build_warp_programs(
     include_io:
         Also model the plaintext read and ciphertext write of the kernel.
     """
-    if not traces:
-        raise ConfigurationError("cannot build warp programs from zero traces")
+    num_lines = len(indices)
+    if not num_lines:
+        raise ConfigurationError("cannot build warp programs from zero lines")
 
-    # Table-entry addresses depend only on (table_id, index): resolving the
-    # 5x256 grid up front replaces one method call per thread-lookup
-    # (16 per round per thread) with a list index. The grid is a pure
-    # function of the address map, so it is cached across launches.
+    # Table-entry addresses depend only on (table_id, index), and the
+    # table id only on (round, lookup): one gather through the 5x256 grid
+    # resolves every lane's address. The grid is a pure function of the
+    # address map, so it is cached across launches.
     table_addresses = _TABLE_ADDRESS_GRIDS.get(address_map)
     if table_addresses is None:
-        table_addresses = [
-            [address_map.table_entry_address(table_id, index)
-             for index in range(256)]
-            for table_id in range(5)
-        ]
+        table_addresses = np.array(
+            [[address_map.table_entry_address(table_id, index)
+              for index in range(256)]
+             for table_id in range(5)],
+            dtype=np.int64,
+        )
         _TABLE_ADDRESS_GRIDS[address_map] = table_addresses
 
+    num_warps = -(-num_lines // warp_size)
+    # (lanes, lookups) addresses of every table load, in program order;
+    # the inactive lanes of a partial final warp repeat its last thread.
+    lanes = np.empty((num_warps * warp_size, NUM_ROUNDS * LOOKUPS_PER_ROUND),
+                     dtype=np.int64)
+    lanes[:num_lines] = table_addresses[table_id_grid(), indices] \
+        .reshape(num_lines, -1)
+    lanes[num_lines:] = lanes[num_lines - 1]
+    # Per warp, per table load: its lane addresses as Python ints.
+    table_loads = lanes.reshape(num_warps, warp_size, -1) \
+                       .transpose(0, 2, 1).tolist()
+
     programs: List[WarpProgram] = []
-    for warp_id in range(0, (len(traces) + warp_size - 1) // warp_size):
-        warp_traces = traces[warp_id * warp_size:(warp_id + 1) * warp_size]
-        num_threads = len(warp_traces)
+    for warp_id in range(num_warps):
+        first_line = warp_id * warp_size
+        num_threads = min(warp_size, num_lines - first_line)
         active: Optional[Tuple[bool, ...]] = None
         if num_threads < warp_size:
             active = tuple(i < num_threads for i in range(warp_size))
 
-        def lane_addresses(per_thread: List[int]) -> Tuple[int, ...]:
-            """Pad partial warps: inactive lanes repeat the last address."""
-            if num_threads == warp_size:
-                return tuple(per_thread)
-            pad = per_thread + [per_thread[-1]] * (warp_size - num_threads)
-            return tuple(pad)
+        def io_addresses(base: int) -> Tuple[int, ...]:
+            """One line per thread; inactive lanes repeat the last one."""
+            lines = [address_map.line_address(base, first_line + tid)
+                     for tid in range(num_threads)]
+            return tuple(lines + [lines[-1]] * (warp_size - num_threads))
 
         program = WarpProgram(warp_id=warp_id, num_threads=num_threads)
+        instructions = program.instructions
 
         if include_io:
-            input_addresses = [
-                address_map.line_address(PLAINTEXT_REGION_BASE,
-                                         warp_id * warp_size + tid)
-                for tid in range(num_threads)
-            ]
-            program.instructions.append(MemoryInstruction(
-                addresses=lane_addresses(input_addresses),
+            instructions.append(MemoryInstruction(
+                addresses=io_addresses(PLAINTEXT_REGION_BASE),
                 kind=AccessKind.INPUT_LOAD,
                 round_index=0,
                 request_size=16,
                 active_mask=active,
             ))
 
+        warp_loads = iter(table_loads[warp_id])
         for round_index in range(1, NUM_ROUNDS + 1):
-            program.instructions.append(
+            instructions.append(
                 ComputeInstruction(round_compute_cycles, round_index)
             )
-            round_lookups = [trace.rounds[round_index - 1].lookups
-                             for trace in warp_traces]
-            for k in range(LOOKUPS_PER_ROUND):
-                per_thread = []
-                append = per_thread.append
-                for lookups in round_lookups:
-                    table_id, index = lookups[k]
-                    append(table_addresses[table_id][index])
-                program.instructions.append(MemoryInstruction(
-                    addresses=lane_addresses(per_thread),
+            for _ in range(LOOKUPS_PER_ROUND):
+                instructions.append(MemoryInstruction(
+                    addresses=tuple(next(warp_loads)),
                     kind=AccessKind.TABLE_LOAD,
                     round_index=round_index,
                     request_size=4,
@@ -175,15 +177,10 @@ def build_warp_programs(
                 ))
 
         if include_io:
-            output_addresses = [
-                address_map.line_address(CIPHERTEXT_REGION_BASE,
-                                         warp_id * warp_size + tid)
-                for tid in range(num_threads)
-            ]
             # round_index None: the store is outside the round windows, so
             # it never extends the measured last-round span.
-            program.instructions.append(MemoryInstruction(
-                addresses=lane_addresses(output_addresses),
+            instructions.append(MemoryInstruction(
+                addresses=io_addresses(CIPHERTEXT_REGION_BASE),
                 kind=AccessKind.OUTPUT_STORE,
                 round_index=None,
                 is_write=True,

@@ -68,19 +68,22 @@ def fast_mode() -> bool:
     return env_flag("REPRO_FAST")
 
 
-def phase_engine(counts_only: bool, batched: bool,
-                 batched_timing: bool) -> str:
+def phase_engine(counts_only: bool, batched: bool, batched_timing: bool,
+                 instrumented: bool) -> str:
     """The engine a collection phase runs on: the one engine rule.
 
     ``"batched"`` (the structure-of-arrays counts core) for counts-only
     phases and ``"batched_timing"`` (the wavefront core) for timed ones;
-    ``"event"``, the reference engine, when the phase's flag is off. The
+    ``"event"``, the reference engine, when the phase's flag is off, and
+    for an instrumented timed phase, whose telemetry only the event
+    engine records (the simulator builds no timing core for it). The
     phase executor dispatches on it, journals it and pins it into worker
     contexts, so the three always agree. Fault plans have no say in it.
     """
     if counts_only:
         return "batched" if batched else "event"
-    return "batched_timing" if batched_timing else "event"
+    return ("batched_timing" if batched_timing and not instrumented
+            else "event")
 
 
 def capped_backoff(attempt: int, base: float, cap: float) -> float:

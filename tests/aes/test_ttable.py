@@ -13,7 +13,6 @@ from repro.aes.ttable import (
     EncryptionTrace,
     RoundTrace,
     TTableAES,
-    clear_trace_cache,
 )
 from repro.errors import BlockSizeError
 
@@ -69,25 +68,3 @@ class TestEquationThree:
         k10 = aes.last_round_key
         for j, (table, index) in enumerate(trace.last_round.lookups):
             assert index == INV_SBOX[trace.ciphertext[j] ^ k10[j]]
-
-
-class TestTraceCache:
-    def test_cache_returns_identical_trace(self, test_key):
-        aes = TTableAES(test_key)
-        first = aes.encrypt(bytes(16))
-        second = aes.encrypt(bytes(16))
-        assert first is second  # memoized object
-
-    def test_cache_distinguishes_keys(self):
-        plaintext = bytes(16)
-        trace_a = TTableAES(bytes(16)).encrypt(plaintext)
-        trace_b = TTableAES(bytes([1] * 16)).encrypt(plaintext)
-        assert trace_a.ciphertext != trace_b.ciphertext
-
-    def test_clear_cache(self, test_key):
-        aes = TTableAES(test_key)
-        first = aes.encrypt(bytes(16))
-        clear_trace_cache()
-        second = aes.encrypt(bytes(16))
-        assert first is not second
-        assert first == second

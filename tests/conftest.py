@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from repro.aes.ttable import clear_trace_cache
 from repro.gpu.config import GPUConfig
 from repro.rng import RngStream
 
@@ -16,14 +15,6 @@ from repro.rng import RngStream
 #: settings.
 settings.register_profile("fuzz", max_examples=1000, derandomize=False,
                           print_blob=True)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_trace_cache():
-    """Isolate the AES trace memoization between tests."""
-    clear_trace_cache()
-    yield
-    clear_trace_cache()
 
 
 @pytest.fixture

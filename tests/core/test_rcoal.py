@@ -1,8 +1,9 @@
 """Tests for the RCoalGPU integration layer."""
 
+import numpy as np
 import pytest
 
-from repro.aes.ttable import TTableAES
+from repro.aes.batch import encrypt_batch
 from repro.core.policies import FSSPolicy, RSSPolicy, make_policy
 from repro.core.rcoal import RCoalGPU
 from repro.errors import ConfigurationError
@@ -12,9 +13,10 @@ from repro.rng import RngStream
 
 
 def programs_for(gpu, num_lines=32):
-    aes = TTableAES(bytes(16))
-    traces = [aes.encrypt(bytes([i]) * 16) for i in range(num_lines)]
-    return build_warp_programs(traces, gpu.address_map)
+    lines = np.repeat(np.arange(num_lines, dtype=np.uint8),
+                      16).reshape(num_lines, 16)
+    return build_warp_programs(encrypt_batch(bytes(16), lines)[1],
+                               gpu.address_map)
 
 
 class TestLaunch:

@@ -133,6 +133,11 @@ def test_fast_engines_match_the_event_engine(config, permuted, policy,
     case = (config, permuted, policy, lines, seed)
     reference = _records(*case, batched_timing=False,
                          retain_kernel_results=True)
+    for record in reference:
+        # One count per round-10 load of each warp, summed by byte.
+        assert len(record.last_round_byte_accesses) == 16
+        assert sum(record.last_round_byte_accesses) \
+            == record.last_round_accesses
     served = []
     run = BatchedTimingCore.run
 

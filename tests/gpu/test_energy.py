@@ -1,8 +1,9 @@
 """Tests for the energy model."""
 
+import numpy as np
 import pytest
 
-from repro.aes.ttable import TTableAES
+from repro.aes.batch import encrypt_batch
 from repro.core.policies import make_policy
 from repro.core.rcoal import RCoalGPU
 from repro.errors import ConfigurationError
@@ -12,9 +13,9 @@ from repro.gpu.warp import build_warp_programs
 
 def launch(policy_name, m=1):
     gpu = RCoalGPU(make_policy(policy_name, m))
-    aes = TTableAES(bytes(16))
-    traces = [aes.encrypt(bytes([i]) * 16) for i in range(32)]
-    programs = build_warp_programs(traces, gpu.address_map)
+    lines = np.repeat(np.arange(32, dtype=np.uint8), 16).reshape(32, 16)
+    programs = build_warp_programs(encrypt_batch(bytes(16), lines)[1],
+                                   gpu.address_map)
     return gpu.launch(programs).result
 
 

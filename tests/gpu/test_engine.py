@@ -1,7 +1,9 @@
 """Tests for the discrete-event GPU simulator."""
 
+import numpy as np
 import pytest
 
+from repro.aes.batch import encrypt_batch
 from repro.aes.key_schedule import NUM_ROUNDS
 from repro.aes.ttable import TTableAES
 from repro.errors import ConfigurationError
@@ -12,15 +14,25 @@ from repro.gpu.warp import MemoryInstruction, WarpProgram, \
     build_warp_programs
 
 
-def traces_for(num_lines: int, key: bytes = bytes(16)):
-    aes = TTableAES(key)
-    return [aes.encrypt(bytes([line % 256, line // 256]) + bytes(14))
+def lines_for(num_lines: int):
+    return [bytes([line % 256, line // 256]) + bytes(14)
             for line in range(num_lines)]
+
+
+def indices_for(num_lines: int, key: bytes = bytes(16)):
+    lines = np.frombuffer(b"".join(lines_for(num_lines)), dtype=np.uint8)
+    return encrypt_batch(key, lines.reshape(num_lines, 16))[1]
+
+
+def traces_for(num_lines: int, key: bytes = bytes(16)):
+    """Scalar reference traces of the same lines."""
+    aes = TTableAES(key)
+    return [aes.encrypt(line) for line in lines_for(num_lines)]
 
 
 def run_kernel(num_lines=32, sid_map=None, config=None):
     sim = GPUSimulator(config or GPUConfig())
-    programs = build_warp_programs(traces_for(num_lines), sim.address_map)
+    programs = build_warp_programs(indices_for(num_lines), sim.address_map)
     if sid_map is None:
         sid_map = (0,) * sim.config.warp_size
     maps = {p.warp_id: sid_map for p in programs}
@@ -118,12 +130,12 @@ class TestValidation:
 
     def test_rejects_short_sid_map(self):
         sim = GPUSimulator()
-        programs = build_warp_programs(traces_for(32), sim.address_map)
+        programs = build_warp_programs(indices_for(32), sim.address_map)
         with pytest.raises(ConfigurationError):
             sim.run(programs, {0: (0,) * 8})
 
     def test_rejects_duplicate_warp_ids(self):
         sim = GPUSimulator()
-        programs = build_warp_programs(traces_for(32), sim.address_map)
+        programs = build_warp_programs(indices_for(32), sim.address_map)
         with pytest.raises(ConfigurationError):
             sim.run(programs + programs, {0: (0,) * 32})

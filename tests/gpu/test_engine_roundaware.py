@@ -1,17 +1,18 @@
 """Tests for round-aware sid maps inside the engine."""
 
+import numpy as np
 import pytest
 
+from repro.aes.batch import encrypt_batch
 from repro.aes.key_schedule import NUM_ROUNDS
-from repro.aes.ttable import TTableAES
 from repro.errors import ConfigurationError
 from repro.gpu.engine import GPUSimulator, RoundAwareSidMap
 from repro.gpu.warp import build_warp_programs
 
 
-def traces():
-    aes = TTableAES(bytes(16))
-    return [aes.encrypt(bytes([i]) * 16) for i in range(32)]
+def indices():
+    lines = np.repeat(np.arange(32, dtype=np.uint8), 16).reshape(32, 16)
+    return encrypt_batch(bytes(16), lines)[1]
 
 
 class TestRoundAwareSidMap:
@@ -34,7 +35,7 @@ class TestRoundAwareSidMap:
 class TestEngineIntegration:
     def test_only_protected_round_is_split(self):
         sim = GPUSimulator()
-        programs = build_warp_programs(traces(), sim.address_map)
+        programs = build_warp_programs(indices(), sim.address_map)
         protected = RoundAwareSidMap(
             per_round={NUM_ROUNDS: tuple(range(32))},
             default=(0,) * 32,
@@ -51,7 +52,7 @@ class TestEngineIntegration:
 
     def test_round_aware_costs_less_than_full_split(self):
         sim = GPUSimulator()
-        programs = build_warp_programs(traces(), sim.address_map)
+        programs = build_warp_programs(indices(), sim.address_map)
         partial = RoundAwareSidMap(
             per_round={NUM_ROUNDS: tuple(range(32))},
             default=(0,) * 32,
@@ -63,7 +64,7 @@ class TestEngineIntegration:
 
     def test_engine_validates_round_aware_width(self):
         sim = GPUSimulator()
-        programs = build_warp_programs(traces(), sim.address_map)
+        programs = build_warp_programs(indices(), sim.address_map)
         short = RoundAwareSidMap(per_round={}, default=(0,) * 16)
         with pytest.raises(ConfigurationError):
             sim.run(programs, {0: short})

@@ -47,12 +47,14 @@ class TestPermutedAddressMap:
 
     def test_coalescing_counts_invariant(self, gpu_config):
         """The leak-relevant quantity cannot depend on the mapping."""
-        from repro.aes.ttable import TTableAES
+        import numpy as np
+
+        from repro.aes.batch import encrypt_batch
         from repro.gpu.engine import GPUSimulator
         from repro.gpu.warp import build_warp_programs
 
-        aes = TTableAES(bytes(16))
-        traces = [aes.encrypt(bytes([i]) * 16) for i in range(32)]
+        lines = np.repeat(np.arange(32, dtype=np.uint8), 16).reshape(32, 16)
+        indices = encrypt_batch(bytes(16), lines)[1]
 
         plain_sim = GPUSimulator(gpu_config)
         permuted_sim = GPUSimulator(
@@ -61,11 +63,11 @@ class TestPermutedAddressMap:
                                            RngStream(13, "addr")),
         )
         plain = plain_sim.run(
-            build_warp_programs(traces, plain_sim.address_map),
+            build_warp_programs(indices, plain_sim.address_map),
             {0: (0,) * 32},
         )
         permuted = permuted_sim.run(
-            build_warp_programs(traces, permuted_sim.address_map),
+            build_warp_programs(indices, permuted_sim.address_map),
             {0: (0,) * 32},
         )
         assert plain.total_accesses == permuted.total_accesses

@@ -27,15 +27,31 @@ class TestRoundWindow:
 class TestKernelResult:
     def test_access_counting(self):
         result = KernelResult(num_warps=1)
-        result.count_access(AccessKind.TABLE_LOAD, 10)
-        result.count_access(AccessKind.TABLE_LOAD, 10)
-        result.count_access(AccessKind.INPUT_LOAD, 0)
-        result.count_access(AccessKind.OUTPUT_STORE, None)
+        result.count_accesses(0, AccessKind.TABLE_LOAD, 10, 1)
+        result.count_accesses(0, AccessKind.TABLE_LOAD, 10, 1)
+        result.count_accesses(0, AccessKind.INPUT_LOAD, 0, 1)
+        result.count_accesses(0, AccessKind.OUTPUT_STORE, None, 1)
         assert result.total_accesses == 4
         assert result.table_accesses == 2
         assert result.last_round_accesses == 2
         # IO never pollutes the per-round table-load buckets.
         assert result.round_accesses == {10: 2}
+
+    def test_last_round_byte_accesses(self):
+        # Load j of every warp's round 10 is ciphertext byte j, whatever
+        # order the warps' instructions interleave in.
+        result = KernelResult(num_warps=2)
+        result.count_accesses(1, AccessKind.TABLE_LOAD, 10, 4)
+        result.count_accesses(0, AccessKind.TABLE_LOAD, 10, 2)
+        result.count_accesses(0, AccessKind.TABLE_LOAD, 9, 7)
+        result.count_accesses(0, AccessKind.TABLE_LOAD, 10, 3)
+        result.count_accesses(1, AccessKind.TABLE_LOAD, 10, 1)
+        result.count_accesses(1, AccessKind.OUTPUT_STORE, None, 5)
+        assert result.last_round_loads == {0: [2, 3], 1: [4, 1]}
+        assert result.last_round_byte_accesses == [6, 4]
+        assert sum(result.last_round_byte_accesses) \
+            == result.last_round_accesses
+        assert KernelResult(num_warps=1).last_round_byte_accesses == []
 
     def test_round_span_across_warps(self):
         result = KernelResult(num_warps=2)

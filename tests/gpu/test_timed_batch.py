@@ -56,6 +56,7 @@ def assert_kernel_results_equal(golden, batched):
     assert batched.warp_finish == golden.warp_finish
     assert batched.access_counts == golden.access_counts
     assert batched.round_accesses == golden.round_accesses
+    assert batched.last_round_loads == golden.last_round_loads
     golden_windows = sorted((key, w.start, w.end)
                             for key, w in golden.round_windows.items())
     batched_windows = sorted((key, w.start, w.end)
@@ -553,3 +554,30 @@ class TestEngineSelection:
                                  batched_timing=True)
         simulator.run([WarpProgram(warp_id=0, num_threads=32)], {0: [0] * 32})
         assert simulator._timed_core is None
+
+    def test_the_journal_names_the_engine_that_runs(self, tmp_path,
+                                                    core_runs):
+        # Telemetry keeps timed launches on the event engine, so an
+        # instrumented timed phase journals "event"; the counts core
+        # records telemetry itself, so counts phases stay "batched".
+        from repro.telemetry import Telemetry
+        from repro.telemetry.journal import RunJournal
+
+        policy = make_policy("rss_rts", 8)
+        engines = {}
+        for instrumented in (False, True):
+            journal = RunJournal(tmp_path / f"{instrumented}.jsonl")
+            ctx = ExperimentContext(
+                root_seed=2018, samples=2, journal=journal,
+                telemetry=Telemetry() if instrumented else None)
+            collect_records(ctx, policy, 2)
+            collect_records(ctx, policy, 2, counts_only=True)
+            engines[instrumented] = [
+                (event["counts_only"], event["engine"])
+                for event in journal.read() if event["kind"] == "phase_start"]
+        assert engines == {
+            False: [(False, "batched_timing"), (True, "batched")],
+            True: [(False, "event"), (True, "batched")],
+        }
+        # Only the uninstrumented timed phase reached the core.
+        assert core_runs == [True, True]

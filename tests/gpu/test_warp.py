@@ -1,15 +1,22 @@
-"""Tests for warp program construction from AES traces."""
+"""Tests for warp program construction from AES lookup indices."""
 
+import numpy as np
 import pytest
 
+from repro.aes.batch import encrypt_batch
 from repro.aes.key_schedule import NUM_ROUNDS
 from repro.aes.ttable import LOOKUPS_PER_ROUND, TTableAES
 from repro.errors import ConfigurationError
-from repro.gpu.address import AddressMap
-from repro.gpu.config import GPUConfig
+from repro.gpu.address import (
+    CIPHERTEXT_REGION_BASE,
+    PLAINTEXT_REGION_BASE,
+    AddressMap,
+    PermutedAddressMap,
+)
 from repro.gpu.request import AccessKind
 from repro.gpu.warp import ComputeInstruction, MemoryInstruction, \
     build_warp_programs
+from repro.rng import RngStream
 
 
 @pytest.fixture
@@ -17,21 +24,68 @@ def address_map(gpu_config):
     return AddressMap(gpu_config)
 
 
+def lines_for(num_lines: int):
+    return [bytes([line % 256]) * 16 for line in range(num_lines)]
+
+
+def indices_for(num_lines: int, key: bytes = bytes(16)):
+    """The (lines, 10, 16) lookup indices of ``lines_for(num_lines)``."""
+    lines = np.frombuffer(b"".join(lines_for(num_lines)), dtype=np.uint8)
+    return encrypt_batch(key, lines.reshape(num_lines, 16))[1]
+
+
 def traces_for(num_lines: int, key: bytes = bytes(16)):
+    """The scalar reference traces of the same lines."""
     aes = TTableAES(key)
-    return [aes.encrypt(bytes([line % 256]) * 16)
-            for line in range(num_lines)]
+    return [aes.encrypt(line) for line in lines_for(num_lines)]
+
+
+def reference_program(traces, address_map, warp_id, warp_size=32,
+                      round_compute_cycles=40):
+    """One warp's instructions, walked out of scalar traces lane by lane
+    and resolved through ``AddressMap.table_entry_address``."""
+    warp_traces = traces[warp_id * warp_size:(warp_id + 1) * warp_size]
+    threads = len(warp_traces)
+    active = (None if threads == warp_size
+              else tuple(tid < threads for tid in range(warp_size)))
+
+    def lanes(per_thread):
+        return tuple(per_thread[min(tid, threads - 1)]
+                     for tid in range(warp_size))
+
+    def io(base):
+        return lanes([address_map.line_address(base, warp_id * warp_size + t)
+                      for t in range(threads)])
+
+    instructions = [MemoryInstruction(io(PLAINTEXT_REGION_BASE),
+                                      AccessKind.INPUT_LOAD, 0,
+                                      request_size=16, active_mask=active)]
+    for round_index in range(1, NUM_ROUNDS + 1):
+        instructions.append(ComputeInstruction(round_compute_cycles,
+                                               round_index))
+        for k in range(LOOKUPS_PER_ROUND):
+            instructions.append(MemoryInstruction(
+                lanes([address_map.table_entry_address(
+                    *trace.rounds[round_index - 1].lookups[k])
+                    for trace in warp_traces]),
+                AccessKind.TABLE_LOAD, round_index, request_size=4,
+                active_mask=active))
+    instructions.append(MemoryInstruction(io(CIPHERTEXT_REGION_BASE),
+                                          AccessKind.OUTPUT_STORE, None,
+                                          is_write=True, request_size=16,
+                                          active_mask=active))
+    return instructions
 
 
 class TestStructure:
     def test_one_warp_per_32_lines(self, address_map):
-        programs = build_warp_programs(traces_for(96), address_map)
+        programs = build_warp_programs(indices_for(96), address_map)
         assert len(programs) == 3
         assert [p.warp_id for p in programs] == [0, 1, 2]
         assert all(p.num_threads == 32 for p in programs)
 
     def test_instruction_counts(self, address_map):
-        program = build_warp_programs(traces_for(32), address_map)[0]
+        program = build_warp_programs(indices_for(32), address_map)[0]
         computes = [i for i in program.instructions
                     if isinstance(i, ComputeInstruction)]
         memories = [i for i in program.instructions
@@ -41,20 +95,20 @@ class TestStructure:
         assert len(memories) == 1 + NUM_ROUNDS * LOOKUPS_PER_ROUND + 1
 
     def test_io_can_be_disabled(self, address_map):
-        program = build_warp_programs(traces_for(32), address_map,
+        program = build_warp_programs(indices_for(32), address_map,
                                       include_io=False)[0]
         kinds = {i.kind for i in program.instructions
                  if isinstance(i, MemoryInstruction)}
         assert kinds == {AccessKind.TABLE_LOAD}
 
     def test_round_memory_instruction_lookup(self, address_map):
-        program = build_warp_programs(traces_for(32), address_map)[0]
+        program = build_warp_programs(indices_for(32), address_map)[0]
         last = program.round_memory_instructions(NUM_ROUNDS)
         assert len(last) == LOOKUPS_PER_ROUND
         assert all(i.kind is AccessKind.TABLE_LOAD for i in last)
 
     def test_store_is_outside_round_windows(self, address_map):
-        program = build_warp_programs(traces_for(32), address_map)[0]
+        program = build_warp_programs(indices_for(32), address_map)[0]
         stores = [i for i in program.instructions
                   if isinstance(i, MemoryInstruction) and i.is_write]
         assert len(stores) == 1
@@ -62,13 +116,14 @@ class TestStructure:
 
     def test_empty_traces_rejected(self, address_map):
         with pytest.raises(ConfigurationError):
-            build_warp_programs([], address_map)
+            build_warp_programs(np.empty((0, NUM_ROUNDS, LOOKUPS_PER_ROUND),
+                                         dtype=np.uint8), address_map)
 
 
 class TestAddresses:
     def test_table_loads_match_trace_indices(self, address_map):
         traces = traces_for(32)
-        program = build_warp_programs(traces, address_map)[0]
+        program = build_warp_programs(indices_for(32), address_map)[0]
         loads = program.round_memory_instructions(NUM_ROUNDS)
         for k, load in enumerate(loads):
             for tid in range(32):
@@ -79,7 +134,7 @@ class TestAddresses:
     def test_lockstep_ordering(self, address_map):
         """The k-th load gathers the k-th lookup of EVERY thread."""
         traces = traces_for(32)
-        program = build_warp_programs(traces, address_map)[0]
+        program = build_warp_programs(indices_for(32), address_map)[0]
         round1 = program.round_memory_instructions(1)
         for k, load in enumerate(round1):
             tables = {traces[tid].rounds[0].lookups[k][0]
@@ -89,7 +144,7 @@ class TestAddresses:
 
 class TestPartialWarps:
     def test_partial_warp_has_active_mask(self, address_map):
-        programs = build_warp_programs(traces_for(40), address_map)
+        programs = build_warp_programs(indices_for(40), address_map)
         assert programs[0].num_threads == 32
         assert programs[1].num_threads == 8
         last_loads = programs[1].round_memory_instructions(NUM_ROUNDS)
@@ -99,6 +154,28 @@ class TestPartialWarps:
         assert len(last_loads[0].addresses) == 32  # padded to warp width
 
     def test_full_warp_has_no_mask(self, address_map):
-        program = build_warp_programs(traces_for(32), address_map)[0]
+        program = build_warp_programs(indices_for(32), address_map)[0]
         loads = program.round_memory_instructions(1)
         assert loads[0].active_mask is None
+
+
+class TestScalarReference:
+    """Programs gathered from ``encrypt_batch`` indices equal programs
+    walked out of scalar ``TTableAES`` traces, instruction for
+    instruction."""
+
+    @pytest.mark.parametrize("num_lines", [32, 40, 96])
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_matches_scalar_traces(self, gpu_config, num_lines, permuted):
+        address_map = (PermutedAddressMap(gpu_config, RngStream(13, "addr"))
+                       if permuted else AddressMap(gpu_config))
+        key = bytes(range(16))
+        traces = traces_for(num_lines, key)
+        programs = build_warp_programs(indices_for(num_lines, key),
+                                       address_map)
+        assert len(programs) == -(-num_lines // 32)
+        for program in programs:
+            assert program.instructions == reference_program(
+                traces, address_map, program.warp_id)
+            assert program.num_threads == min(32, num_lines
+                                              - 32 * program.warp_id)

@@ -2,12 +2,19 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.aes.batch import encrypt_batch
 from repro.aes.key_schedule import NUM_ROUNDS, last_round_key
 from repro.aes.modes import encrypt_lines
+from repro.aes.ttable import TTableAES
 from repro.core.policies import RSSPolicy, make_policy
-from repro.errors import ConfigurationError
+from repro.core.selective import SelectiveRCoalPolicy
+from repro.errors import BlockSizeError, ConfigurationError
+from repro.experiments.base import ExperimentContext, collect_records
+from repro.gpu.coalescer import CoalescingUnit
+from repro.gpu.warp import build_warp_programs
 from repro.rng import RngStream
 from repro.workloads.plaintext import random_plaintexts
 from repro.workloads.server import EncryptionServer
@@ -114,6 +121,71 @@ class TestCountsOnlyMode:
                                   counts_only=True)
         with pytest.raises(ConfigurationError):
             server.encrypt(b"")
+
+    @pytest.mark.parametrize("counts_only", [False, True])
+    @pytest.mark.parametrize("plaintext, error", [
+        (b"", ConfigurationError), (bytes(40), BlockSizeError)])
+    def test_malformed_plaintexts_raise_in_both_modes(
+            self, test_key, counts_only, plaintext, error):
+        server = EncryptionServer(test_key, make_policy("baseline"),
+                                  counts_only=counts_only)
+        with pytest.raises(error) as raised:
+            server.encrypt(plaintext)
+        assert type(raised.value) is error
+
+
+class TestPerByteCounts:
+    """Round-10 counts per ciphertext byte come from the engine that
+    simulated the launch."""
+
+    @pytest.mark.parametrize("policy_name",
+                             ["baseline", "fss", "rss_rts", "selective"])
+    @pytest.mark.parametrize("lines", [32, 40, 96])
+    def test_event_engine_counts_each_round_ten_load(self, test_key,
+                                                     policy_name, lines):
+        policy = (SelectiveRCoalPolicy(make_policy("rss", 4))
+                  if policy_name == "selective"
+                  else make_policy(policy_name, 4))
+        server = EncryptionServer(test_key, policy,
+                                  rng=RngStream(9, "victim"),
+                                  retain_kernel_results=True,
+                                  batched_timing=False)
+        plaintext = random_plaintexts(1, lines, RngStream(5, "pt"))[0]
+        record = server.encrypt(plaintext)
+
+        # Recount every warp's round-10 loads through a fresh unit.
+        indices = encrypt_batch(
+            test_key, np.frombuffer(plaintext, dtype=np.uint8)
+            .reshape(lines, 16))[1]
+        expected = {}
+        for program in build_warp_programs(indices, server.gpu.address_map):
+            partition = record.partitions[program.warp_id]
+            sids = (partition.assignment_for_round(NUM_ROUNDS)
+                    if hasattr(partition, "assignment_for_round")
+                    else partition.assignment)
+            unit = CoalescingUnit(server.gpu.config.access_bytes)
+            expected[program.warp_id] = [
+                sum(len(group.block_addresses) for group in unit.coalesce(
+                    load.addresses, sids, active_mask=load.active_mask))
+                for load in program.round_memory_instructions(NUM_ROUNDS)]
+        assert record.kernel_result.last_round_loads == expected
+        assert record.last_round_byte_accesses \
+            == [sum(counts) for counts in zip(*expected.values())]
+
+    def test_default_timed_phase_calls_no_scalar_aes(self, monkeypatch):
+        calls = []
+        encrypt = TTableAES.encrypt
+
+        def spy(self, plaintext):
+            calls.append(plaintext)
+            return encrypt(self, plaintext)
+
+        monkeypatch.setattr(TTableAES, "encrypt", spy)
+        _, records = collect_records(
+            ExperimentContext(root_seed=2018, samples=2),
+            make_policy("rss_rts", 8), 2)
+        assert all(record.total_time > 0 for record in records)
+        assert calls == []
 
 
 class TestPolicyVisibility:
