@@ -7,9 +7,11 @@ as numpy array arithmetic over a whole *batch* of launches:
 
 1. :func:`repro.aes.batch.encrypt_batch` produces the ciphertexts and the
    per-round table indices of all lines of all samples at once;
-2. table indices gather through a precomputed ``(table, index) -> block``
-   grid (derived from the server's address map, so permuted layouts work
-   unchanged) into one ``(samples, lanes, instructions)`` block matrix;
+2. :func:`repro.gpu.warp.lane_addresses` gathers them through the address
+   map's cached table-entry grid and line addresses (so permuted layouts
+   work unchanged) into one ``(samples, warps, instructions, lanes)``
+   address array, the one the timed front end uses too, and
+   :func:`repro.gpu.warp.lane_sids` gives every lane's subwarp id;
 3. each lane's ``(block, sid)`` pair is packed into one int64 key,
    ``(block << 8) | sid`` (subwarp ids are lane indices, below 256), and
    distinct pairs per (warp, instruction) are counted by sorting along the
@@ -29,22 +31,26 @@ engine's counts (see ``tests/gpu/test_batched`` and
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.aes.batch import encrypt_batch, table_id_grid
+from repro.aes.batch import encrypt_batch
 from repro.aes.key_schedule import NUM_ROUNDS
 from repro.aes.ttable import LOOKUPS_PER_ROUND
 from repro.errors import BlockSizeError, ConfigurationError
-from repro.gpu.address import CIPHERTEXT_REGION_BASE, PLAINTEXT_REGION_BASE
+from repro.gpu.warp import (KERNEL_COLUMNS, MemoryInstruction,
+                            kernel_skeleton, lane_addresses, lane_sids)
 from repro.rng import RngStream
 from repro.workloads.server import EncryptionRecord, EncryptionServer
 
 __all__ = ["BatchedCountsCore"]
 
-#: Memory instructions per warp: input load + 10x16 table loads + store.
-_NCOLS = 2 + NUM_ROUNDS * LOOKUPS_PER_ROUND
+#: The round of each memory instruction of the AES kernel, in program
+#: order: the input load is round 0, the output store sits outside any
+#: round (None, resolved like the engine's sid-map default).
+_COLUMN_ROUNDS = [ins.round_index for ins in kernel_skeleton()
+                  if isinstance(ins, MemoryInstruction)]
 
 #: Soft cap on the per-slab key matrix (bytes); batches larger than this
 #: are processed in sample slabs so Fig 18-scale sweeps stay in-cache.
@@ -73,43 +79,9 @@ class BatchedCountsCore:
         self._key = server.secret_key
         self.warp_size = config.warp_size
         self._block_mask = ~(config.access_bytes - 1)
-        address_map = server.gpu.address_map
-        self._address_map = address_map
-        # (5, 256) block address of each table entry, through the server's
-        # address map (a permuted map changes these — and nothing else).
-        self._table_blocks = np.array(
-            [[address_map.table_entry_address(t, i) & self._block_mask
-              for i in range(256)] for t in range(5)],
-            dtype=np.int64,
-        )
-        # round of each instruction column: input load is round 0, the
-        # output store sits outside any round (None -> resolved like the
-        # engine's sid-map default).
-        self._col_rounds: List[Optional[int]] = (
-            [0]
-            + [r for r in range(1, NUM_ROUNDS + 1)
-               for _ in range(LOOKUPS_PER_ROUND)]
-            + [None]
-        )
-        self._line_blocks: Dict[int, np.ndarray] = {}
+        self._address_map = server.gpu.address_map
 
     # -- internals ---------------------------------------------------------
-
-    def _io_blocks(self, num_lines: int) -> np.ndarray:
-        """(2, num_lines) input/output line block addresses (cached)."""
-        cached = self._line_blocks.get(num_lines)
-        if cached is None:
-            line_address = self._address_map.line_address
-            mask = self._block_mask
-            cached = np.array(
-                [[line_address(PLAINTEXT_REGION_BASE, line) & mask
-                  for line in range(num_lines)],
-                 [line_address(CIPHERTEXT_REGION_BASE, line) & mask
-                  for line in range(num_lines)]],
-                dtype=np.int64,
-            )
-            self._line_blocks[num_lines] = cached
-        return cached
 
     def _draw_partitions(self, num_warps: int, rng: Optional[RngStream]):
         """One partition per warp, in warp order — the exact RNG
@@ -117,47 +89,11 @@ class BatchedCountsCore:
         policy = self.policy
         return {warp_id: policy.draw(rng) for warp_id in range(num_warps)}
 
-    def _sid_matrix(self, partitions, num_warps: int,
-                    round_aware: bool) -> np.ndarray:
-        """Per-lane sid matrix for one sample.
-
-        Returns ``(lanes,)`` when every partition is round-invariant, or
-        ``(lanes, ncols)`` when partitions resolve per round (selective
-        RCoal).
-        """
-        if not round_aware:
-            return np.array(
-                [partitions[w].assignment for w in range(num_warps)],
-                dtype=np.int64,
-            ).reshape(-1)
-        distinct_rounds = sorted(
-            {r for r in self._col_rounds if r is not None}
-        )
-        col_of_round = {r: i for i, r in enumerate(distinct_rounds)}
-        col_index = np.array(
-            [len(distinct_rounds) if r is None else col_of_round[r]
-             for r in self._col_rounds],
-            dtype=np.int64,
-        )
-        per_warp = []
-        for w in range(num_warps):
-            partition = partitions[w]
-            if hasattr(partition, "assignment_for_round"):
-                rows = [partition.assignment_for_round(r)
-                        for r in distinct_rounds]
-                rows.append(partition.assignment_for_round(None))
-            else:
-                rows = [partition.assignment] * (len(distinct_rounds) + 1)
-            # (rounds+1, warp_size) -> per-column sids (warp_size, ncols)
-            table = np.array(rows, dtype=np.int64)
-            per_warp.append(table[col_index].T)
-        return np.concatenate(per_warp, axis=0)  # (lanes, ncols)
-
     @staticmethod
     def _distinct_along_last_axis(values: np.ndarray) -> np.ndarray:
         """Distinct value count along the last axis (sort + transitions)."""
         ordered = np.sort(values, axis=-1)
-        return (np.diff(ordered, axis=-1) != 0).sum(axis=-1) + 1
+        return (ordered[..., 1:] != ordered[..., :-1]).sum(axis=-1) + 1
 
     def _record_metrics(self, counts: np.ndarray,
                         subwarps: np.ndarray) -> None:
@@ -226,7 +162,7 @@ class BatchedCountsCore:
         num_warps = -(-num_lines // warp_size)
         lanes = num_warps * warp_size
 
-        per_sample_bytes = lanes * _NCOLS * 8
+        per_sample_bytes = lanes * KERNEL_COLUMNS * 8
         slab_samples = max(1, _SLAB_KEY_BYTES // per_sample_bytes)
 
         records: List[EncryptionRecord] = []
@@ -242,7 +178,6 @@ class BatchedCountsCore:
     def _encrypt_slab(self, plaintexts, rngs, num_lines: int,
                       num_warps: int, on_record) -> List[EncryptionRecord]:
         warp_size = self.warp_size
-        lanes = num_warps * warp_size
         slab = len(plaintexts)
 
         # Policy draws, sample by sample, warp by warp — RNG parity.
@@ -255,68 +190,27 @@ class BatchedCountsCore:
         indices = indices.reshape(slab, num_lines, NUM_ROUNDS,
                                   LOOKUPS_PER_ROUND)
 
-        # Per-thread block address of every memory instruction column.
-        io_blocks = self._io_blocks(num_lines)
-        blocks = np.empty((slab, num_lines, _NCOLS), dtype=np.int64)
-        blocks[:, :, 0] = io_blocks[0]
-        blocks[:, :, -1] = io_blocks[1]
-        blocks[:, :, 1:-1] = self._table_blocks[
-            table_id_grid()[None, None], indices
-        ].reshape(slab, num_lines, NUM_ROUNDS * LOOKUPS_PER_ROUND)
-
-        # Pack (block, sid) into one key per lane —
-        # ``((address & mask) << 8) | sid`` — and pad a partial final warp
-        # by repeating the last real thread's keys, which merges into that
-        # thread's (block, sid) pair exactly like skipping inactive lanes.
-        round_aware = any(
-            hasattr(partitions[s][w], "assignment_for_round")
-            for s in range(slab) for w in range(num_warps)
-        )
-        sids = np.stack([
-            self._sid_matrix(partitions[s], num_warps, round_aware)
-            for s in range(slab)
-        ])
-        if round_aware:
-            thread_sids = sids[:, :num_lines, :]       # (slab, N, ncols)
-        else:
-            thread_sids = sids[:, :num_lines, None]    # (slab, N, 1)
-        keys = np.empty((slab, lanes, _NCOLS), dtype=np.int64)
-        keys[:, :num_lines] = (blocks << 8) | thread_sids
-        if lanes > num_lines:
-            keys[:, num_lines:] = keys[:, num_lines - 1:num_lines]
-
-        counts = self._distinct_along_last_axis(
-            keys.reshape(slab, num_warps, warp_size, _NCOLS)
-                .swapaxes(2, 3)
-        )  # (slab, num_warps, ncols)
+        # Pack (block, sid) into one key per lane,
+        # ``((address & mask) << 8) | sid``. The lanes of a partial final
+        # warp repeat its last thread's address and sid, which merges into
+        # that thread's (block, sid) pair exactly like skipping them.
+        sids = lane_sids(
+            [{warp_id: partition.assignment
+              for warp_id, partition in drawn.items()}
+             for drawn in partitions],
+            num_warps, num_lines, _COLUMN_ROUNDS, warp_size)
+        keys = lane_addresses(indices, self._address_map, warp_size)
+        keys &= self._block_mask
+        keys <<= 8
+        keys |= sids
+        counts = self._distinct_along_last_axis(keys)  # (slab, warps, ncols)
+        del keys
 
         if self.telemetry.enabled:
-            # Distinct sids among active lanes, per instruction; padded
-            # lanes repeat the last active lane's sid (merging harmlessly,
-            # as above).
-            if round_aware:
-                sid_lanes = np.empty((slab, lanes, _NCOLS), dtype=np.int64)
-                sid_lanes[:, :num_lines] = sids[:, :num_lines]
-                if lanes > num_lines:
-                    sid_lanes[:, num_lines:] = \
-                        sid_lanes[:, num_lines - 1:num_lines]
-                subwarps = self._distinct_along_last_axis(
-                    sid_lanes.reshape(slab, num_warps, warp_size, _NCOLS)
-                             .swapaxes(2, 3)
-                )
-            else:
-                sid_lanes = np.empty((slab, lanes), dtype=np.int64)
-                sid_lanes[:, :num_lines] = sids[:, :num_lines]
-                if lanes > num_lines:
-                    sid_lanes[:, num_lines:] = \
-                        sid_lanes[:, num_lines - 1:num_lines]
-                per_warp = self._distinct_along_last_axis(
-                    sid_lanes.reshape(slab, num_warps, warp_size)
-                )  # (slab, num_warps)
-                subwarps = np.broadcast_to(
-                    per_warp[:, :, None], counts.shape
-                )
-            self._record_metrics(counts, subwarps)
+            # Distinct sids among active lanes, per instruction (a
+            # round-invariant map has one row for every instruction).
+            self._record_metrics(counts, np.broadcast_to(
+                self._distinct_along_last_axis(sids), counts.shape))
 
         totals = counts.sum(axis=(1, 2))
         table_counts = counts[:, :, 1:-1].reshape(

@@ -11,6 +11,15 @@ The engine is policy-agnostic: it consumes only a ``sid_map`` per warp (the
 thread → subwarp-id assignment of Fig 11). Policies that produce those maps
 live in :mod:`repro.core.policies`, keeping the substrate reusable.
 
+:class:`GPUSimulator` is also where the engine is chosen. An uninstrumented
+simulator on the stock or permuted address map hands its launches to the
+batched exact-timing core (:mod:`repro.gpu.timed_batch`): :meth:`GPUSimulator.run`
+one launch of warp programs, :meth:`GPUSimulator.run_samples` a whole
+:class:`~repro.gpu.warp.SampleBatch` of same-shape launches (how every timed
+AES sample arrives). Launches the core does not cover, and every launch of
+an instrumented simulator or one built with ``batched_timing=False``, run
+here event by event, one launch at a time.
+
 Event kinds, in processing order per cycle: warp issue, coalescer egress
 ("inject"), partition arrival, DRAM completion, reply delivery. Events are
 totally ordered by (cycle, sequence number), so runs are deterministic.
@@ -21,7 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.gpu.address import AddressMap
@@ -32,7 +41,7 @@ from repro.gpu.interconnect import Crossbar
 from repro.gpu.request import MemoryAccess
 from repro.gpu.scheduler import SchedulerSet
 from repro.gpu.stats import KernelResult, RoundWindow
-from repro.gpu.warp import ComputeInstruction, WarpProgram
+from repro.gpu.warp import ComputeInstruction, SampleBatch, WarpProgram
 from repro.telemetry import PID_ICNT, Telemetry, get_logger
 
 __all__ = ["GPUSimulator", "KernelResult", "RoundAwareSidMap"]
@@ -133,22 +142,22 @@ class GPUSimulator:
         self._timed_core = None
         self._timed_core_resolved = False
 
-    def _resolve_timed_core(self):
-        """Resolve the wavefront-batched core once, lazily.
+    def _core(self):
+        """The batched timing core, resolved once, lazily; None when every
+        launch runs on the event engine.
 
         The core only covers uninstrumented launches; any launch it
         cannot reproduce exactly raises ``UnsupportedLaunch`` at run time
-        and we fall back to the event path for that launch.
+        and falls back to the event path.
         """
-        self._timed_core_resolved = True
-        if not self._batched_timing:
-            return
-        if self.telemetry.enabled:
-            return
-        from repro.gpu.timed_batch import BatchedTimingCore
+        if not self._timed_core_resolved:
+            self._timed_core_resolved = True
+            if self._batched_timing and not self.telemetry.enabled:
+                from repro.gpu.timed_batch import BatchedTimingCore
 
-        self._timed_core = BatchedTimingCore.try_create(
-            self.config, self.address_map)
+                self._timed_core = BatchedTimingCore.try_create(
+                    self.config, self.address_map)
+        return self._timed_core
 
     def run(
         self,
@@ -168,19 +177,45 @@ class GPUSimulator:
         """
         if not programs:
             raise ConfigurationError("a kernel launch needs at least one warp")
-
-        if not self._timed_core_resolved:
-            self._resolve_timed_core()
-        if self._timed_core is not None:
+        core = self._core()
+        if core is not None:
             from repro.gpu.timed_batch import UnsupportedLaunch
 
             try:
-                return self._timed_core.run(programs, sid_maps)
+                return core.run(programs, sid_maps)
             except UnsupportedLaunch:
                 # The core mutated no engine-visible state; replay the
                 # launch on the event path from scratch.
                 pass
+        return self._simulate(programs, sid_maps)
 
+    def run_samples(self, batch: SampleBatch) -> Iterator[KernelResult]:
+        """Simulate every launch of a :class:`SampleBatch`; yields their
+        results in order.
+
+        The timing core takes the whole batch when it can. Without a core
+        (instrumented runs, ``batched_timing=False``, an address map the
+        core cannot decode) each launch is one :meth:`run`; when the core
+        declines the batch, each is replayed on the event engine. On the
+        event engine each result is yielded as its launch finishes, so a
+        caller reports progress launch by launch.
+        """
+        core = self._core()
+        if core is None:
+            return (self.run(batch.programs(s), batch.sid_maps[s])
+                    for s in range(batch.num_samples))
+        from repro.gpu.timed_batch import UnsupportedLaunch
+
+        try:
+            return iter(core.run_samples(batch))
+        except UnsupportedLaunch:
+            # Nothing the core computed is kept.
+            return (self._simulate(batch.programs(s), batch.sid_maps[s])
+                    for s in range(batch.num_samples))
+
+    def _simulate(self, programs: Sequence[WarpProgram],
+                  sid_maps: Mapping[int, Sequence[int]]) -> KernelResult:
+        """The event engine: simulate one launch event by event."""
         config = self.config
         telemetry = self.telemetry
         # Resolved once per launch: None on the uninstrumented hot path, so

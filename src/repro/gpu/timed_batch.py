@@ -1,8 +1,22 @@
-"""Batched exact timing engine: wavefront replay and calendar replay.
+"""Batched exact timing engine: sample-axis wavefront replay and calendar
+replay.
 
 :class:`BatchedTimingCore` produces the *same* :class:`KernelResult` as the
 discrete-event engine (:class:`repro.gpu.engine.GPUSimulator`) without its
-heap, ``MemoryAccess`` objects or component instances. It has two paths.
+heap, ``MemoryAccess`` objects or component instances. It takes launches
+two ways: :meth:`~BatchedTimingCore.run_samples`, a
+:class:`~repro.gpu.warp.SampleBatch` of equal-shape launches held as lane
+arrays (every timed AES launch arrives this way, one slab of a phase's
+samples at a time), and :meth:`~BatchedTimingCore.run`, one launch of
+raw :class:`~repro.gpu.warp.WarpProgram` objects.
+
+**One coalescer.** Both entries feed every memory instruction of every
+launch to :meth:`~BatchedTimingCore._coalesce` as rows of lane addresses
+and subwarp ids. Two row-wise sorts of packed integer keys give each
+row's accesses in the engine's generation order (groups ascending by sid,
+blocks in first-touch thread order within a group: the contract of
+``CoalescingUnit.coalesce``), and their DRAM coordinates follow in one
+vectorized decode.
 
 **Calendar replay: the exactness argument.** The core runs the event
 engine's own handlers on plain ints and lists, in the engine's own event
@@ -11,22 +25,27 @@ being processed, and ``seq`` is push order, so one FIFO list per cycle,
 drained front to back while handlers append to it, pops events in exactly
 the heap's ``(cycle, seq)`` order. No tie rule is re-derived. Multi-warp
 launches, where other warps' traffic is in flight at every barrier, take
-this path, and so does every single-warp launch the wavefront path hands
-off.
+this path, one launch at a time, and so does every single-warp launch the
+wavefront path hands off.
 
-**Wavefront replay: a closed-form accelerator for one warp.** Within one
-warp, loads stay in flight and only
+**Wavefront replay: a closed-form accelerator for single warps, run for
+all samples at once.** Within one warp, loads stay in flight and only
 :class:`~repro.gpu.warp.ComputeInstruction` waits on ``outstanding == 0``,
 so the issue stream between two compute barriers is memory-independent:
 the issue/coalesce/inject timestamps of every access in that *wavefront*
 are pure scheduler arithmetic. When the barrier resolves, every load of
 the wavefront has replied, so a wavefront normally meets an idle memory
 system (bank row state, bus recurrences and crossbar ports carry over as
-plain integers), and the launch is an alternation of vectorized issue
-phases and independent per-partition FR-FCFS replays. Partitions whose
-accesses all hit open rows serve them in FIFO order in closed form; the
-others run the FR-FCFS loop. The reply port needs only the *multiset* of
-completion cycles, which same-cycle completions cannot change.
+plain integers). Launches of one shape share the wavefront boundaries,
+and single-warp launches share no state, so each wavefront is replayed
+once for every launch of the batch: issue arithmetic over ``(samples,)``
+vectors, then the forward-crossbar recurrence, the all-row-hit closed
+forms and the DRAM statistics over ``(sample, partition)`` segments of
+one flat access array, with bank, bus and port state held as
+``(samples, partitions, banks)`` arrays. Segments whose accesses all hit
+open rows serve them in FIFO order in closed form; only the others run
+the per-access FR-FCFS loop. The reply port needs only the *multiset* of
+a launch's completion cycles, which same-cycle completions cannot change.
 
 **Hand-offs.** The wavefront path decides every event order from cycles
 alone. An event pushed by a parent that ran on an earlier cycle runs
@@ -35,8 +54,9 @@ queued before the slot's decision when its parent (the inject) ran before
 the slot's parent (the last decision), and after it when it ran later.
 A warp whose last reply lands on the cycle its barrier is reached
 resumes on that cycle either way. Where cycles cannot settle an order,
-the path raises a private exception naming the reason, and :meth:`run`
-replays the launch from scratch on the calendar:
+the launch leaves the batch, alone, and is replayed from scratch on the
+calendar; :attr:`BatchedTimingCore.handoffs` counts the launches handed
+off per reason:
 
 * an arrival and a pending command-slot event on one cycle whose parents
   also ran on one cycle;
@@ -53,10 +73,13 @@ Coverage contract: with telemetry disabled, the core handles every launch
 the event engine simulates on the stock or the permuted address map: any
 warp count, partial warps, stores, ``RoundAwareSidMap`` selective maps,
 and warps sharing an SM. It raises :class:`UnsupportedLaunch`, and the
-caller replays the launch on the event engine, for:
+caller replays the launch (or every launch of the batch) on the event
+engine, for:
 
 * instrumented runs (the simulator never builds the core for them);
-* any other address map class, whose decode only the engine can call;
+* any other address map class, whose decode only the engine can call,
+  and an access size that is not a power of two, which the engine's
+  coalescing unit rejects;
 * a launch on the calendar replay with a negative-cycle compute
   instruction, whose warp event the engine would push into the past;
 * a negative address: its DRAM row can be -1, the core's closed-row
@@ -72,18 +95,21 @@ queue) the core raises with the engine's message.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import List, Mapping, Optional, Sequence
+from collections import Counter, defaultdict
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.aes.key_schedule import NUM_ROUNDS
 from repro.errors import ProtocolError
 from repro.gpu.address import AddressMap, PermutedAddressMap
 from repro.gpu.config import GPUConfig
 from repro.gpu.dram import DramStats
 from repro.gpu.engine import RoundAwareSidMap
+from repro.gpu.request import AccessKind
 from repro.gpu.stats import KernelResult, RoundWindow
-from repro.gpu.warp import ComputeInstruction, WarpProgram
+from repro.gpu.warp import (ComputeInstruction, SampleBatch, WarpProgram,
+                            lane_sids)
 
 __all__ = ["BatchedTimingCore", "UnsupportedLaunch"]
 
@@ -91,16 +117,11 @@ __all__ = ["BatchedTimingCore", "UnsupportedLaunch"]
 class UnsupportedLaunch(Exception):
     """This launch needs machinery only the event engine has.
 
-    Internal control flow: :meth:`GPUSimulator.run` catches it and re-runs
-    the launch on the event engine. The core mutates no engine-visible
-    state, so the retry starts from scratch.
+    Internal control flow: :meth:`GPUSimulator.run` and
+    :meth:`GPUSimulator.run_samples` catch it and re-run the launch, or
+    every launch of the batch, on the event engine. The core mutates no
+    engine-visible state, so the retry starts from scratch.
     """
-
-
-class _HandOff(Exception):
-    """The wavefront path cannot settle this launch from cycles alone;
-    :meth:`BatchedTimingCore.run` replays it on the calendar. The message
-    names the reason."""
 
 
 #: The engine builds its CoalescingUnit/MemoryController with defaults.
@@ -108,13 +129,32 @@ _PRT_CAPACITY = 64
 _FRFCFS_WINDOW = 64
 _QUEUE_CAPACITY = 65536
 
+#: Sort key of an inactive lane: after every packed key.
+_NO_LANE = np.iinfo(np.int64).max
+
 #: Sentinel for a wavefront with no load yet (identity-compared).
 _UNSET = object()
 
 
+def _segmented_cummax(values: np.ndarray, segment: np.ndarray) -> np.ndarray:
+    """Running maximum of ``values`` restarting at every segment.
+
+    ``segment`` numbers the segments of ``values`` in ascending runs.
+    Shifting segment ``g`` up by ``g`` times the value range puts every
+    value of a later segment above every value of an earlier one, so one
+    running maximum over the whole array never carries across a segment
+    boundary.
+    """
+    if not len(values):
+        return values
+    span = int(values.max()) - int(values.min()) + 1
+    shift = segment * span
+    return np.maximum.accumulate(values + shift) - shift
+
+
 class BatchedTimingCore:
-    """Exact-cycle replay of one kernel launch: the wavefront path for a
-    single warp whose event order cycles settle, the calendar replay for
+    """Exact-cycle replay of kernel launches: the wavefront path for
+    single warps whose event order cycles settle, the calendar replay for
     every other launch (see the module docstring for the coverage
     contract)."""
 
@@ -132,6 +172,9 @@ class BatchedTimingCore:
             # Unknown decode semantics: only the event engine (which calls
             # the map's own methods) can honour them.
             raise UnsupportedLaunch(f"address map {am_type.__name__}")
+        access = config.access_bytes
+        if access & (access - 1):
+            raise UnsupportedLaunch("access size not a power of two")
         self.config = config
         timing = config.dram_timing_core
         self._t_cl = timing.t_cl
@@ -141,12 +184,14 @@ class BatchedTimingCore:
         self._t_ccd = timing.t_ccd
         self._t_rcd = timing.t_rcd
         self._t_burst = timing.t_burst
-        self._reply_flits = 1 + -(-config.access_bytes
-                                  // config.icnt_flit_bytes)
-        self._block_mask = ~(config.access_bytes - 1)
+        self._reply_flits = 1 + -(-access // config.icnt_flit_bytes)
+        self._block_mask = ~(access - 1)
+        self._block_shift = access.bit_length() - 1
         self._chunk = config.partition_chunk_bytes
         self._rows_chunks = config.row_bytes // self._chunk
-        self._reply_next_free = 0
+        #: Launches the wavefront path handed to the calendar replay, by
+        #: reason.
+        self.handoffs: Counter = Counter()
 
     @classmethod
     def try_create(cls, config: GPUConfig,
@@ -173,419 +218,668 @@ class BatchedTimingCore:
             return raw_map.for_round, True
         return tuple(raw_map), False
 
-    # -- launch-wide vectorized coalesce ------------------------------------
+    # -- the one coalescer ---------------------------------------------------
 
-    def _coalesce_program(self, mem_instrs, sid_source, round_aware, W):
-        """Coalesce every memory instruction of one warp at once.
+    def _coalesce(self, addr: np.ndarray, sid: np.ndarray,
+                  active: Optional[np.ndarray] = None):
+        """Coalesce rows of lanes at once.
 
-        Returns per-instruction access counts, offsets and logged lanes
-        plus flat per-access DRAM coordinates (partition, bank, row
-        arrays), all in the engine's exact generation order: groups
-        ascending by sid, blocks in first-touch thread order within a
-        group (the contract of ``CoalescingUnit.coalesce``).
+        ``addr`` holds int64 lane addresses, one row of ``lanes`` per
+        memory instruction (any leading shape); ``sid`` the lanes' subwarp
+        ids, broadcast against it; ``active``, when given, a ``(rows,
+        lanes)`` mask of the lanes that issue. Returns each row's access
+        count and the partition, bank and row of every access: rows in
+        order, and each row's accesses in the engine's generation order.
+
+        The first sort orders each row's lanes by packed ``(block, sid,
+        lane)`` keys, so the first lane of every run of equal ``(block,
+        sid)`` is that access's first touch; the second orders the first
+        touches by ``(sid, lane)``.
         """
-        M = len(mem_instrs)
-        addr_rows = []
-        sid_rows = []
-        masks = []
-        any_mask = False
-        for ins in mem_instrs:
-            if len(ins.addresses) != W:
-                raise UnsupportedLaunch("lane count mismatch")
-            mask = ins.active_mask
-            if mask is not None:
-                if len(mask) != W:
-                    raise UnsupportedLaunch("active mask length mismatch")
-                any_mask = True
-            masks.append(mask)
-            addr_rows.append(ins.addresses)
-            sid_rows.append(sid_source(ins.round_index) if round_aware
-                            else sid_source)
-        addr = np.array(addr_rows, dtype=np.int64)
-        if addr.size and addr.min() < 0:
+        lanes = addr.shape[-1]
+        if addr.size and int(addr.min()) < 0:
             # Row -1 would read as the closed-row sentinel.
             raise UnsupportedLaunch("negative address")
-        sid = np.array(sid_rows, dtype=np.int64)
-        blk = addr & self._block_mask
+        if sid.size and (int(sid.min()) < 0 or int(sid.max()) >> 16):
+            # Rank the sids (order-preserving) so that they pack.
+            sid = np.unique(sid, return_inverse=True)[1].reshape(sid.shape)
+        lane_bits = max(1, (lanes - 1).bit_length())
+        sid_bits = max(1, int(sid.max()).bit_length()) if sid.size else 1
+        key = addr >> self._block_shift
+        if key.size and (int(key.max()).bit_length() + sid_bits
+                         + lane_bits > 62):
+            key = np.unique(key, return_inverse=True)[1].reshape(key.shape)
+        key <<= sid_bits
+        key |= sid
+        addr = addr.reshape(-1, lanes)
+        rows = len(addr)
+        key = key.reshape(rows, lanes)
+        key <<= lane_bits
+        lane = np.arange(lanes, dtype=np.int64)
+        key |= lane
+        if active is not None:
+            key[~active] = _NO_LANE
+        key.sort(axis=1)
+        pair = key >> lane_bits
+        first = np.ones(key.shape, dtype=bool)
+        np.not_equal(pair[:, 1:], pair[:, :-1], out=first[:, 1:])
+        if active is not None:
+            first &= key != _NO_LANE
+        counts = first.sum(axis=1)
+        # Each first touch as (sid, lane), in generation order.
+        pair &= (1 << sid_bits) - 1
+        pair <<= lane_bits
+        key &= (1 << lane_bits) - 1
+        pair |= key
+        del key
+        pair[~first] = _NO_LANE
+        pair.sort(axis=1)
+        taken = pair[lane < counts[:, None]]
+        del pair
+        taken &= (1 << lane_bits) - 1
+        taken += np.repeat(np.arange(0, rows * lanes, lanes), counts)
+        row = addr.ravel()[taken]
+        del taken
 
-        if any_mask:
-            active = np.array(
-                [[True] * W if m is None else m for m in masks], dtype=bool
-            ).ravel()
-            flat = np.nonzero(active)[0]
-        else:
-            flat = np.arange(M * W, dtype=np.int64)
-        r = flat // W
-        t = flat - r * W
-        b = blk.ravel()[flat]
-        s = sid.ravel()[flat]
-        logged = np.bincount(r, minlength=M)
-
-        # First-touch thread per (instruction, sid, block), then the final
-        # generation order (instruction, sid asc, first-touch asc).
-        order = np.lexsort((t, b, s, r))
-        r1, s1, b1, t1 = r[order], s[order], b[order], t[order]
-        first = np.empty(len(order), dtype=bool)
-        if len(order):
-            first[0] = True
-            first[1:] = ((r1[1:] != r1[:-1]) | (s1[1:] != s1[:-1])
-                         | (b1[1:] != b1[:-1]))
-        ru, su, bu, tu = r1[first], s1[first], b1[first], t1[first]
-        order2 = np.lexsort((tu, su, ru))
-        rB = ru[order2]
-        bB = bu[order2]
-        counts = np.bincount(rB, minlength=M)
-
-        # DRAM coordinates, vectorized (same floor-div/mod arithmetic as
-        # AddressMap._decode_uncached on the block address).
+        # DRAM coordinates, vectorized and in place (the same floor-div/mod
+        # arithmetic as AddressMap._decode_uncached on the block address).
         cfg = self.config
-        cid = bB // self._chunk
-        part = cid % cfg.num_partitions
-        lc = cid // cfg.num_partitions
-        bank = lc % cfg.num_banks
-        row = lc // cfg.num_banks // self._rows_chunks
+        row &= self._block_mask
+        row //= self._chunk
+        part = row % cfg.num_partitions
+        row //= cfg.num_partitions
+        bank = row % cfg.num_banks
+        row //= cfg.num_banks * self._rows_chunks
         if self._part_perm is not None:
             part = self._part_perm[part]
             bank = self._bank_perm[bank]
-        starts = np.concatenate(([0], np.cumsum(counts)))
-        return (counts.tolist(), starts.tolist(), logged.tolist(),
-                part, bank, row)
+        return counts, part, bank, row
 
-    # -- the launch ----------------------------------------------------------
+    @staticmethod
+    def _warp(warp_id, instructions, counts, logged, part, bank, row,
+              starts, first_row, memory):
+        """One warp's coalesced rows ``[first_row, first_row + memory)``,
+        in the form the calendar replay takes."""
+        end_row = first_row + memory
+        lo, hi = starts[first_row], starts[end_row]
+        return (warp_id, instructions, counts[first_row:end_row].tolist(),
+                (starts[first_row:end_row + 1] - lo).tolist(),
+                logged[first_row:end_row].tolist(),
+                part[lo:hi], bank[lo:hi], row[lo:hi])
+
+    # -- the entries ---------------------------------------------------------
 
     def run(self, programs: Sequence[WarpProgram],
             sid_maps: Mapping[int, Sequence[int]]) -> KernelResult:
-        if len(programs) == 1:
-            try:
-                return self._replay_wavefronts(programs[0], sid_maps)
-            except _HandOff:
-                # The calendar replay starts from scratch: nothing the
-                # wavefront path computed is kept.
-                pass
-        return self._replay_calendar(programs, sid_maps)
-
-    # -- single-warp launches: wavefront replay ------------------------------
-
-    def _replay_wavefronts(self, program: WarpProgram,
-                           sid_maps: Mapping[int, Sequence[int]]
-                           ) -> KernelResult:
+        """Time one launch of raw warp programs."""
         config = self.config
+        W = config.warp_size
+        seen = set()
+        warps = []
+        addr_rows: List[Sequence[int]] = []
+        sid_rows: List[Sequence[int]] = []
+        masks = []
+        for program in programs:
+            warp_id = program.warp_id
+            if warp_id in seen:
+                raise UnsupportedLaunch("duplicate warp id")
+            seen.add(warp_id)
+            sid_source, round_aware = self._sid_source(warp_id, sid_maps)
+            memory = 0
+            for ins in program.instructions:
+                if isinstance(ins, ComputeInstruction):
+                    continue
+                if len(ins.addresses) != W:
+                    raise UnsupportedLaunch("lane count mismatch")
+                mask = ins.active_mask
+                if mask is not None and len(mask) != W:
+                    raise UnsupportedLaunch("active mask length mismatch")
+                masks.append(mask)
+                addr_rows.append(ins.addresses)
+                sid_rows.append(sid_source(ins.round_index) if round_aware
+                                else sid_source)
+                memory += 1
+            warps.append((warp_id, program.instructions, memory))
+        active = None
+        if any(mask is not None for mask in masks):
+            active = np.array([(True,) * W if mask is None else mask
+                               for mask in masks], dtype=bool)
+        counts, part, bank, row = self._coalesce(
+            np.array(addr_rows, dtype=np.int64).reshape(-1, W),
+            np.array(sid_rows, dtype=np.int64).reshape(-1, W), active)
+        logged = (active.sum(axis=1) if active is not None
+                  else np.full(len(counts), W))
+        return self._replay(warps, 1, counts, logged, part, bank, row)[0]
+
+    def run_samples(self, batch: SampleBatch) -> List[KernelResult]:
+        """Time every launch of a :class:`SampleBatch`: one coalesce for
+        all of them, one wavefront replay for all single-warp launches,
+        the calendar replay for the rest. One result per launch, in
+        order."""
+        config = self.config
+        W = config.warp_size
+        samples, num_warps, memory, lanes = batch.addresses.shape
+        if lanes != W:
+            raise UnsupportedLaunch("lane count mismatch")
+        if (num_warps - 1) // config.num_sms >= config.max_warps_per_sm:
+            raise UnsupportedLaunch("SM occupancy")
+        for maps in batch.sid_maps:
+            for warp_id in range(num_warps):
+                sid_map = maps.get(warp_id)
+                if sid_map is None:
+                    raise UnsupportedLaunch("missing sid map")
+                if len(sid_map) != W:
+                    raise UnsupportedLaunch("sid map lane count")
+        instructions = batch.instructions
+        rounds = [ins.round_index for ins in instructions
+                  if not isinstance(ins, ComputeInstruction)]
+        sids = lane_sids(batch.sid_maps, num_warps, batch.num_threads,
+                         rounds, W)
+        counts, part, bank, row = self._coalesce(batch.addresses, sids)
+        threads = np.minimum(W, batch.num_threads
+                             - W * np.arange(num_warps))
+        logged = np.tile(np.repeat(threads, memory), samples)
+        return self._replay([(w, instructions, memory)
+                             for w in range(num_warps)],
+                            samples, counts, logged, part, bank, row)
+
+    def _replay(self, warps, samples, counts, logged, part, bank, row
+                ) -> List[KernelResult]:
+        """Time ``samples`` coalesced launches of the same warps.
+
+        ``warps`` lists each warp's id, instructions and number of memory
+        instructions; the coalesced rows are ordered by launch, warp and
+        instruction. A single warp takes the wavefront path, every launch
+        at once; multi-warp launches, and single-warp ones the wavefront
+        path hands off, take the calendar replay one at a time.
+        """
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        if len(warps) == 1:
+            warp_id, instructions, memory = warps[0]
+            results = self._replay_wavefronts(
+                warp_id, instructions, counts.reshape(samples, memory),
+                logged[:memory], part, bank, row, starts)
+        else:
+            results = [None] * samples
+        rows_per_launch = sum(memory for _, _, memory in warps)
+        for s, result in enumerate(results):
+            if result is None:
+                first_row = s * rows_per_launch
+                launch = []
+                for warp_id, instructions, memory in warps:
+                    launch.append(self._warp(
+                        warp_id, instructions, counts, logged, part, bank,
+                        row, starts, first_row, memory))
+                    first_row += memory
+                results[s] = self._replay_calendar(launch)
+        return results
+
+    # -- single-warp launches: the sample-axis wavefront replay --------------
+
+    def _replay_wavefronts(self, warp_id, instructions, counts, logged,
+                           part, bank, row, starts
+                           ) -> List[Optional[KernelResult]]:
+        """Time ``len(counts)`` single-warp launches of one shape at once.
+
+        ``counts`` is ``(samples, memory instructions)`` and ``logged``
+        the active lanes of each memory instruction. ``part``, ``bank``
+        and ``row`` hold every access, launch by launch and instruction
+        by instruction in generation order; ``starts`` holds the flat
+        offset of each (launch, instruction)'s first access. Returns one
+        result per launch, None for a launch handed off to the calendar
+        replay (its reason counted in :attr:`handoffs`).
+        """
+        config = self.config
+        S, M = counts.shape
+        results: List[Optional[KernelResult]] = [None] * S
+        handoffs = self.handoffs
         if config.icnt_requests_per_cycle != 1:
-            raise _HandOff("forward-crossbar rate above one")
-        warp_id = program.warp_id
-        sid_source, round_aware = self._sid_source(warp_id, sid_maps)
+            handoffs["forward-crossbar rate above one"] += S
+            return results
+        alive = np.ones(S, dtype=bool)
 
-        instructions = program.instructions
-        mem_instrs = [ins for ins in instructions
-                      if not isinstance(ins, ComputeInstruction)]
-        result = KernelResult(num_warps=1)
-        windows = result.round_windows
-
-        M = len(mem_instrs)
-        if M:
-            (m_counts, m_starts, m_logged, A_part, A_bank,
-             A_row) = self._coalesce_program(mem_instrs, sid_source,
-                                             round_aware, config.warp_size)
-            counts = np.array(m_counts)
-            # Per access: its position within its instruction, and
-            # whether it is a store.
-            A_jpos = (np.arange(m_starts[M])
-                      - np.repeat(m_starts[:-1], counts))
-            A_write = np.repeat(
-                np.array([ins.is_write for ins in mem_instrs], dtype=bool),
-                counts)
-        ibase = [0] * M        # per-instruction first-access inject cycle
-
-        # Timing constants / launch-local machine state -----------------------
         issue_cycles = config.issue_cycles
         per_access = config.coalescer_cycles_per_access
         icnt_lat = config.icnt_latency
+        flits = self._reply_flits
         t_cl, t_rp, t_rc = self._t_cl, self._t_rp, self._t_rc
         t_ras, t_ccd, t_rcd = self._t_ras, self._t_ccd, self._t_rcd
         t_burst = self._t_burst
         P = config.num_partitions
         B = config.num_banks
 
-        bank_row = [[None] * B for _ in range(P)]
-        #: numpy mirror of bank_row (-1 = closed) for the vectorized
-        #: all-row-hit precheck; rows are non-negative so -1 never hits.
-        brow_np = [np.full(B, -1, dtype=np.int64) for _ in range(P)]
-        bank_cas = [[0] * B for _ in range(P)]
-        bank_act = [[0] * B for _ in range(P)]
-        bank_pre = [[0] * B for _ in range(P)]
-        bus_free = [0] * P
-        dstats = [DramStats() for _ in range(P)]
-        part_idle = [0] * P
-        fwd_next_free = [0] * P
-        self._reply_next_free = 0
+        memory = [ins for ins in instructions
+                  if not isinstance(ins, ComputeInstruction)]
+        is_write = np.array([ins.is_write for ins in memory], dtype=bool)
+        row_counts = counts.ravel()
+        #: Per (launch, instruction): the inject cycle of its first access.
+        ibase = np.zeros(S * M, dtype=np.int64)
 
-        def flush(mw0, mw1, ready, wf_win, wf_writes):
-            """Replay the accesses of instructions ``[mw0, mw1)`` through
-            the memory system; returns the cycle the warp resumes at after
-            the barrier.
-            """
-            g0 = m_starts[mw0]
-            g1 = m_starts[mw1]
-            inj = (np.repeat(np.asarray(ibase[mw0:mw1], dtype=np.int64),
-                             counts[mw0:mw1])
-                   + A_jpos[g0:g1] * per_access)
-            partv = A_part[g0:g1]
-            wv_bank = A_bank[g0:g1]
-            wv_row = A_row[g0:g1]
-            order = np.argsort(partv, kind="stable")
-            bounds = np.searchsorted(partv[order], np.arange(P + 1)).tolist()
-            load_comps = []
-            for p in range(P):
-                lo = bounds[p]
-                hi = bounds[p + 1]
-                if lo == hi:
+        # Launch-local machine state, one row per (launch, partition) and
+        # per (launch, partition, bank); -1 is a closed row (rows are >= 0).
+        fwd_free = np.zeros(S * P, dtype=np.int64)
+        part_idle = np.zeros(S * P, dtype=np.int64)
+        bus_free = np.zeros(S * P, dtype=np.int64)
+        open_row = np.full(S * P * B, -1, dtype=np.int64)
+        next_cas = np.zeros(S * P * B, dtype=np.int64)
+        next_act = np.zeros(S * P * B, dtype=np.int64)
+        next_pre = np.zeros(S * P * B, dtype=np.int64)
+        served = np.zeros(S * P, dtype=np.int64)
+        row_hits = np.zeros(S * P, dtype=np.int64)
+        written = np.zeros(S * P, dtype=np.int64)
+        waited = np.zeros(S * P, dtype=np.int64)
+        reply_free = np.zeros(S, dtype=np.int64)
+        key_type = np.int16 if S * P < 1 << 15 else np.int64
+
+        def hand_off(samples, reason):
+            for s in samples:
+                if alive[s]:
+                    alive[s] = False
+                    handoffs[reason] += 1
+
+        def flush(m0, m1, ready, win_end, writes):
+            """Replay the accesses of instructions ``[m0, m1)`` of every
+            live launch through the memory system; returns each launch's
+            resume cycle after the barrier."""
+            rows = (np.flatnonzero(alive)[:, None] * M
+                    + np.arange(m0, m1)).ravel()
+            per_row = row_counts[rows]
+            n = int(per_row.sum())
+            if not n:
+                return ready
+            # Per access: its (launch, instruction) row, its position in
+            # the row and its index in the flat access arrays.
+            access_row = np.repeat(rows, per_row)
+            pos = np.arange(n) - np.repeat(np.cumsum(per_row) - per_row,
+                                           per_row)
+            idx = starts[access_row] + pos
+            inject = ibase[access_row] + pos * per_access
+            # (launch, partition) segments, generation order kept within
+            # (a stable sort, a radix sort on keys this narrow).
+            seg_key = (access_row // M * P + part[idx]).astype(key_type)
+            order = np.argsort(seg_key, kind="stable")
+            idx = idx[order]
+            inject = inject[order]
+            seg_key = seg_key[order]
+            if writes:
+                store = is_write[access_row[order] % M]
+            edge = np.flatnonzero(seg_key[1:] != seg_key[:-1]) + 1
+            seg0 = np.concatenate(([0], edge))
+            seg1 = np.concatenate((edge, [n]))
+            seg_n = seg1 - seg0
+            last = seg1 - 1
+            key = seg_key[seg0].astype(np.int64)
+            gid = np.repeat(np.arange(len(seg0)), seg_n)
+            k = np.arange(n) - seg0[gid]
+
+            # Forward crossbar: per-partition ingress port recurrence.
+            # accept_k = max(inject_k, accept_{k-1} + 1) unrolls to
+            # k + max(next_free, max_{j<=k}(inject_j - j)).
+            accept = k + np.maximum(_segmented_cummax(inject - k, gid),
+                                    fwd_free[key][gid])
+            fwd_free[key] = accept[last] + 1
+            arrive = accept + icnt_lat
+            # An earlier wavefront's store, or a command slot freeing late,
+            # still holds the controller when this wavefront arrives:
+            # FR-FCFS would interleave the two.
+            busy = arrive[seg0] < part_idle[key]
+            over = seg_n >= _QUEUE_CAPACITY
+            acc_bank = bank[idx]
+            acc_row = row[idx]
+            flat_bank = key[gid] * B + acc_bank
+            all_hit = np.logical_and.reduceat(open_row[flat_bank] == acc_row,
+                                              seg0)
+
+            # All-row-hit closed form, computed for every segment; a
+            # segment with a miss overwrites its share below. Every select
+            # is a head hit, so FR-FCFS degenerates to FIFO and absorb-order
+            # ties cannot change service order or timing. Slots strictly
+            # increase, so per-bank CAS state never binds (the global tCCD
+            # chain dominates, and the cross-wavefront case is covered by
+            # the busy check above):
+            #   cas_k  = max(arr_k, cas_{k-1} + tCCD)
+            #   comp_k = max(cas_k + tCL, comp_{k-1}) + tBURST
+            # — two running-max recurrences in closed form.
+            kc = k * t_ccd
+            cas = kc + _segmented_cummax(arrive - kc, gid)
+            slot = cas + t_ccd
+            kb = k * t_burst
+            comp = kb + t_burst + np.maximum(
+                _segmented_cummax(cas + t_cl - kb, gid), bus_free[key][gid])
+            hits = np.where(all_hit, seg_n, 0)
+            qwait = np.add.reduceat(comp - arrive, seg0) - seg_n * t_burst
+            done = key[all_hit]
+            bus_free[done] = comp[last[all_hit]]
+            part_idle[done] = slot[last[all_hit]]
+            hit_access = all_hit[gid]
+            np.maximum.at(next_cas, flat_bank[hit_access], slot[hit_access])
+
+            seg_sample = (key // P).tolist()
+            over_l = over.tolist()
+            busy_l = busy.tolist()
+            for g in np.flatnonzero(~all_hit | over | busy).tolist():
+                s = seg_sample[g]
+                if not alive[s]:
                     continue
-                n = hi - lo
-                if n >= _QUEUE_CAPACITY:
-                    raise _HandOff("controller queue capacity")
-                sel = order[lo:hi]
-                idxn = np.arange(n)
-
-                # Forward crossbar: per-partition ingress port recurrence.
-                # accept_k = max(inject_k, accept_{k-1} + 1) unrolls to
-                # k + max(next_free, max_{j<=k}(inject_j - j)).
-                inj_seg = inj[sel]
-                acc = idxn + np.maximum(
-                    np.maximum.accumulate(inj_seg - idxn),
-                    fwd_next_free[p])
-                fwd_next_free[p] = int(acc[-1]) + 1
-                arr_np = acc + icnt_lat
-                # An earlier wavefront's store, or a command slot freeing
-                # late, still holds the controller when this wavefront
-                # arrives: FR-FCFS would interleave the two.
-                if int(arr_np[0]) < part_idle[p]:
-                    raise _HandOff("earlier wavefront still in a partition")
-
-                bank_seg = wv_bank[sel]
-                row_seg = wv_row[sel]
-                if bool(np.all(brow_np[p][bank_seg] == row_seg)):
-                    # All-row-hit fast path: every select is a head hit, so
-                    # FR-FCFS degenerates to FIFO and absorb-order ties
-                    # cannot change service order or timing. Slots strictly
-                    # increase, so per-bank CAS state never binds (the
-                    # global tCCD chain dominates, and the cross-wavefront
-                    # case is covered by the check above):
-                    #   cas_k  = max(arr_k, cas_{k-1} + tCCD)
-                    #   comp_k = max(cas_k + tCL, comp_{k-1}) + tBURST
-                    # — two running-max recurrences in closed form.
-                    cas = idxn * t_ccd + np.maximum.accumulate(
-                        arr_np - idxn * t_ccd)
-                    slot = cas + t_ccd
-                    comp = (idxn + 1) * t_burst + np.maximum(
-                        np.maximum.accumulate(cas + t_cl - idxn * t_burst),
-                        bus_free[p])
-                    hits = n
-                    qwait = int(comp.sum() - arr_np.sum()) - n * t_burst
-                    bus_free[p] = int(comp[-1])
-                    part_idle[p] = int(slot[-1])
-                    bcas = bank_cas[p]
-                    for bk, sl in zip(bank_seg.tolist(), slot.tolist()):
-                        bcas[bk] = sl
-                else:
-                    # FR-FCFS replay: the exact event alternation of
-                    # arrivals and command-slot (dslot) events, minus the
-                    # heap.
-                    arr_l = arr_np.tolist()
-                    bank_l = bank_seg.tolist()
-                    row_l = row_seg.tolist()
-                    brow = bank_row[p]
-                    brow_np_p = brow_np[p]
-                    bcas = bank_cas[p]
-                    bact = bank_act[p]
-                    bpre = bank_pre[p]
-                    busf = bus_free[p]
-                    hits = qwait = 0
-                    comp_at = [0] * n
-                    queue: List[int] = []
-                    queue_append = queue.append
-                    i = 0
-                    pending = False
-                    d = last_s = 0
-                    while True:
-                        if not pending:
-                            if i >= n:
-                                break
-                            queue_append(i)
-                            s = arr_l[i]
-                            i += 1
-                        else:
-                            while i < n:
-                                a = arr_l[i]
-                                if a >= d:
-                                    if a > d:
-                                        break
-                                    # The arrival lands on the pending
-                                    # dslot's cycle. The event whose
-                                    # parent ran first was pushed first:
-                                    # the last decision's cycle against
-                                    # the arrival's inject cycle.
-                                    ic = int(inj_seg[i])
-                                    if last_s < ic:
-                                        break
-                                    if last_s == ic:
-                                        raise _HandOff(
-                                            "same-cycle tie at a controller")
-                                queue_append(i)
-                                i += 1
-                            pending = False
-                            if not queue:
-                                continue
-                            s = d
-                        # FR-FCFS select: oldest row hit in the window, else
-                        # oldest.
-                        qn = len(queue)
-                        if qn == 1:
-                            k = queue.pop()
-                        else:
-                            idx = 0
-                            lim = (qn if qn < _FRFCFS_WINDOW
-                                   else _FRFCFS_WINDOW)
-                            for qi in range(lim):
-                                kq = queue[qi]
-                                if brow[bank_l[kq]] == row_l[kq]:
-                                    idx = qi
+                if over_l[g]:
+                    hand_off((s,), "controller queue capacity")
+                    continue
+                if busy_l[g]:
+                    hand_off((s,), "earlier wavefront still in a partition")
+                    continue
+                # FR-FCFS replay: the exact event alternation of arrivals
+                # and command-slot (dslot) events, minus the heap.
+                a = int(seg0[g])
+                nn = int(seg_n[g])
+                sp = int(key[g])
+                base = sp * B
+                arr_l = arrive[a:a + nn].tolist()
+                inj_l = inject[a:a + nn].tolist()
+                bank_l = acc_bank[a:a + nn].tolist()
+                row_l = acc_row[a:a + nn].tolist()
+                brow = open_row[base:base + B].tolist()
+                bcas = next_cas[base:base + B].tolist()
+                bact = next_act[base:base + B].tolist()
+                bpre = next_pre[base:base + B].tolist()
+                busf = int(bus_free[sp])
+                # When every bank sees one row in this segment, the misses
+                # are the first services of the banks whose row is not
+                # open yet; after the last of them every access left hits.
+                bank_rows = dict(zip(bank_l, row_l))
+                misses_left = -1
+                if len(bank_rows) == len(set(zip(bank_l, row_l))):
+                    misses_left = sum(brow[bk] != rw
+                                      for bk, rw in bank_rows.items())
+                hit_n = wait = 0
+                comp_at = [0] * nn
+                queue: List[int] = []
+                queue_append = queue.append
+                i = 0
+                pending = tie = False
+                d = last_s = 0
+                while misses_left:
+                    if not pending:
+                        if i >= nn:
+                            break
+                        queue_append(i)
+                        s_ = arr_l[i]
+                        i += 1
+                    else:
+                        while i < nn:
+                            arr_i = arr_l[i]
+                            if arr_i >= d:
+                                if arr_i > d:
                                     break
-                            k = queue.pop(idx)
-                        bk = bank_l[k]
-                        rw = row_l[k]
-                        if brow[bk] == rw:
-                            hits += 1
-                            cas = bcas[bk]
-                            if s > cas:
-                                cas = s
+                                # The arrival lands on the pending dslot's
+                                # cycle. The event whose parent ran first
+                                # was pushed first: the last decision's
+                                # cycle against the arrival's inject cycle.
+                                ic = inj_l[i]
+                                if last_s < ic:
+                                    break
+                                if last_s == ic:
+                                    tie = True
+                                    break
+                            queue_append(i)
+                            i += 1
+                        if tie:
+                            break
+                        pending = False
+                        if not queue:
+                            continue
+                        s_ = d
+                    # FR-FCFS select: oldest row hit in the window, else
+                    # oldest.
+                    kq = queue[0]
+                    bk = bank_l[kq]
+                    rw = row_l[kq]
+                    if brow[bk] == rw:
+                        del queue[0]
+                    else:
+                        qn = len(queue)
+                        for qi in range(1, qn if qn < _FRFCFS_WINDOW
+                                        else _FRFCFS_WINDOW):
+                            kq = queue[qi]
+                            bk = bank_l[kq]
+                            rw = row_l[kq]
+                            if brow[bk] == rw:
+                                del queue[qi]
+                                break
                         else:
-                            pre = bcas[bk]
-                            x = bpre[bk]
-                            if x > pre:
-                                pre = x
-                            if s > pre:
-                                pre = s
-                            act = pre + t_rp
-                            x = bact[bk]
-                            if x > act:
-                                act = x
-                            bact[bk] = act + t_rc
-                            bpre[bk] = act + t_ras
-                            brow[bk] = rw
-                            brow_np_p[bk] = rw
-                            cas = act + t_rcd
-                        d = cas + t_ccd
-                        bcas[bk] = d
-                        drdy = cas + t_cl
+                            kq = queue.pop(0)
+                            bk = bank_l[kq]
+                            rw = row_l[kq]
+                    if brow[bk] == rw:
+                        hit_n += 1
+                        c = bcas[bk]
+                        if s_ > c:
+                            c = s_
+                    else:
+                        pre = bcas[bk]
+                        x = bpre[bk]
+                        if x > pre:
+                            pre = x
+                        if s_ > pre:
+                            pre = s_
+                        act = pre + t_rp
+                        x = bact[bk]
+                        if x > act:
+                            act = x
+                        bact[bk] = act + t_rc
+                        bpre[bk] = act + t_ras
+                        brow[bk] = rw
+                        c = act + t_rcd
+                        misses_left -= 1
+                    d = c + t_ccd
+                    bcas[bk] = d
+                    drdy = c + t_cl
+                    if busf > drdy:
+                        drdy = busf
+                    busf = drdy + t_burst
+                    comp_at[kq] = busf
+                    w = drdy - arr_l[kq]
+                    if w > 0:
+                        wait += w
+                    pending = True
+                    last_s = s_
+                if tie:
+                    hand_off((s,), "same-cycle tie at a controller")
+                    continue
+                if not misses_left:
+                    # Every access left hits an open row, so FR-FCFS serves
+                    # them oldest first, each at the later of its arrival
+                    # and the last slot; per-bank CAS state no longer binds
+                    # and same-cycle ties cannot reorder anything.
+                    queue.extend(range(i, nn))
+                    hit_n += len(queue)
+                    for kq in queue:
+                        c = arr_l[kq]
+                        w = d - c
+                        if w > 0:
+                            c = d
+                        d = c + t_ccd
+                        bcas[bank_l[kq]] = d
+                        drdy = c + t_cl
                         if busf > drdy:
                             drdy = busf
                         busf = drdy + t_burst
-                        comp_at[k] = busf
-                        w = drdy - arr_l[k]
+                        comp_at[kq] = busf
+                        w = drdy - arr_l[kq]
                         if w > 0:
-                            qwait += w
-                        pending = True
-                        last_s = s
-                    bus_free[p] = busf
-                    part_idle[p] = d
-                    comp = np.array(comp_at, dtype=np.int64)
-                nw = 0
-                if wf_writes:
-                    w_seg = A_write[g0:g1][sel]
-                    nw = int(np.count_nonzero(w_seg))
-                    if nw:
-                        comp = comp[~w_seg]
-                st = dstats[p]
-                st.row_hits += hits
-                st.row_misses += n - hits
-                st.reads += n - nw
-                st.writes += nw
-                st.bus_busy_cycles += n * t_burst
-                st.queue_wait_cycles += qwait
-                if nw < n:
-                    load_comps.append(comp)
-            return self._replies(load_comps, ready, wf_win)
+                            wait += w
+                open_row[base:base + B] = brow
+                next_cas[base:base + B] = bcas
+                next_act[base:base + B] = bact
+                next_pre[base:base + B] = bpre
+                bus_free[sp] = busf
+                part_idle[sp] = d
+                comp[a:a + nn] = comp_at
+                hits[g] = hit_n
+                qwait[g] = wait
 
-        # -- issue loop -------------------------------------------------------
-        sched_free = 0
-        ldst_free = 0
-        ready = 0
-        count_accesses = result.count_accesses
-        mi = 0
-        wf_m0 = 0
-        wf_loads = 0
-        wf_writes = False
+            served[key] += seg_n
+            row_hits[key] += hits
+            waited[key] += qwait
+            completions = comp
+            owner = key[gid] // P
+            if writes:
+                written[key] += np.add.reduceat(store, seg0, dtype=np.int64)
+                completions = comp[~store]
+                owner = owner[~store]
+            if not len(completions):
+                return ready
+            # Reply crossbar: each launch's SM ejection port. The reply
+            # cycle multiset is invariant under permutation of same-cycle
+            # completions, so the merged reply order is never materialized:
+            # each launch's completions are sorted, and
+            # accept_j = max(comp_j, accept_{j-1} + flits) unrolls to
+            # flits*j + max(next_free, max_{k<=j}(comp_k - flits*k)).
+            span = int(completions.max()) + 1
+            ordered = np.sort(owner * span + completions)
+            owner = ordered // span
+            completions = ordered - owner * span
+            edge = np.flatnonzero(owner[1:] != owner[:-1]) + 1
+            run0 = np.concatenate(([0], edge))
+            run_n = np.diff(np.concatenate((run0, [len(ordered)])))
+            who = owner[run0]
+            j = np.arange(len(ordered)) - np.repeat(run0, run_n)
+            peak = np.maximum.reduceat(completions - flits * j, run0)
+            accept_last = flits * (run_n - 1) + np.maximum(peak,
+                                                           reply_free[who])
+            reply_free[who] = accept_last + flits
+            last_reply = accept_last + icnt_lat + flits - 1
+            if win_end is not None:
+                win_end[who] = np.maximum(win_end[who], last_reply)
+            ready = ready.copy()
+            # The warp resumes at the later of its pending warp event and
+            # its last reply; on one cycle, there whichever event runs
+            # first.
+            ready[who] = np.maximum(ready[who], last_reply)
+            return ready
+
+        # -- issue, every launch in step --------------------------------------
+        sched_free = np.zeros(S, dtype=np.int64)
+        ldst_free = np.zeros(S, dtype=np.int64)
+        ready = np.zeros(S, dtype=np.int64)
+        win_index: Dict[int, int] = {}
+        win_start: List[np.ndarray] = []
+        win_end: List[np.ndarray] = []
+        prt_full = (logged > _PRT_CAPACITY).tolist()
+        empty = counts == 0
+        any_empty = empty.any(axis=0).tolist()
+        mi = wf_m0 = 0
+        wf_loads = wf_writes = False
         wf_win: object = _UNSET
         for ins in instructions:
             if isinstance(ins, ComputeInstruction):
                 if wf_loads:
-                    ready = flush(wf_m0, mi, ready, wf_win, wf_writes)
+                    ready = flush(wf_m0, mi, ready,
+                                  None if wf_win is None else win_end[wf_win],
+                                  wf_writes)
                     wf_m0 = mi
-                    wf_loads = 0
-                    wf_writes = False
+                    wf_loads = wf_writes = False
                     wf_win = _UNSET
-                issue = ready if ready > sched_free else sched_free
+                issue = np.maximum(ready, sched_free)
                 sched_free = issue + issue_cycles
-                done = issue + issue_cycles + ins.cycles
-                key = (warp_id, ins.round_index)
-                wnd = windows.get(key)
-                if wnd is None:
-                    wnd = RoundWindow()
-                    windows[key] = wnd
-                wnd.observe_start(issue)
-                wnd.observe_end(done)
-                ready = done
+                ready = sched_free + ins.cycles
+                win = win_index.get(ins.round_index)
+                if win is None:
+                    win_index[ins.round_index] = len(win_start)
+                    win_start.append(issue)
+                    win_end.append(ready.copy())
+                else:
+                    np.maximum(win_end[win], ready, out=win_end[win])
                 continue
             m = mi
             mi += 1
-            nb = m_counts[m]
-            if m_logged[m] > _PRT_CAPACITY:
+            if prt_full[m]:
                 raise ProtocolError("pending request table overflow")
-            if not nb:
+            if any_empty[m] and empty[alive, m].any():
                 raise ProtocolError("memory instruction produced no accesses")
-            issue = ready if ready > sched_free else sched_free
+            issue = np.maximum(ready, sched_free)
             sched_free = issue + issue_cycles
             rix = ins.round_index
-            wnd = None
+            win = None
             if rix is not None:
-                key = (warp_id, rix)
-                wnd = windows.get(key)
-                if wnd is None:
-                    wnd = RoundWindow()
-                    windows[key] = wnd
-                wnd.observe_start(issue)
-            inject = issue + issue_cycles
-            if ldst_free > inject:
-                inject = ldst_free
-            ibase[m] = inject
-            ldst_free = inject + nb * per_access
-            count_accesses(warp_id, ins.kind, rix, nb)
+                win = win_index.get(rix)
+                if win is None:
+                    win = win_index[rix] = len(win_start)
+                    win_start.append(issue)
+                    win_end.append(np.full(S, -1, dtype=np.int64))
+            inject = np.maximum(sched_free, ldst_free)
+            ibase[m::M] = inject
+            ldst_free = inject + counts[:, m] * per_access
             if ins.is_write:
                 ready = ldst_free
                 wf_writes = True
             else:
-                wf_loads += nb
-                ready = issue + issue_cycles
+                wf_loads = True
+                ready = sched_free
                 if wf_win is _UNSET:
-                    wf_win = wnd
-                elif wf_win is not wnd:
-                    raise _HandOff("wavefront spans two round windows")
-
+                    wf_win = win
+                elif wf_win != win:
+                    hand_off(range(S), "wavefront spans two round windows")
+                    return results
         if wf_m0 < M:
-            ready = flush(wf_m0, M, ready, wf_win, wf_writes)
-        result.warp_finish[warp_id] = ready
-        result.total_cycles = ready
+            ready = flush(wf_m0, M, ready,
+                          None if wf_win is None or wf_win is _UNSET
+                          else win_end[wf_win], wf_writes)
+
+        # -- one result per launch still in the batch -------------------------
+        by_kind: Dict[AccessKind, List[int]] = {}
+        by_round: Dict[int, List[int]] = {}
+        for m, ins in enumerate(memory):
+            by_kind.setdefault(ins.kind, []).append(m)
+            if ins.kind is AccessKind.TABLE_LOAD and ins.round_index is not None:
+                by_round.setdefault(ins.round_index, []).append(m)
+        kind_totals = {kind: counts[:, ms].sum(axis=1).tolist()
+                       for kind, ms in by_kind.items()}
+        round_totals = {r: counts[:, ms].sum(axis=1).tolist()
+                        for r, ms in by_round.items()}
+        last_loads = (counts[:, by_round[NUM_ROUNDS]].tolist()
+                      if NUM_ROUNDS in by_round else None)
+        windows = [((warp_id, r), win_start[w].tolist(), win_end[w].tolist())
+                   for r, w in win_index.items()]
+        finish = ready.tolist()
         # A partition's bus frees at its last completion.
-        result.drain_cycles = max(ready, *bus_free)
-        result.dram_stats = dstats
-        return result
+        drain = np.maximum(ready, bus_free.reshape(S, P).max(axis=1)).tolist()
+        stats = zip(served.reshape(S, P).tolist(),
+                    row_hits.reshape(S, P).tolist(),
+                    written.reshape(S, P).tolist(),
+                    waited.reshape(S, P).tolist())
+        for s, (n_s, h_s, w_s, q_s) in enumerate(stats):
+            if not alive[s]:
+                continue
+            result = KernelResult(num_warps=1)
+            result.access_counts = {kind: totals[s]
+                                    for kind, totals in kind_totals.items()}
+            result.round_accesses = {r: totals[s]
+                                     for r, totals in round_totals.items()}
+            if last_loads is not None:
+                result.last_round_loads = {warp_id: last_loads[s]}
+            result.round_windows = {
+                key: RoundWindow(start[s], end[s] if end[s] >= 0 else None)
+                for key, start, end in windows}
+            result.dram_stats = [
+                DramStats(row_hits=h, row_misses=n - h, reads=n - w,
+                          writes=w, bus_busy_cycles=n * t_burst,
+                          queue_wait_cycles=q)
+                for n, h, w, q in zip(n_s, h_s, w_s, q_s)]
+            result.warp_finish = {warp_id: finish[s]}
+            result.total_cycles = finish[s]
+            result.drain_cycles = drain[s]
+            results[s] = result
+        return results
 
     # -- calendar replay: multi-warp and handed-off launches ----------------
 
-    def _replay_calendar(self, programs: Sequence[WarpProgram],
-                         sid_maps: Mapping[int, Sequence[int]]
-                         ) -> KernelResult:
+    def _replay_calendar(self, warps) -> KernelResult:
         """Run the event engine's handlers in its own event order.
+
+        ``warps`` holds one entry per warp (see :meth:`_warp`): its id and
+        instructions, per memory instruction its access count, first
+        access and logged lanes, and per access its partition, bank and
+        row in generation order.
 
         Every push of ``GPUSimulator.run`` lands at or after the cycle
         being processed, and ``seq`` is push order. So one FIFO list per
@@ -598,14 +892,11 @@ class BatchedTimingCore:
         flight.
         """
         config = self.config
-        W = config.warp_size
         num_sms = config.num_sms
         nsched = config.warp_schedulers_per_sm
         P = config.num_partitions
         B = config.num_banks
 
-        # Validate and coalesce up front: a launch the event engine would
-        # reject is its to reject, before anything is simulated.
         warp_ids: List[int] = []
         w_sm: List[int] = []
         w_sched: List[int] = []
@@ -613,20 +904,12 @@ class BatchedTimingCore:
         w_coords = []
         served = np.zeros(P, dtype=np.int64)
         written = np.zeros(P, dtype=np.int64)
-        seen = set()
-        for program in programs:
-            warp_id = program.warp_id
-            if warp_id in seen:
-                raise UnsupportedLaunch("duplicate warp id")
-            seen.add(warp_id)
-            sid_source, round_aware = self._sid_source(warp_id, sid_maps)
-            mem_instrs = [ins for ins in program.instructions
-                          if not isinstance(ins, ComputeInstruction)]
-            if mem_instrs:
-                (counts, starts, logged, part, bank,
-                 row) = self._coalesce_program(mem_instrs, sid_source,
-                                               round_aware, W)
-                is_write = np.array([ins.is_write for ins in mem_instrs])
+        for (warp_id, instructions, counts, starts, logged, part, bank,
+             row) in warps:
+            if counts:
+                is_write = np.array([ins.is_write for ins in instructions
+                                     if not isinstance(ins,
+                                                       ComputeInstruction)])
                 served += np.bincount(part, minlength=P)
                 written += np.bincount(
                     part[np.repeat(is_write, counts)], minlength=P)
@@ -639,7 +922,7 @@ class BatchedTimingCore:
             # logged lanes) for memory.
             ops = []
             m = 0
-            for ins in program.instructions:
+            for ins in instructions:
                 if isinstance(ins, ComputeInstruction):
                     if ins.cycles < 0:
                         # Its warp event would land before the current
@@ -953,36 +1236,3 @@ class BatchedTimingCore:
             for n, w, miss, wait in zip(served.tolist(), written.tolist(),
                                         misses, qwait)]
         return result
-
-
-    # -- reply crossbar ------------------------------------------------------
-
-    def _replies(self, load_comps, ready, wf_win):
-        """Run the SM ejection-port recurrence over this wavefront's loads
-        and return the cycle the warp resumes at.
-
-        ``load_comps`` holds each partition's load completion cycles. The
-        reply-cycle *multiset* is invariant under permutation of same-cycle
-        completions, so the merged reply order is never materialized: the
-        raw completion cycles are sorted and the last accept comes from a
-        closed-form running max. The warp resumes at the later of its
-        pending warp event and the last reply; when the two fall on one
-        cycle, it resumes there whichever event runs first.
-        """
-        if not load_comps:
-            return ready
-        c = np.sort(np.concatenate(load_comps))
-        total = len(c)
-        flits = self._reply_flits
-        # accept_j = max(comp_j, accept_{j-1} + flits) unrolls to
-        # flits*j + max(next_free, max_{k<=j}(comp_k - flits*k)).
-        peak = int((c - flits * np.arange(total)).max())
-        nf0 = self._reply_next_free
-        accept_last = flits * (total - 1) + (peak if peak > nf0 else nf0)
-        last_rc = accept_last + self.config.icnt_latency + flits - 1
-        self._reply_next_free = accept_last + flits
-        if wf_win is not None:
-            e = wf_win.end
-            if e is None or last_rc > e:
-                wf_win.end = last_rc
-        return last_rc if last_rc > ready else ready

@@ -13,12 +13,23 @@ indices of :func:`repro.aes.batch.encrypt_batch`:
 
 Line-to-thread mapping is sequential and deterministic (Section II-B):
 thread ``tid`` of warp ``w`` processes plaintext line ``w*32 + tid``.
+
+The same kernel also exists as arrays. :func:`lane_addresses` gathers
+every lane's address in every memory instruction of many launches at
+once, through one cached table-entry grid and one cached set of
+input/output line addresses per address map; the counts core, the timed
+front end and :func:`build_warp_programs` all take their addresses from
+it, and :func:`lane_sids` gives the matching subwarp ids. A
+:class:`SampleBatch` carries such launches to the timing core, which
+coalesces and times them without building a :class:`MemoryInstruction`.
+Programs are materialized only where the event engine runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import (Callable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -35,7 +46,9 @@ from repro.gpu.address import (
 from repro.gpu.request import AccessKind
 
 __all__ = ["ComputeInstruction", "MemoryInstruction", "Instruction",
-           "WarpProgram", "build_warp_programs"]
+           "WarpProgram", "SampleBatch", "KERNEL_COLUMNS",
+           "build_warp_programs", "kernel_skeleton", "lane_addresses",
+           "lane_sids"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,10 +73,14 @@ class MemoryInstruction:
 
 Instruction = Union[ComputeInstruction, MemoryInstruction]
 
-#: Per-address-map cache of the resolved (5, 256) table-entry address grid
-#: (weak keys: dropping a server drops its grid with it).
-_TABLE_ADDRESS_GRIDS: "WeakKeyDictionary[AddressMap, np.ndarray]" = \
-    WeakKeyDictionary()
+#: Memory instructions per warp of the AES kernel: the input load, the
+#: 10 x 16 table loads and the output store, in program order.
+KERNEL_COLUMNS = 2 + NUM_ROUNDS * LOOKUPS_PER_ROUND
+
+#: Per address map: its (5, 256) table-entry address grid and, by line
+#: count and warp size, its input and output line addresses padded to
+#: whole warps (weak keys: dropping a server drops its tables with it).
+_ADDRESS_TABLES: "WeakKeyDictionary[AddressMap, tuple]" = WeakKeyDictionary()
 
 
 @dataclass
@@ -80,6 +97,147 @@ class WarpProgram:
         return [i for i in self.instructions
                 if isinstance(i, MemoryInstruction)
                 and i.round_index == round_index]
+
+
+@dataclass(frozen=True)
+class SampleBatch:
+    """Launches of one program shape, as arrays: the timing core's input.
+
+    Launch ``s`` runs warps ``0 .. warps-1``, and every warp runs
+    ``instructions``; its ``m``-th memory instruction takes its lane
+    addresses from ``addresses[s, w, m]``, not from its own (empty)
+    ``addresses``. Thread ``t`` is lane ``t % warp_size`` of warp
+    ``t // warp_size``, the first ``num_threads`` threads are active,
+    and the other lanes of a partial final warp repeat its last thread's
+    addresses (see :func:`lane_addresses`).
+    """
+
+    instructions: Tuple[Instruction, ...]
+    #: ``(launches, warps, memory instructions, lanes)`` int64.
+    addresses: np.ndarray
+    num_threads: int
+    #: Per launch: warp id -> that warp's sid map.
+    sid_maps: Sequence[Mapping[int, Sequence[int]]]
+    #: Launch ``s``'s warp programs, for the event engine.
+    programs: Callable[[int], List[WarpProgram]]
+
+    @property
+    def num_samples(self) -> int:
+        return self.addresses.shape[0]
+
+    @property
+    def num_warps(self) -> int:
+        return self.addresses.shape[1]
+
+
+def kernel_skeleton(round_compute_cycles: int = 40,
+                    include_io: bool = True) -> Tuple[Instruction, ...]:
+    """The AES kernel's instructions, memory ones without addresses."""
+    skeleton: List[Instruction] = []
+    if include_io:
+        skeleton.append(MemoryInstruction((), AccessKind.INPUT_LOAD, 0,
+                                          request_size=16))
+    for round_index in range(1, NUM_ROUNDS + 1):
+        skeleton.append(ComputeInstruction(round_compute_cycles,
+                                           round_index))
+        skeleton.extend(
+            MemoryInstruction((), AccessKind.TABLE_LOAD, round_index,
+                              request_size=4)
+            for _ in range(LOOKUPS_PER_ROUND))
+    if include_io:
+        # round_index None: the store is outside the round windows, so it
+        # never extends the measured last-round span.
+        skeleton.append(MemoryInstruction((), AccessKind.OUTPUT_STORE, None,
+                                          is_write=True, request_size=16))
+    return tuple(skeleton)
+
+
+def lane_addresses(indices: np.ndarray, address_map: AddressMap,
+                   warp_size: int) -> np.ndarray:
+    """Every lane's byte address in every memory instruction of the AES
+    kernel, for many launches at once.
+
+    ``indices`` holds ``(launches, lines, 10, 16)`` lookup indices of
+    :func:`repro.aes.batch.encrypt_batch`. Returns ``(launches, warps,
+    KERNEL_COLUMNS, warp_size)`` int64: column 0 is the input load,
+    columns 1 to 160 the table loads in program order, the last column
+    the output store. The lanes of a partial final warp repeat its last
+    thread's addresses. Table-entry addresses depend only on
+    ``(table id, index)`` and the table id only on ``(round, lookup)``,
+    so one gather through the cached 5x256 grid resolves every lookup.
+    """
+    launches, num_lines = indices.shape[:2]
+    num_warps = -(-num_lines // warp_size)
+    tables = _ADDRESS_TABLES.get(address_map)
+    if tables is None:
+        grid = np.array(
+            [[address_map.table_entry_address(table_id, index)
+              for index in range(256)] for table_id in range(5)],
+            dtype=np.int64)
+        tables = _ADDRESS_TABLES[address_map] = (grid, {})
+    grid, io_lines = tables
+    io = io_lines.get((num_lines, warp_size))
+    if io is None:
+        io = np.array(
+            [[address_map.line_address(base, min(line, num_lines - 1))
+              for line in range(num_warps * warp_size)]
+             for base in (PLAINTEXT_REGION_BASE, CIPHERTEXT_REGION_BASE)],
+            dtype=np.int64).reshape(2, num_warps, warp_size)
+        io_lines[(num_lines, warp_size)] = io
+    index = indices.reshape(launches, num_lines, -1)
+    if num_lines < num_warps * warp_size:
+        index = np.concatenate(
+            [index, np.repeat(index[:, -1:],
+                              num_warps * warp_size - num_lines, axis=1)],
+            axis=1)
+    # (launches, warps, table loads, lanes), still one byte per index.
+    index = index.reshape(launches, num_warps, warp_size, -1) \
+                 .transpose(0, 1, 3, 2)
+    lanes = np.empty((launches, num_warps, KERNEL_COLUMNS, warp_size),
+                     dtype=np.int64)
+    lanes[:, :, 0] = io[0]
+    lanes[:, :, 1:-1] = grid[table_id_grid().reshape(-1, 1), index]
+    lanes[:, :, -1] = io[1]
+    return lanes
+
+
+def lane_sids(sid_maps: Sequence[Mapping[int, Sequence[int]]],
+              num_warps: int, num_threads: int,
+              column_rounds: Sequence[Optional[int]],
+              warp_size: int) -> np.ndarray:
+    """Every lane's subwarp id, shaped like :func:`lane_addresses`.
+
+    ``sid_maps[s][w]`` is warp ``w``'s map in launch ``s``: ``warp_size``
+    sids, or a per-round map with ``for_round`` (selective RCoal).
+    Returns ``(launches, warps, 1, warp_size)`` when no map varies by
+    round, else ``(launches, warps, len(column_rounds), warp_size)``,
+    column ``c`` resolved for round ``column_rounds[c]``. Lanes past the
+    first ``num_threads`` repeat the last active thread's sid, so that,
+    with :func:`lane_addresses`' padding, they merge into its access.
+    """
+    round_aware = any(hasattr(maps[w], "for_round")
+                      for maps in sid_maps for w in range(num_warps))
+    if not round_aware:
+        sids = np.array([[maps[w] for w in range(num_warps)]
+                         for maps in sid_maps], dtype=np.int64)
+        sids = sids[:, :, None, :]
+    else:
+        rounds = list(dict.fromkeys(column_rounds))
+        column = np.array([rounds.index(r) for r in column_rounds])
+        tables = []
+        for maps in sid_maps:
+            for w in range(num_warps):
+                sid_map = maps[w]
+                if hasattr(sid_map, "for_round"):
+                    tables.append([sid_map.for_round(r) for r in rounds])
+                else:
+                    tables.append([sid_map] * len(rounds))
+        sids = np.array(tables, dtype=np.int64)[:, column].reshape(
+            len(sid_maps), num_warps, len(column_rounds), warp_size)
+    last = num_threads - (num_warps - 1) * warp_size
+    if last < warp_size:
+        sids[:, -1, :, last:] = sids[:, -1, :, last - 1:last]
+    return sids
 
 
 def build_warp_programs(
@@ -109,84 +267,24 @@ def build_warp_programs(
     num_lines = len(indices)
     if not num_lines:
         raise ConfigurationError("cannot build warp programs from zero lines")
-
-    # Table-entry addresses depend only on (table_id, index), and the
-    # table id only on (round, lookup): one gather through the 5x256 grid
-    # resolves every lane's address. The grid is a pure function of the
-    # address map, so it is cached across launches.
-    table_addresses = _TABLE_ADDRESS_GRIDS.get(address_map)
-    if table_addresses is None:
-        table_addresses = np.array(
-            [[address_map.table_entry_address(table_id, index)
-              for index in range(256)]
-             for table_id in range(5)],
-            dtype=np.int64,
-        )
-        _TABLE_ADDRESS_GRIDS[address_map] = table_addresses
-
-    num_warps = -(-num_lines // warp_size)
-    # (lanes, lookups) addresses of every table load, in program order;
-    # the inactive lanes of a partial final warp repeat its last thread.
-    lanes = np.empty((num_warps * warp_size, NUM_ROUNDS * LOOKUPS_PER_ROUND),
-                     dtype=np.int64)
-    lanes[:num_lines] = table_addresses[table_id_grid(), indices] \
-        .reshape(num_lines, -1)
-    lanes[num_lines:] = lanes[num_lines - 1]
-    # Per warp, per table load: its lane addresses as Python ints.
-    table_loads = lanes.reshape(num_warps, warp_size, -1) \
-                       .transpose(0, 2, 1).tolist()
-
+    # Per warp, per memory instruction: its lane addresses as Python ints.
+    lanes = lane_addresses(indices[None], address_map, warp_size)[0]
+    if not include_io:
+        lanes = lanes[:, 1:-1]
+    skeleton = kernel_skeleton(round_compute_cycles, include_io)
     programs: List[WarpProgram] = []
-    for warp_id in range(num_warps):
-        first_line = warp_id * warp_size
-        num_threads = min(warp_size, num_lines - first_line)
+    for warp_id, rows in enumerate(lanes.tolist()):
+        num_threads = min(warp_size, num_lines - warp_id * warp_size)
         active: Optional[Tuple[bool, ...]] = None
         if num_threads < warp_size:
             active = tuple(i < num_threads for i in range(warp_size))
-
-        def io_addresses(base: int) -> Tuple[int, ...]:
-            """One line per thread; inactive lanes repeat the last one."""
-            lines = [address_map.line_address(base, first_line + tid)
-                     for tid in range(num_threads)]
-            return tuple(lines + [lines[-1]] * (warp_size - num_threads))
-
-        program = WarpProgram(warp_id=warp_id, num_threads=num_threads)
-        instructions = program.instructions
-
-        if include_io:
-            instructions.append(MemoryInstruction(
-                addresses=io_addresses(PLAINTEXT_REGION_BASE),
-                kind=AccessKind.INPUT_LOAD,
-                round_index=0,
-                request_size=16,
-                active_mask=active,
-            ))
-
-        warp_loads = iter(table_loads[warp_id])
-        for round_index in range(1, NUM_ROUNDS + 1):
-            instructions.append(
-                ComputeInstruction(round_compute_cycles, round_index)
-            )
-            for _ in range(LOOKUPS_PER_ROUND):
-                instructions.append(MemoryInstruction(
-                    addresses=tuple(next(warp_loads)),
-                    kind=AccessKind.TABLE_LOAD,
-                    round_index=round_index,
-                    request_size=4,
-                    active_mask=active,
-                ))
-
-        if include_io:
-            # round_index None: the store is outside the round windows, so
-            # it never extends the measured last-round span.
-            instructions.append(MemoryInstruction(
-                addresses=io_addresses(CIPHERTEXT_REGION_BASE),
-                kind=AccessKind.OUTPUT_STORE,
-                round_index=None,
-                is_write=True,
-                request_size=16,
-                active_mask=active,
-            ))
-
-        programs.append(program)
+        rows = iter(rows)
+        programs.append(WarpProgram(
+            warp_id=warp_id, num_threads=num_threads,
+            instructions=[
+                ins if isinstance(ins, ComputeInstruction)
+                else MemoryInstruction(tuple(next(rows)), ins.kind,
+                                       ins.round_index, ins.is_write,
+                                       ins.request_size, active)
+                for ins in skeleton]))
     return programs

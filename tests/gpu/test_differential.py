@@ -16,10 +16,11 @@ stream, on three servers, and the first of them on a fourth:
 
 * the event engine (``batched_timing=False``), the reference;
 * the batched timing core (``batched_timing=True``): records, kernel
-  results included, must be equal. A spy asserts that the core served
-  every launch, single-warp ones on its wavefront path and multi-warp
-  ones on its calendar replay, so no case compares the event engine with
-  itself. Any exception from the core propagates and fails the test;
+  results included, must be equal. A spy on the core's batch entry
+  asserts that the core served every launch, single-warp ones on its
+  wavefront path and multi-warp ones on its calendar replay, so no case
+  compares the event engine with itself. Any exception from the core
+  propagates and fails the test;
 * the counts core (``counts_only=True``): records must equal the
   reference's with both times zero and no kernel result;
 * the event engine under an enabled :class:`Telemetry`, which traces
@@ -27,8 +28,16 @@ stream, on three servers, and the first of them on a fourth:
   result's metrics snapshot is cleared. Tracing must not change what is
   simulated.
 
+A second property times batches of one to four equal-length samples in
+one ``encrypt_batch`` call, the way a timed phase does: the timing core
+takes each batch whole (one coalesce, one wavefront replay for all
+single-warp samples), and its records must equal those of the same
+samples run one ``encrypt`` at a time on the event engine, whether every
+sample draws from the server's one stream or from a stream of its own.
+A spy asserts that the core served every sample once.
+
 AES launches are load-heavy and never mix round windows inside a
-wavefront, so a second property generates raw :class:`WarpProgram`
+wavefront, so a third property generates raw :class:`WarpProgram`
 streams instead: one or two warps on one SM, stores about 30% of the time,
 instructions outside any round or in a neighbouring round, on tiny
 machines with equal core and memory clocks and DRAM timings of a few
@@ -139,14 +148,14 @@ def test_fast_engines_match_the_event_engine(config, permuted, policy,
         assert sum(record.last_round_byte_accesses) \
             == record.last_round_accesses
     served = []
-    run = BatchedTimingCore.run
+    run_samples = BatchedTimingCore.run_samples
 
-    def spy(self, programs, sid_maps):
-        result = run(self, programs, sid_maps)
-        served.append(len(programs))
-        return result
+    def spy(self, batch):
+        results = run_samples(self, batch)
+        served.extend([batch.num_warps] * len(results))
+        return results
 
-    with patch.object(BatchedTimingCore, "run", spy):
+    with patch.object(BatchedTimingCore, "run_samples", spy):
         assert _records(*case, retain_kernel_results=True) == reference
     assert served == [-(-lines // 32)] * LAUNCHES
     assert _records(*case, counts_only=True) == [
@@ -158,6 +167,46 @@ def test_fast_engines_match_the_event_engine(config, permuted, policy,
         assert record.kernel_result.metrics is not None
         record.kernel_result.metrics = None
     assert traced == reference[:1]
+
+
+@settings(deadline=None, database=None, **TIER1)
+@given(config=machines(), permuted=st.booleans(), policy=policies(),
+       lines=st.sampled_from([1, 5, 31, 32, 33, 64]),
+       samples=st.integers(1, 4), shared=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_sample_batches_match_one_launch_at_a_time(config, permuted, policy,
+                                                   lines, samples, shared,
+                                                   seed):
+    key = bytes(RngStream(seed, "key").random_bytes(16))
+    plaintexts = random_plaintexts(samples, lines, RngStream(seed, "pt"))
+    address_map = (PermutedAddressMap(config, RngStream(seed, "map"))
+                   if permuted else None)
+
+    def server(**kwargs):
+        return EncryptionServer(
+            key, policy, config=config, address_map=address_map,
+            rng=RngStream(seed, "victim") if policy.is_randomized else None,
+            retain_kernel_results=True, **kwargs)
+
+    def rngs():
+        """The server's one stream for every sample, or a stream each."""
+        return [None if shared else RngStream(seed, f"victim-{i}")
+                for i in range(samples)]
+
+    reference = server(batched_timing=False)
+    expected = [reference.encrypt(plaintext, rng=rng)
+                for plaintext, rng in zip(plaintexts, rngs())]
+    served = []
+    run_samples = BatchedTimingCore.run_samples
+
+    def spy(self, batch):
+        results = run_samples(self, batch)
+        served.extend([batch.num_warps] * len(results))
+        return results
+
+    with patch.object(BatchedTimingCore, "run_samples", spy):
+        assert server().encrypt_batch(plaintexts, rngs()) == expected
+    assert served == [-(-lines // 32)] * samples
 
 
 @st.composite

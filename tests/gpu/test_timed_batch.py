@@ -21,7 +21,9 @@ egress and reply port.
 
 ``TestHandOffs`` holds one single-warp launch per reason the wavefront path
 hands a launch to the calendar replay: a spy on ``_replay_calendar`` shows
-the hand-off, and the records must still be the engine's.
+the hand-off, the core's ``handoffs`` counter names its reason, and the
+records must still be the engine's. A default paper-sized phase must hand
+off nothing.
 """
 
 import pytest
@@ -87,11 +89,14 @@ def encrypt_both(policy, seed=2018, lines=32, config=None):
 
 @pytest.fixture
 def core_runs(monkeypatch):
-    """Spy on ``BatchedTimingCore.run``: one entry per call, True when the
-    core simulated the launch, False when it raised ``UnsupportedLaunch``
-    (and the engine replayed the launch on the event path)."""
+    """Spy on the core's two entries: one entry per launch, True when the
+    core simulated it, False when the core raised ``UnsupportedLaunch``
+    (and the engine replayed it on the event path). ``run`` takes one
+    launch of warp programs; ``run_samples`` takes a batch of launches
+    and adds one entry per launch of the batch."""
     outcomes = []
     run = BatchedTimingCore.run
+    run_samples = BatchedTimingCore.run_samples
 
     def spy(self, programs, sid_maps):
         try:
@@ -102,7 +107,17 @@ def core_runs(monkeypatch):
         outcomes.append(True)
         return result
 
+    def batch_spy(self, batch):
+        try:
+            results = run_samples(self, batch)
+        except UnsupportedLaunch:
+            outcomes.extend([False] * batch.num_samples)
+            raise
+        outcomes.extend([True] * len(results))
+        return results
+
     monkeypatch.setattr(BatchedTimingCore, "run", spy)
+    monkeypatch.setattr(BatchedTimingCore, "run_samples", batch_spy)
     return outcomes
 
 
@@ -113,9 +128,9 @@ def calendar_runs(monkeypatch):
     warps = []
     replay = BatchedTimingCore._replay_calendar
 
-    def spy(self, programs, sid_maps):
-        warps.append(len(programs))
-        return replay(self, programs, sid_maps)
+    def spy(self, launch):
+        warps.append(len(launch))
+        return replay(self, launch)
 
     monkeypatch.setattr(BatchedTimingCore, "_replay_calendar", spy)
     return warps
@@ -460,16 +475,38 @@ def blocks_instruction(blocks, round_index=1, is_write=False):
 class TestHandOffs:
     """Single-warp launches whose event order cycles alone cannot settle:
     the wavefront path hands each to the calendar replay, which serves it
-    from scratch."""
+    from scratch, and the core counts it under its reason."""
 
     @staticmethod
-    def assert_handed_off(core_runs, calendar_runs, config, *instructions):
+    def assert_handed_off(core_runs, calendar_runs, config, reason,
+                          *instructions):
         program = WarpProgram(warp_id=0, num_threads=32,
                               instructions=list(instructions))
-        golden, batched = run_both(core_runs, config, program)
+        sid_maps = {0: [0] * config.warp_size}
+        golden = GPUSimulator(config, batched_timing=False).run([program],
+                                                                sid_maps)
+        simulator = GPUSimulator(config)
+        batched = simulator.run([program], sid_maps)
         assert_kernel_results_equal(golden, batched)
         assert core_runs == [True]
         assert calendar_runs == [1]
+        assert simulator._timed_core.handoffs == {reason: 1}
+
+    def test_a_default_paper_phase_hands_off_no_sample(self, monkeypatch):
+        # 100 timed 32-line rss_rts M=16 samples, the paper's protocol:
+        # cycles settle every event order, so the calendar replays none.
+        cores = []
+        run_samples = BatchedTimingCore.run_samples
+
+        def spy(self, batch):
+            cores.append(self)
+            return run_samples(self, batch)
+
+        monkeypatch.setattr(BatchedTimingCore, "run_samples", spy)
+        ctx = ExperimentContext(root_seed=2018, samples=100)
+        _, records = collect_records(ctx, make_policy("rss_rts", 16), 100)
+        assert len(records) == 100 and cores
+        assert [core.handoffs for core in cores] == [{}] * len(cores)
 
     def test_same_cycle_tie(self, core_runs, calendar_runs):
         # Blocks 0, 2, 4, 6 are four rows of the one bank. The first
@@ -479,7 +516,7 @@ class TestHandOffs:
         # arrival and the slot event tie, and so do their parents.
         self.assert_handed_off(
             core_runs, calendar_runs,
-            tiny_machine(icnt_latency=3),
+            tiny_machine(icnt_latency=3), "same-cycle tie at a controller",
             blocks_instruction([0, 2, 4, 6]), ComputeInstruction(1, 1))
 
     def test_wavefront_spanning_two_round_windows(self, core_runs,
@@ -488,6 +525,7 @@ class TestHandOffs:
         # order, which cycles alone do not give.
         self.assert_handed_off(
             core_runs, calendar_runs, GPUConfig(),
+            "wavefront spans two round windows",
             blocks_instruction([0, 1]),
             blocks_instruction([5], round_index=2),
             ComputeInstruction(1, 2))
@@ -499,6 +537,7 @@ class TestHandOffs:
         # first load.
         self.assert_handed_off(
             core_runs, calendar_runs, tiny_machine(t_rc=8),
+            "earlier wavefront still in a partition",
             blocks_instruction([0]),
             blocks_instruction([2, 4, 6, 8], round_index=None,
                                is_write=True),
@@ -509,6 +548,7 @@ class TestHandOffs:
         self.assert_handed_off(
             core_runs, calendar_runs,
             GPUConfig(icnt_requests_per_cycle=2),
+            "forward-crossbar rate above one",
             blocks_instruction([0, 1, 7]), ComputeInstruction(1, 1))
 
 

@@ -15,7 +15,7 @@ from repro.gpu.address import (
 )
 from repro.gpu.request import AccessKind
 from repro.gpu.warp import ComputeInstruction, MemoryInstruction, \
-    build_warp_programs
+    build_warp_programs, lane_addresses
 from repro.rng import RngStream
 
 
@@ -179,3 +179,31 @@ class TestScalarReference:
                 traces, address_map, program.warp_id)
             assert program.num_threads == min(32, num_lines
                                               - 32 * program.warp_id)
+
+    @pytest.mark.parametrize("num_lines", [1, 40, 96])
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_array_launch_matches_scalar_traces(self, gpu_config, num_lines,
+                                                permuted):
+        # Three launches of different plaintexts in one gather: every
+        # lane of every memory instruction, padded lanes included, equals
+        # the address walked out of that launch's scalar traces.
+        address_map = (PermutedAddressMap(gpu_config, RngStream(13, "addr"))
+                       if permuted else AddressMap(gpu_config))
+        key = bytes(range(16))
+        aes = TTableAES(key)
+        launches = [[bytes([(line + 7 * s) % 256]) * 16
+                     for line in range(num_lines)] for s in range(3)]
+        indices = np.stack([
+            encrypt_batch(key, np.frombuffer(b"".join(lines), dtype=np.uint8)
+                          .reshape(num_lines, 16))[1]
+            for lines in launches])
+        lanes = lane_addresses(indices, address_map, 32)
+        assert lanes.shape == (3, -(-num_lines // 32),
+                               2 + NUM_ROUNDS * LOOKUPS_PER_ROUND, 32)
+        for s, lines in enumerate(launches):
+            traces = [aes.encrypt(line) for line in lines]
+            for warp_id in range(lanes.shape[1]):
+                expected = [list(ins.addresses) for ins in reference_program(
+                    traces, address_map, warp_id)
+                    if isinstance(ins, MemoryInstruction)]
+                assert lanes[s, warp_id].tolist() == expected

@@ -15,6 +15,9 @@ The workloads:
   engine, on the event engine and under ``Telemetry(profile=True)``;
 * *wide*: 2 timed 128-line (4-warp) ``rss_rts`` M=8 launches, on the
   default engine and on the event engine;
+* *sample axis*: one 32-sample timed 32-line ``rss_rts`` M=8 phase, which
+  the timing core takes in slabs of many samples, against the same
+  samples launched one ``encrypt`` at a time;
 * *counts*: 4 counts-only 256-line samples, plain, with a run journal,
   and drained through the shard lease protocol in 1-sample chunks;
 * *appends*: 512 fsync'd run-journal appends.
@@ -30,6 +33,10 @@ shard values, which wait on fsync, are timed on the wall clock.
 Every bound has a negative control. It injects the regression the bound
 guards against and shows the value crossing the bound by a quarter or
 more. Most controls measure once, since the regression dwarfs the noise.
+A timed phase reaches the timing core through its batch entry,
+``BatchedTimingCore.run_samples``, one call per slab of samples, so the
+controls of the timed floors patch that entry and inject their
+regression once per sample of the slab.
 """
 
 import tempfile
@@ -40,7 +47,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.policies import make_policy
-from repro.experiments.base import ExperimentContext, collect_records
+from repro.experiments.base import (ExperimentContext, build_server,
+                                    collect_records, victim_stream_name)
 from repro.experiments.checkpoint import CheckpointStore, campaign_fingerprint
 from repro.experiments.runner import PhaseWork
 from repro.experiments.shard import LeaseManager, ShardPolicy
@@ -49,20 +57,27 @@ from repro.gpu.timed_batch import BatchedTimingCore, UnsupportedLaunch
 from repro.telemetry import Telemetry
 from repro.telemetry.journal import RunJournal
 from repro.telemetry.tracer import Tracer
+from repro.workloads import server as server_module
+from repro.workloads.plaintext import random_plaintexts
 
 POLICY = make_policy("rss_rts", 8)
 LAUNCHES = 8
 WIDE_LAUNCHES = 2
+PHASE_SAMPLES = 32
 SAMPLES = 4
 APPENDS = 512
 ROUNDS = 3
 TIMED = ExperimentContext(root_seed=2018, samples=LAUNCHES)
 WIDE = ExperimentContext(root_seed=2018, samples=WIDE_LAUNCHES, lines=128)
+PHASE = ExperimentContext(root_seed=2018, samples=PHASE_SAMPLES)
 COUNTS = ExperimentContext(root_seed=2018, samples=SAMPLES, lines=256)
 
 SIM_CYCLES_PER_SECOND_FLOOR = 400_000
 SPEEDUP_VS_EVENT_FLOOR = 1.5
 MULTI_WARP_SPEEDUP_FLOOR = 1.5
+#: Samples per CPU second of a batched phase over one launch at a time
+#: (measured 2.8 on a 2-CPU VM).
+SAMPLE_AXIS_SPEEDUP_FLOOR = 1.4
 PROFILER_OVERHEAD_CEILING = 3.3
 MS_PER_SAMPLE_CEILING = 15.0
 APPENDS_PER_SECOND_FLOOR = 100
@@ -119,6 +134,24 @@ def wide(**fields):
 
 def event_wide():
     return wide(batched_timing=False)
+
+
+def phase():
+    return collect_records(PHASE, POLICY, PHASE_SAMPLES)[1]
+
+
+def one_at_a_time():
+    """The phase's samples, one ``encrypt`` each, with the same streams."""
+    server = build_server(PHASE, POLICY)
+    plaintexts = random_plaintexts(PHASE_SAMPLES, PHASE.lines,
+                                   PHASE.stream("workload"))
+    stream = victim_stream_name(POLICY)
+    return [server.encrypt(plaintext, rng=PHASE.sample_stream(stream, index))
+            for index, plaintext in enumerate(plaintexts)]
+
+
+def samples_per_cpu_second_gain(batched, single):
+    return (PHASE_SAMPLES / batched.cpu) / (PHASE_SAMPLES / single.cpu)
 
 
 def profiled():
@@ -187,6 +220,11 @@ def wide_timing():
 
 
 @pytest.fixture(scope="module")
+def sample_axis():
+    return measure({"phase": phase, "single": one_at_a_time})
+
+
+@pytest.fixture(scope="module")
 def counting():
     return measure({"plain": counts, "ledgered": ledgered,
                     "sharded": sharded})
@@ -226,6 +264,16 @@ class TestMultiWarpLaunches:
         assert wide_timing["default"].records == wide_timing["event"].records
 
 
+class TestSampleAxis:
+    def test_samples_per_cpu_second(self, sample_axis):
+        assert samples_per_cpu_second_gain(sample_axis["phase"],
+                                           sample_axis["single"]) \
+            >= SAMPLE_AXIS_SPEEDUP_FLOOR
+
+    def test_records_identical(self, sample_axis):
+        assert sample_axis["phase"].records == sample_axis["single"].records
+
+
 class TestCountsSamples:
     def test_ms_per_sample(self, counting):
         assert counting["plain"].cpu / SAMPLES * 1e3 <= MS_PER_SAMPLE_CEILING
@@ -252,50 +300,67 @@ def test_appends_per_second():
 
 class TestNegativeControls:
     def test_a_slow_timing_core_breaks_the_cycle_floor(self, monkeypatch):
-        delay(monkeypatch, BatchedTimingCore, "run", burn, 0.06)
+        run_samples = BatchedTimingCore.run_samples
+
+        def slow(self, batch):
+            burn(0.06 * batch.num_samples)
+            return run_samples(self, batch)
+
+        monkeypatch.setattr(BatchedTimingCore, "run_samples", slow)
         assert sim_cycles_per_second(once(timed)) \
             < SIM_CYCLES_PER_SECOND_FLOOR / MARGIN
 
     def test_a_core_that_falls_back_breaks_the_speedup_floor(
             self, monkeypatch):
-        run = BatchedTimingCore.run
+        run_samples = BatchedTimingCore.run_samples
 
-        def fall_back(self, programs, sid_maps):
-            run(self, programs, sid_maps)
+        def fall_back(self, batch):
+            run_samples(self, batch)
             raise UnsupportedLaunch("forced")
 
-        monkeypatch.setattr(BatchedTimingCore, "run", fall_back)
-        # Both sides now end on the event engine, so single runs would
-        # differ by little more than noise: keep the best of three.
-        fallen = measure({"default": timed, "event": event_timed})
+        monkeypatch.setattr(BatchedTimingCore, "run_samples", fall_back)
+        # Both sides now end on the event engine, and the batch the core
+        # simulates first costs a few percent of it, so single runs would
+        # differ by little more than noise: keep the best of five.
+        fallen = measure({"default": timed, "event": event_timed}, rounds=5)
         assert fallen["event"].cpu / fallen["default"].cpu \
             < SPEEDUP_VS_EVENT_FLOOR / MARGIN
 
     def test_a_core_that_declines_multi_warp_launches_breaks_the_floor(
             self, monkeypatch):
-        run = BatchedTimingCore.run
+        run_samples = BatchedTimingCore.run_samples
 
-        def decline(self, programs, sid_maps):
-            result = run(self, programs, sid_maps)
-            if len(programs) > 1:
+        def decline(self, batch):
+            results = run_samples(self, batch)
+            if batch.num_warps > 1:
                 raise UnsupportedLaunch("forced")
-            return result
+            return results
 
-        monkeypatch.setattr(BatchedTimingCore, "run", decline)
+        monkeypatch.setattr(BatchedTimingCore, "run_samples", decline)
         fallen = measure({"default": wide, "event": event_wide})
         assert fallen["event"].cpu / fallen["default"].cpu \
             < MULTI_WARP_SPEEDUP_FLOOR / MARGIN
 
     def test_a_core_one_cycle_off_breaks_cycle_parity(self, timing,
                                                       monkeypatch):
-        run = BatchedTimingCore.run
+        run_samples = BatchedTimingCore.run_samples
 
-        def late(self, programs, sid_maps):
-            result = run(self, programs, sid_maps)
-            return replace(result, total_cycles=result.total_cycles + 1)
+        def late(self, batch):
+            return [replace(result, total_cycles=result.total_cycles + 1)
+                    for result in run_samples(self, batch)]
 
-        monkeypatch.setattr(BatchedTimingCore, "run", late)
+        monkeypatch.setattr(BatchedTimingCore, "run_samples", late)
         assert timed() != timing["event"].records
+
+    def test_one_sample_slabs_break_the_sample_axis_floor(
+            self, sample_axis, monkeypatch):
+        # Every slab holds one sample: the phase times its samples one at
+        # a time, like the other side.
+        monkeypatch.setattr(server_module, "_SLAB_LANE_BYTES", 1)
+        single = once(phase)
+        assert single.records == sample_axis["single"].records
+        assert samples_per_cpu_second_gain(single, sample_axis["single"]) \
+            < SAMPLE_AXIS_SPEEDUP_FLOOR / MARGIN
 
     def test_a_slow_tracer_breaks_the_profiler_ceiling(self, timing,
                                                        monkeypatch):

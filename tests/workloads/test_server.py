@@ -16,6 +16,7 @@ from repro.experiments.base import ExperimentContext, collect_records
 from repro.gpu.coalescer import CoalescingUnit
 from repro.gpu.warp import build_warp_programs
 from repro.rng import RngStream
+from repro.telemetry import Telemetry
 from repro.workloads.plaintext import random_plaintexts
 from repro.workloads.server import EncryptionServer
 
@@ -107,6 +108,38 @@ class TestCountsOnlyMode:
         timed = server(batched_timing=False).encrypt_batch(plaintexts)
         assert batch == [replace(r, total_time=0, last_round_time=0)
                          for r in timed]
+
+    def test_timed_batch_of_mixed_lengths_matches_one_at_a_time(
+            self, test_key):
+        # A timed batch is simulated in slabs of equal-length samples; a
+        # length change starts a new slab, and the shared stream is still
+        # drawn in sample order.
+        plaintexts = [random_plaintexts(1, lines, RngStream(lines, "pt"))[0]
+                      for lines in (32, 32, 5, 64, 32)]
+
+        def server(**kwargs):
+            return EncryptionServer(test_key, make_policy("rss_rts", 8),
+                                    rng=RngStream(9, "v"),
+                                    retain_kernel_results=True, **kwargs)
+
+        reference = server(batched_timing=False)
+        assert server().encrypt_batch(plaintexts) == [
+            reference.encrypt(plaintext) for plaintext in plaintexts]
+
+    def test_event_engine_reports_each_launch_as_it_finishes(self,
+                                                              test_key):
+        # An instrumented server times on the event engine, one launch at
+        # a time, so each record is reported when its launch finishes,
+        # not when its slab does.
+        telemetry = Telemetry()
+        server = EncryptionServer(test_key, make_policy("rss_rts", 8),
+                                  rng=RngStream(9, "v"), telemetry=telemetry)
+        kernels = []
+        server.encrypt_batch(
+            random_plaintexts(3, 32, RngStream(1, "pt")),
+            on_record=lambda record: kernels.append(
+                telemetry.metrics.counter("sim.kernels").value))
+        assert kernels == [1, 2, 3]
 
     @pytest.mark.parametrize("counts_only", [False, True])
     def test_batch_rejects_mismatched_streams(self, test_key, plaintexts,
