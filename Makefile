@@ -74,7 +74,8 @@ chaos:
 	REPRO_FAST=1 pytest tests/robustness/
 
 # Long differential fuzzing: the fast engines against the event engine
-# (generated machines with AES launches, and tiny machines with raw warp
+# (generated machines with AES launches and sample slabs, machines built
+# for row misses and ties with AES slabs, and tiny machines with raw warp
 # streams), and the attack estimator against its reference, at 1000
 # examples each on a fresh random seed (the `fuzz` Hypothesis profile,
 # registered in tests/conftest.py). A plain `make test` keeps the

@@ -43,9 +43,12 @@ vectors, then the forward-crossbar recurrence, the all-row-hit closed
 forms and the DRAM statistics over ``(sample, partition)`` segments of
 one flat access array, with bank, bus and port state held as
 ``(samples, partitions, banks)`` arrays. Segments whose accesses all hit
-open rows serve them in FIFO order in closed form; only the others run
-the per-access FR-FCFS loop. The reply port needs only the *multiset* of
-a launch's completion cycles, which same-cycle completions cannot change.
+open rows serve them in FIFO order in closed form. A segment with a row
+miss runs the per-access FR-FCFS loop only until its last miss is served;
+every access left then hits, so the same closed forms, started from the
+command slot and bus the loop left, serve the tails of all such segments
+of a flush at once. The reply port needs only the *multiset* of a
+launch's completion cycles, which same-cycle completions cannot change.
 
 **Hand-offs.** The wavefront path decides every event order from cycles
 alone. An event pushed by a parent that ran on an earlier cycle runs
@@ -477,135 +480,131 @@ class BatchedTimingCore:
                     alive[s] = False
                     handoffs[reason] += 1
 
-        def flush(m0, m1, ready, win_end, writes):
-            """Replay the accesses of instructions ``[m0, m1)`` of every
-            live launch through the memory system; returns each launch's
-            resume cycle after the barrier."""
-            rows = (np.flatnonzero(alive)[:, None] * M
-                    + np.arange(m0, m1)).ravel()
-            per_row = row_counts[rows]
-            n = int(per_row.sum())
-            if not n:
-                return ready
-            # Per access: its (launch, instruction) row, its position in
-            # the row and its index in the flat access arrays.
-            access_row = np.repeat(rows, per_row)
-            pos = np.arange(n) - np.repeat(np.cumsum(per_row) - per_row,
-                                           per_row)
-            idx = starts[access_row] + pos
-            inject = ibase[access_row] + pos * per_access
-            # (launch, partition) segments, generation order kept within
-            # (a stable sort, a radix sort on keys this narrow).
-            seg_key = (access_row // M * P + part[idx]).astype(key_type)
-            order = np.argsort(seg_key, kind="stable")
-            idx = idx[order]
-            inject = inject[order]
-            seg_key = seg_key[order]
-            if writes:
-                store = is_write[access_row[order] % M]
-            edge = np.flatnonzero(seg_key[1:] != seg_key[:-1]) + 1
-            seg0 = np.concatenate(([0], edge))
-            seg1 = np.concatenate((edge, [n]))
-            seg_n = seg1 - seg0
-            last = seg1 - 1
-            key = seg_key[seg0].astype(np.int64)
-            gid = np.repeat(np.arange(len(seg0)), seg_n)
-            k = np.arange(n) - seg0[gid]
-
-            # Forward crossbar: per-partition ingress port recurrence.
-            # accept_k = max(inject_k, accept_{k-1} + 1) unrolls to
-            # k + max(next_free, max_{j<=k}(inject_j - j)).
-            accept = k + np.maximum(_segmented_cummax(inject - k, gid),
-                                    fwd_free[key][gid])
-            fwd_free[key] = accept[last] + 1
-            arrive = accept + icnt_lat
-            # An earlier wavefront's store, or a command slot freeing late,
-            # still holds the controller when this wavefront arrives:
-            # FR-FCFS would interleave the two.
-            busy = arrive[seg0] < part_idle[key]
-            over = seg_n >= _QUEUE_CAPACITY
-            acc_bank = bank[idx]
-            acc_row = row[idx]
-            flat_bank = key[gid] * B + acc_bank
-            all_hit = np.logical_and.reduceat(open_row[flat_bank] == acc_row,
-                                              seg0)
-
-            # All-row-hit closed form, computed for every segment; a
-            # segment with a miss overwrites its share below. Every select
-            # is a head hit, so FR-FCFS degenerates to FIFO and absorb-order
-            # ties cannot change service order or timing. Slots strictly
-            # increase, so per-bank CAS state never binds (the global tCCD
-            # chain dominates, and the cross-wavefront case is covered by
-            # the busy check above):
-            #   cas_k  = max(arr_k, cas_{k-1} + tCCD)
-            #   comp_k = max(cas_k + tCL, comp_{k-1}) + tBURST
-            # — two running-max recurrences in closed form.
+        def serve_hits(arrive, segment, k, slot, bus):
+            """Command and completion cycles of row hits served oldest
+            first, segment by segment. Access ``k`` of a segment (counting
+            from 0) issues at cas_k = max(arr_k, cas_{k-1} + tCCD) and
+            completes at comp_k = max(cas_k + tCL, comp_{k-1}) + tBURST,
+            where ``slot`` (cas_{-1} + tCCD) and ``bus`` (comp_{-1}) are
+            its segment's starting state. The two running maxima unroll to
+              cas_k  = k·tCCD + max(slot, max_{j<=k}(arr_j - j·tCCD))
+              comp_k = k·tBURST + tBURST
+                       + max(bus, max_{j<=k}(cas_j + tCL - j·tBURST)).
+            """
             kc = k * t_ccd
-            cas = kc + _segmented_cummax(arrive - kc, gid)
-            slot = cas + t_ccd
+            cas = kc + np.maximum(_segmented_cummax(arrive - kc, segment),
+                                  slot)
             kb = k * t_burst
-            comp = kb + t_burst + np.maximum(
-                _segmented_cummax(cas + t_cl - kb, gid), bus_free[key][gid])
-            hits = np.where(all_hit, seg_n, 0)
-            qwait = np.add.reduceat(comp - arrive, seg0) - seg_n * t_burst
-            done = key[all_hit]
-            bus_free[done] = comp[last[all_hit]]
-            part_idle[done] = slot[last[all_hit]]
-            hit_access = all_hit[gid]
-            np.maximum.at(next_cas, flat_bank[hit_access], slot[hit_access])
+            return cas, kb + t_burst + np.maximum(
+                _segmented_cummax(cas + t_cl - kb, segment), bus)
 
-            seg_sample = (key // P).tolist()
-            over_l = over.tolist()
-            busy_l = busy.tolist()
-            for g in np.flatnonzero(~all_hit | over | busy).tolist():
-                s = seg_sample[g]
+        def serve_row_misses(visit, over, busy, seg0, seg_n, key, arrive,
+                             inject, acc_row, flat_bank, comp, hits, qwait):
+            """Serve a flush's segments with a row miss exactly, in
+            (launch, partition) order, over their share of the all-hit
+            closed form (``comp``, ``hits``, ``qwait``) and the machine
+            state. ``visit`` lists those segments and the ``over`` and
+            ``busy`` ones, whose launches are handed off, as are the
+            launches of a segment whose event order cycles cannot settle.
+
+            The FR-FCFS loop runs per segment only until its last miss is
+            served. Every access left then hits an open row, so FR-FCFS
+            serves them oldest first, each at the later of its arrival and
+            the last slot; per-bank CAS state no longer binds and same-cycle
+            ties cannot reorder anything. The all-hit recurrences, started
+            from the slot and bus each loop left, serve every segment's
+            remaining hits at once.
+            """
+            replayed = ~(over[visit] | busy[visit])
+            seg = visit[replayed]
+            nm = len(seg)
+            # Every row-miss access, segment by segment: its flat index and
+            # its segment's ordinal.
+            m_n = seg_n[seg]
+            m_end = np.cumsum(m_n)
+            m_start = m_end - m_n
+            mid = np.repeat(np.arange(nm), m_n)
+            macc = (np.arange(int(m_end[-1]) if nm else 0)
+                    + np.repeat(seg0[seg] - m_start, m_n))
+            m_arr = arrive[macc]
+            m_row = acc_row[macc]
+            m_bank = flat_bank[macc]
+            # The banks they touch, each once: the loops keep these banks'
+            # state in lists, and every access holds its bank's entry.
+            order = np.argsort(m_bank)
+            bank_o = m_bank[order]
+            row_o = m_row[order]
+            mid_o = mid[order]
+            same_bank = bank_o[1:] == bank_o[:-1]
+            first = np.ones(len(bank_o), dtype=bool)
+            first[1:] = ~same_bank
+            banks = bank_o[first]
+            bank_seg = mid_o[first]
+            entry = np.empty(len(macc), dtype=np.int64)
+            entry[order] = np.cumsum(first) - 1
+            brow_a = open_row[banks]
+            # When every bank sees one row in a segment, its misses are the
+            # first services of the banks whose row is not open yet, and
+            # after the last of them every access left hits. A bank seeing
+            # two rows leaves the count at -1: the loop serves it all.
+            misses = np.bincount(bank_seg[row_o[first] != brow_a],
+                                 minlength=nm)
+            misses[mid_o[1:][same_bank & (row_o[1:] != row_o[:-1])]] = -1
+
+            arr_l = m_arr.tolist()
+            inj_l = inject[macc].tolist()
+            bank_l = entry.tolist()
+            row_l = m_row.tolist()
+            brow = brow_a.tolist()
+            bcas = next_cas[banks].tolist()
+            bact = next_act[banks].tolist()
+            bpre = next_pre[banks].tolist()
+            bus_l = bus_free[key[seg]].tolist()
+            misses_l = misses.tolist()
+            start_l = m_start.tolist()
+            end_l = m_end.tolist()
+            #: The accesses the loops served, and their completions.
+            served_l: List[int] = []
+            served_append = served_l.append
+            comp_l: List[int] = []
+            comp_append = comp_l.append
+            slot_l = [0] * nm
+            hit_l = [0] * nm
+            wait_l = [0] * nm
+            finished: List[int] = []
+
+            j = -1
+            for s, replay, is_over in zip((key[visit] // P).tolist(),
+                                          replayed.tolist(),
+                                          over[visit].tolist()):
+                if replay:
+                    j += 1
                 if not alive[s]:
                     continue
-                if over_l[g]:
-                    hand_off((s,), "controller queue capacity")
-                    continue
-                if busy_l[g]:
-                    hand_off((s,), "earlier wavefront still in a partition")
+                if not replay:
+                    hand_off((s,), "controller queue capacity" if is_over
+                             else "earlier wavefront still in a partition")
                     continue
                 # FR-FCFS replay: the exact event alternation of arrivals
                 # and command-slot (dslot) events, minus the heap.
-                a = int(seg0[g])
-                nn = int(seg_n[g])
-                sp = int(key[g])
-                base = sp * B
-                arr_l = arrive[a:a + nn].tolist()
-                inj_l = inject[a:a + nn].tolist()
-                bank_l = acc_bank[a:a + nn].tolist()
-                row_l = acc_row[a:a + nn].tolist()
-                brow = open_row[base:base + B].tolist()
-                bcas = next_cas[base:base + B].tolist()
-                bact = next_act[base:base + B].tolist()
-                bpre = next_pre[base:base + B].tolist()
-                busf = int(bus_free[sp])
-                # When every bank sees one row in this segment, the misses
-                # are the first services of the banks whose row is not
-                # open yet; after the last of them every access left hits.
-                bank_rows = dict(zip(bank_l, row_l))
-                misses_left = -1
-                if len(bank_rows) == len(set(zip(bank_l, row_l))):
-                    misses_left = sum(brow[bk] != rw
-                                      for bk, rw in bank_rows.items())
+                i = start_l[j]
+                end = end_l[j]
+                misses_left = misses_l[j]
+                busf = bus_l[j]
                 hit_n = wait = 0
-                comp_at = [0] * nn
                 queue: List[int] = []
                 queue_append = queue.append
-                i = 0
                 pending = tie = False
                 d = last_s = 0
                 while misses_left:
                     if not pending:
-                        if i >= nn:
+                        if i >= end:
                             break
                         queue_append(i)
                         s_ = arr_l[i]
                         i += 1
                     else:
-                        while i < nn:
+                        while i < end:
                             arr_i = arr_l[i]
                             if arr_i >= d:
                                 if arr_i > d:
@@ -676,7 +675,8 @@ class BatchedTimingCore:
                     if busf > drdy:
                         drdy = busf
                     busf = drdy + t_burst
-                    comp_at[kq] = busf
+                    served_append(kq)
+                    comp_append(busf)
                     w = drdy - arr_l[kq]
                     if w > 0:
                         wait += w
@@ -685,37 +685,139 @@ class BatchedTimingCore:
                 if tie:
                     hand_off((s,), "same-cycle tie at a controller")
                     continue
-                if not misses_left:
-                    # Every access left hits an open row, so FR-FCFS serves
-                    # them oldest first, each at the later of its arrival
-                    # and the last slot; per-bank CAS state no longer binds
-                    # and same-cycle ties cannot reorder anything.
-                    queue.extend(range(i, nn))
-                    hit_n += len(queue)
-                    for kq in queue:
-                        c = arr_l[kq]
-                        w = d - c
-                        if w > 0:
-                            c = d
-                        d = c + t_ccd
-                        bcas[bank_l[kq]] = d
-                        drdy = c + t_cl
-                        if busf > drdy:
-                            drdy = busf
-                        busf = drdy + t_burst
-                        comp_at[kq] = busf
-                        w = drdy - arr_l[kq]
-                        if w > 0:
-                            wait += w
-                open_row[base:base + B] = brow
-                next_cas[base:base + B] = bcas
-                next_act[base:base + B] = bact
-                next_pre[base:base + B] = bpre
-                bus_free[sp] = busf
-                part_idle[sp] = d
-                comp[a:a + nn] = comp_at
-                hits[g] = hit_n
-                qwait[g] = wait
+                finished.append(j)
+                slot_l[j] = d
+                bus_l[j] = busf
+                hit_l[j] = hit_n
+                wait_l[j] = wait
+            if not finished:
+                return
+
+            # The tails: each finished segment's accesses its loop left, in
+            # order, all row hits, served from the slot and bus the loop
+            # left. Their slots strictly increase, so each bank's CAS state
+            # ends at its last slot.
+            fin = np.array(finished)
+            done = np.zeros(nm, dtype=bool)
+            done[fin] = True
+            left = done[mid]
+            head = np.array(served_l, dtype=np.int64)
+            head_comp = np.array(comp_l, dtype=np.int64)
+            ours = done[mid[head]]
+            head = head[ours]
+            comp[macc[head]] = head_comp[ours]
+            left[head] = False
+            tail = np.flatnonzero(left)
+            tail_n = np.bincount(mid[tail], minlength=nm)
+            slot_end = np.array(slot_l)
+            bus_end = np.array(bus_l)
+            wait_end = np.array(wait_l)
+            if len(tail):
+                tg = mid[tail]
+                t0 = np.flatnonzero(np.concatenate(
+                    ([True], tg[1:] != tg[:-1])))
+                t1 = np.append(t0[1:], len(tail)) - 1
+                k = np.arange(len(tail)) - np.repeat(t0, t1 - t0 + 1)
+                t_arr = m_arr[tail]
+                cas, t_comp = serve_hits(t_arr, tg, k, slot_end[tg],
+                                         bus_end[tg])
+                t_slot = cas + t_ccd
+                comp[macc[tail]] = t_comp
+                last = tg[t1]
+                wait_end[last] += (np.add.reduceat(t_comp - t_arr, t0)
+                                   - tail_n[last] * t_burst)
+                slot_end[last] = t_slot[t1]
+                bus_end[last] = t_comp[t1]
+
+            g = seg[fin]
+            sp = key[g]
+            hits[g] = np.array(hit_l)[fin] + tail_n[fin]
+            qwait[g] = wait_end[fin]
+            bus_free[sp] = bus_end[fin]
+            part_idle[sp] = slot_end[fin]
+            kept = done[bank_seg]
+            for array, values in ((open_row, brow), (next_cas, bcas),
+                                  (next_act, bact), (next_pre, bpre)):
+                array[banks[kept]] = np.array(values, dtype=np.int64)[kept]
+            if len(tail):
+                np.maximum.at(next_cas, m_bank[tail], t_slot)
+
+        def flush(m0, m1, ready, win_end, writes):
+            """Replay the accesses of instructions ``[m0, m1)`` of every
+            live launch through the memory system; returns each launch's
+            resume cycle after the barrier."""
+            rows = (np.flatnonzero(alive)[:, None] * M
+                    + np.arange(m0, m1)).ravel()
+            per_row = row_counts[rows]
+            n = int(per_row.sum())
+            if not n:
+                return ready
+            # Per access: its (launch, instruction) row, its position in
+            # the row and its index in the flat access arrays.
+            access_row = np.repeat(rows, per_row)
+            pos = np.arange(n) - np.repeat(np.cumsum(per_row) - per_row,
+                                           per_row)
+            idx = starts[access_row] + pos
+            inject = ibase[access_row] + pos * per_access
+            # (launch, partition) segments, generation order kept within
+            # (a stable sort, a radix sort on keys this narrow).
+            seg_key = (access_row // M * P + part[idx]).astype(key_type)
+            order = np.argsort(seg_key, kind="stable")
+            idx = idx[order]
+            inject = inject[order]
+            seg_key = seg_key[order]
+            if writes:
+                store = is_write[access_row[order] % M]
+            edge = np.flatnonzero(seg_key[1:] != seg_key[:-1]) + 1
+            seg0 = np.concatenate(([0], edge))
+            seg1 = np.concatenate((edge, [n]))
+            seg_n = seg1 - seg0
+            last = seg1 - 1
+            key = seg_key[seg0].astype(np.int64)
+            gid = np.repeat(np.arange(len(seg0)), seg_n)
+            k = np.arange(n) - seg0[gid]
+
+            # Forward crossbar: per-partition ingress port recurrence.
+            # accept_k = max(inject_k, accept_{k-1} + 1) unrolls to
+            # k + max(next_free, max_{j<=k}(inject_j - j)).
+            accept = k + np.maximum(_segmented_cummax(inject - k, gid),
+                                    fwd_free[key][gid])
+            fwd_free[key] = accept[last] + 1
+            arrive = accept + icnt_lat
+            # An earlier wavefront's store, or a command slot freeing late,
+            # still holds the controller when this wavefront arrives:
+            # FR-FCFS would interleave the two.
+            busy = arrive[seg0] < part_idle[key]
+            over = seg_n >= _QUEUE_CAPACITY
+            acc_bank = bank[idx]
+            acc_row = row[idx]
+            flat_bank = key[gid] * B + acc_bank
+            all_hit = np.logical_and.reduceat(open_row[flat_bank] == acc_row,
+                                              seg0)
+
+            # All-row-hit closed form, computed for every segment; a
+            # segment with a miss overwrites its share below. Every select
+            # is a head hit, so FR-FCFS degenerates to FIFO and absorb-order
+            # ties cannot change service order or timing. Slots strictly
+            # increase, so per-bank CAS state never binds (the global tCCD
+            # chain dominates, and the cross-wavefront case is covered by
+            # the busy check above). No slot is pending, and arrivals are
+            # never negative, so a starting slot of 0 never binds.
+            cas, comp = serve_hits(arrive, gid, k, 0, bus_free[key][gid])
+            slot = cas + t_ccd
+            hits = np.where(all_hit, seg_n, 0)
+            qwait = np.add.reduceat(comp - arrive, seg0) - seg_n * t_burst
+            done = key[all_hit]
+            bus_free[done] = comp[last[all_hit]]
+            part_idle[done] = slot[last[all_hit]]
+            hit_access = all_hit[gid]
+            np.maximum.at(next_cas, flat_bank[hit_access], slot[hit_access])
+
+            visit = np.flatnonzero(~all_hit | over | busy)
+            if len(visit):
+                serve_row_misses(visit, over, busy, seg0, seg_n, key, arrive,
+                                 inject, acc_row, flat_bank, comp, hits,
+                                 qwait)
 
             served[key] += seg_n
             row_hits[key] += hits

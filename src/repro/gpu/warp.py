@@ -79,8 +79,11 @@ KERNEL_COLUMNS = 2 + NUM_ROUNDS * LOOKUPS_PER_ROUND
 
 #: Per address map: its (5, 256) table-entry address grid and, by line
 #: count and warp size, its input and output line addresses padded to
-#: whole warps (weak keys: dropping a server drops its tables with it).
-_ADDRESS_TABLES: "WeakKeyDictionary[AddressMap, tuple]" = WeakKeyDictionary()
+#: whole warps. The stock builders read no map state, so every map whose
+#: class keeps both shares the entry keyed by :class:`AddressMap`; a map
+#: whose class overrides either has its own (weak keys: dropping that
+#: map's server drops its tables with it).
+_ADDRESS_TABLES: "WeakKeyDictionary[object, tuple]" = WeakKeyDictionary()
 
 
 @dataclass
@@ -168,13 +171,18 @@ def lane_addresses(indices: np.ndarray, address_map: AddressMap,
     """
     launches, num_lines = indices.shape[:2]
     num_warps = -(-num_lines // warp_size)
-    tables = _ADDRESS_TABLES.get(address_map)
+    cls = type(address_map)
+    owner = (AddressMap
+             if cls.table_entry_address is AddressMap.table_entry_address
+             and cls.line_address is AddressMap.line_address
+             else address_map)
+    tables = _ADDRESS_TABLES.get(owner)
     if tables is None:
         grid = np.array(
             [[address_map.table_entry_address(table_id, index)
               for index in range(256)] for table_id in range(5)],
             dtype=np.int64)
-        tables = _ADDRESS_TABLES[address_map] = (grid, {})
+        tables = _ADDRESS_TABLES[owner] = (grid, {})
     grid, io_lines = tables
     io = io_lines.get((num_lines, warp_size))
     if io is None:

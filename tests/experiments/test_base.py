@@ -80,6 +80,78 @@ class TestCollectRecords:
                             counts_only=True)
 
 
+class TestWorkItems:
+    """A checkpointed phase runs as several work items, each on a fresh
+    server: what an item sets up must not grow with the phase."""
+
+    @staticmethod
+    def checkpointed(tmp_path, samples):
+        from repro.experiments.checkpoint import (CheckpointStore,
+                                                  campaign_fingerprint)
+        ctx = ExperimentContext(root_seed=2018, samples=samples)
+        return ctx.with_(checkpoint=CheckpointStore.open(
+            tmp_path / "run", campaign_fingerprint("unit", ctx, False)))
+
+    def test_a_checkpointed_phase_builds_the_table_grid_once(
+            self, tmp_path, monkeypatch):
+        from weakref import WeakKeyDictionary
+
+        from repro.gpu import warp
+        from repro.gpu.address import AddressMap
+        from repro.workloads.server import EncryptionServer
+
+        monkeypatch.setattr(warp, "_ADDRESS_TABLES", WeakKeyDictionary())
+        entries = []
+        servers = []
+        table_entry_address = AddressMap.table_entry_address
+        init = EncryptionServer.__init__
+
+        def entry_spy(self, table_id, index):
+            entries.append((table_id, index))
+            return table_entry_address(self, table_id, index)
+
+        def init_spy(self, *args, **kwargs):
+            servers.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AddressMap, "table_entry_address", entry_spy)
+        monkeypatch.setattr(EncryptionServer, "__init__", init_spy)
+        # 20 samples in items of 8: a server (and an address map) for each
+        # of the three items, and the one the phase returns.
+        collect_records(self.checkpointed(tmp_path, 20),
+                        make_policy("rss_rts", 8), 20)
+        assert len(servers) == 4
+        assert len(entries) == 5 * 256
+
+    def test_an_items_plaintexts_are_the_phases_at_its_indices(
+            self, tmp_path, monkeypatch):
+        from repro.experiments import runner
+        from repro.workloads.plaintext import random_plaintexts
+        from repro.workloads.server import EncryptionServer
+
+        drawn = []
+        items = []
+        encrypt_batch = EncryptionServer.encrypt_batch
+
+        def draw_spy(num_samples, lines, rng):
+            drawn.append(num_samples)
+            return random_plaintexts(num_samples, lines, rng)
+
+        def batch_spy(self, plaintexts, *args, **kwargs):
+            items.append(list(plaintexts))
+            return encrypt_batch(self, plaintexts, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "random_plaintexts", draw_spy)
+        monkeypatch.setattr(EncryptionServer, "encrypt_batch", batch_spy)
+        ctx = self.checkpointed(tmp_path, 20)
+        collect_records(ctx, make_policy("rss_rts", 8), 20)
+        # Each item draws only through its last index ...
+        assert drawn == [8, 16, 20]
+        # ... and gets the entries of the whole phase's list.
+        phase = random_plaintexts(20, ctx.lines, ctx.stream("workload"))
+        assert items == [phase[:8], phase[8:16], phase[16:]]
+
+
 class TestCorrespondingAttack:
     def test_mechanisms_get_matching_models(self):
         ctx = ExperimentContext()

@@ -46,6 +46,14 @@ path hands to the calendar replay (same-cycle ties, wavefronts spanning
 two round windows, stores still queued when the next wavefront arrives,
 a forward-crossbar rate of two); the core must serve every one and equal
 the event engine's ``KernelResult``.
+
+A fourth property times slabs of 2 to 16 single-warp AES samples in one
+``encrypt_batch`` call on machines built for row misses and ties (one or
+two banks, one chunk per row, DRAM timings of a few cycles), so that the
+wavefront path's row-miss segments, their tails of row hits and their
+hand-offs meet in one flush. A spy asserts that the core took the slab
+whole; its records must equal the same samples run one ``encrypt`` at a
+time on the event engine.
 """
 
 from dataclasses import replace
@@ -73,8 +81,11 @@ LAUNCHES = 2
 #: Tier-1 runs 100 derandomized examples. ``make fuzz`` loads the
 #: ``fuzz`` profile (tests/conftest.py): its example count and random
 #: seed apply instead.
-TIER1 = ({} if settings.get_current_profile_name() == "fuzz"
-         else {"max_examples": 100, "derandomize": True})
+FUZZ = settings.get_current_profile_name() == "fuzz"
+TIER1 = {} if FUZZ else {"max_examples": 100, "derandomize": True}
+#: Tier-1 examples of the slab property, which runs up to 16 launches one
+#: at a time on the event engine per example.
+TIER1_SLABS = {} if FUZZ else {"max_examples": 16, "derandomize": True}
 
 
 @st.composite
@@ -283,3 +294,58 @@ def test_raw_streams_match_the_event_engine(config, programs):
     with patch.object(BatchedTimingCore, "run", spy):
         assert GPUSimulator(config).run(programs, sid_maps) == reference
     assert served == [len(programs)]
+
+
+@st.composite
+def row_miss_machines(draw):
+    """One SM, one to three partitions of one or two banks, one chunk per
+    row, equal core and memory clocks and DRAM timings of 1 to 6 cycles:
+    nearly every wavefront meets a row miss, and events tie often."""
+    cycles = st.integers(1, 6)
+    chunk = draw(st.sampled_from([64, 128]))
+    return GPUConfig(
+        num_sms=1,
+        num_partitions=draw(st.integers(1, 3)),
+        num_banks=draw(st.integers(1, 2)),
+        partition_chunk_bytes=chunk,
+        row_bytes=chunk,
+        core_clock_mhz=924,
+        round_compute_cycles=draw(st.integers(1, 40)),
+        issue_cycles=draw(st.integers(0, 2)),
+        coalescer_cycles_per_access=draw(st.integers(0, 2)),
+        icnt_latency=draw(st.integers(0, 8)),
+        dram_timing=DramTiming(
+            t_cl=draw(cycles), t_rp=draw(cycles), t_rc=draw(cycles),
+            t_ras=draw(cycles), t_ccd=draw(cycles), t_rcd=draw(cycles),
+            t_burst=draw(cycles)),
+    )
+
+
+@settings(deadline=None, database=None, **TIER1_SLABS)
+@given(config=row_miss_machines(), policy=policies(),
+       lines=st.sampled_from([5, 32]), samples=st.integers(2, 16),
+       seed=st.integers(0, 2**16))
+def test_row_miss_slabs_match_one_launch_at_a_time(config, policy, lines,
+                                                   samples, seed):
+    key = bytes(RngStream(seed, "key").random_bytes(16))
+    plaintexts = random_plaintexts(samples, lines, RngStream(seed, "pt"))
+
+    def server(**kwargs):
+        return EncryptionServer(
+            key, policy, config=config,
+            rng=RngStream(seed, "victim") if policy.is_randomized else None,
+            retain_kernel_results=True, **kwargs)
+
+    reference = server(batched_timing=False)
+    expected = [reference.encrypt(plaintext) for plaintext in plaintexts]
+    slabs = []
+    run_samples = BatchedTimingCore.run_samples
+
+    def spy(self, batch):
+        results = run_samples(self, batch)
+        slabs.append(len(results))
+        return results
+
+    with patch.object(BatchedTimingCore, "run_samples", spy):
+        assert server().encrypt_batch(plaintexts) == expected
+    assert slabs == [samples]

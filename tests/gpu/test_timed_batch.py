@@ -24,8 +24,17 @@ hands a launch to the calendar replay: a spy on ``_replay_calendar`` shows
 the hand-off, the core's ``handoffs`` counter names its reason, and the
 records must still be the engine's. A default paper-sized phase must hand
 off nothing.
+
+``TestRowMissSegments`` holds single-warp launches built around the
+wavefront path's row-miss segments: a segment whose last miss is its last
+access, a bank that sees two rows, a tail of hits longer than the FR-FCFS
+window, and one batch in which one launch is handed off on a tie while
+the others finish through their tails.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.core.policies import POLICY_NAMES, make_policy
@@ -44,6 +53,7 @@ from repro.gpu.timed_batch import BatchedTimingCore, UnsupportedLaunch
 from repro.gpu.warp import (
     ComputeInstruction,
     MemoryInstruction,
+    SampleBatch,
     WarpProgram,
 )
 from repro.rng import RngStream
@@ -449,16 +459,17 @@ class TestIcntRateSemantics:
         assert core_runs == [True]
 
 
-def tiny_machine(icnt_latency=8, **timing):
-    """One SM and one partition with one bank, two 64 B blocks per row,
-    equal core and memory clocks and one-cycle DRAM timings unless
-    ``timing`` says otherwise: events tie often."""
+def tiny_machine(icnt_latency=8, num_banks=1, row_blocks=2, **timing):
+    """One SM and one partition with ``num_banks`` banks (64 B chunks
+    round-robin over them), ``row_blocks`` 64 B blocks per row, equal core
+    and memory clocks and one-cycle DRAM timings unless ``timing`` says
+    otherwise: events tie often."""
     cycles = dict(t_cl=1, t_rp=1, t_rcd=1, t_ccd=1, t_rc=1, t_ras=1,
                   t_burst=1)
     cycles.update(timing)
-    return GPUConfig(num_sms=1, num_partitions=1, num_banks=1,
+    return GPUConfig(num_sms=1, num_partitions=1, num_banks=num_banks,
                      core_clock_mhz=924, partition_chunk_bytes=64,
-                     row_bytes=128, icnt_latency=icnt_latency,
+                     row_bytes=64 * row_blocks, icnt_latency=icnt_latency,
                      dram_timing=DramTiming(**cycles))
 
 
@@ -550,6 +561,112 @@ class TestHandOffs:
             GPUConfig(icnt_requests_per_cycle=2),
             "forward-crossbar rate above one",
             blocks_instruction([0, 1, 7]), ComputeInstruction(1, 1))
+
+
+def sample_batch(programs):
+    """One :class:`SampleBatch` of single-warp launches of one shape, each
+    launch's lane addresses taken from its program."""
+    memory = [[ins.addresses for ins in program.instructions
+               if isinstance(ins, MemoryInstruction)] for program in programs]
+    return SampleBatch(
+        instructions=tuple(replace(ins, addresses=())
+                           if isinstance(ins, MemoryInstruction) else ins
+                           for ins in programs[0].instructions),
+        addresses=np.array(memory, dtype=np.int64)[:, None],
+        num_threads=32, sid_maps=[{0: [0] * 32}] * len(programs),
+        programs=lambda s: [programs[s]])
+
+
+class TestRowMissSegments:
+    """A (launch, partition) segment with a row miss: the FR-FCFS loop
+    serves it only until its last miss, and the all-hit closed forms serve
+    the row hits left (its tail), for every segment of a flush at once.
+    Each launch must equal the event engine's; the DRAM statistics pin the
+    shape each case is built to have."""
+
+    @staticmethod
+    def assert_wavefront_serves(core_runs, calendar_runs, config,
+                                *instructions):
+        """Run one single-warp launch on both engines: equal results, and
+        the wavefront path served it (no hand-off, no calendar replay).
+        Returns the partition's DRAM statistics."""
+        program = WarpProgram(warp_id=0, num_threads=32,
+                              instructions=list(instructions))
+        sid_maps = {0: [0] * 32}
+        golden = GPUSimulator(config, batched_timing=False).run([program],
+                                                                sid_maps)
+        simulator = GPUSimulator(config)
+        assert_kernel_results_equal(golden,
+                                    simulator.run([program], sid_maps))
+        assert core_runs == [True]
+        assert calendar_runs == []
+        assert simulator._timed_core.handoffs == {}
+        (dram,) = golden.dram_stats
+        return dram.row_misses, dram.row_hits
+
+    def test_last_miss_is_the_last_access(self, core_runs, calendar_runs):
+        # Blocks 0 and 2 share bank 0's row 0, block 1 is bank 1's row 0.
+        # Block 0 opens its row, block 2 then hits ahead of block 1, and
+        # block 1's miss is served last: the tail is empty.
+        assert self.assert_wavefront_serves(
+            core_runs, calendar_runs, tiny_machine(num_banks=2),
+            blocks_instruction([0, 2, 1]), ComputeInstruction(1, 1)) \
+            == (2, 1)
+
+    def test_a_bank_seeing_two_rows_has_no_tail(self, core_runs,
+                                                 calendar_runs):
+        # Blocks 0 and 4 are rows 0 and 1 of bank 0: the loop serves the
+        # whole segment, the hits after the last miss included.
+        assert self.assert_wavefront_serves(
+            core_runs, calendar_runs, tiny_machine(num_banks=2),
+            blocks_instruction([0, 4, 2, 1, 3, 5]),
+            ComputeInstruction(1, 1)) == (4, 2)
+
+    def test_a_tail_longer_than_the_frfcfs_window(self, core_runs,
+                                                   calendar_runs):
+        # Block 0 opens bank 0's row, and the 95 odd blocks all lie in
+        # bank 1's row 0. Each activate takes tRP + tRCD = 80 cycles, so
+        # 80 accesses are queued when block 1's miss, the last, is served;
+        # the other 94 hits form the tail. With tCCD above tBURST their
+        # command slots, not the bus, set when they complete.
+        odd = list(range(1, 191, 2))
+        assert self.assert_wavefront_serves(
+            core_runs, calendar_runs,
+            tiny_machine(num_banks=2, row_blocks=128, t_rp=40, t_rcd=40,
+                         t_ccd=2),
+            blocks_instruction([0] + odd[:31]),
+            blocks_instruction(odd[31:63]), blocks_instruction(odd[63:]),
+            ComputeInstruction(1, 1)) == (2, 94)
+
+    def test_a_tie_hands_off_one_launch_of_a_slab(self, core_runs,
+                                                  calendar_runs):
+        # Launch 1's first wavefront ties as in TestHandOffs'
+        # test_same_cycle_tie (blocks 0, 2, 4, 6: four rows of the one
+        # bank). In the same flush the other launches each miss once and
+        # serve the rest as a tail, and they run a second wavefront
+        # without it. The handed-off launch's share of the flush must not
+        # disturb theirs: the reply port packs every launch's completions
+        # into one sort.
+        config = tiny_machine(icnt_latency=3)
+        programs = [
+            WarpProgram(warp_id=0, num_threads=32, instructions=[
+                blocks_instruction(first), blocks_instruction(second),
+                ComputeInstruction(1, 1), blocks_instruction(third, 2),
+                ComputeInstruction(1, 2)])
+            for first, second, third in [([0, 1], [1, 0], [3]),
+                                         ([0, 2, 4, 6], [8], [9]),
+                                         ([2, 3], [3, 2], [2, 4]),
+                                         ([5, 4], [4], [5])]]
+        golden = [GPUSimulator(config, batched_timing=False).run(
+            [program], {0: [0] * 32}) for program in programs]
+        simulator = GPUSimulator(config)
+        batched = list(simulator.run_samples(sample_batch(programs)))
+        for expected, result in zip(golden, batched):
+            assert_kernel_results_equal(expected, result)
+        assert core_runs == [True] * 4
+        assert calendar_runs == [1]
+        assert simulator._timed_core.handoffs == {
+            "same-cycle tie at a controller": 1}
 
 
 class TestEngineSelection:

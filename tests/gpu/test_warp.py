@@ -207,3 +207,36 @@ class TestScalarReference:
                     traces, address_map, warp_id)
                     if isinstance(ins, MemoryInstruction)]
                 assert lanes[s, warp_id].tolist() == expected
+
+
+class TestAddressTables:
+    """``lane_addresses`` caches each map's table-entry grid and line
+    addresses. Maps whose class keeps the stock builders share one entry;
+    a class that overrides either builder keeps its own."""
+
+    @pytest.mark.parametrize("builder", ["table_entry_address",
+                                         "line_address"])
+    def test_an_overriding_map_keeps_its_own_addresses(self, gpu_config,
+                                                       builder):
+        class Shifted(AddressMap):
+            """Every address of one builder 4 KB higher."""
+
+        def shifted(self, *args):
+            return getattr(AddressMap, builder)(self, *args) + 4096
+
+        setattr(Shifted, builder, shifted)
+        indices = indices_for(40)[None]
+        stock = lane_addresses(indices, AddressMap(gpu_config), 32)
+        moved = lane_addresses(indices, Shifted(gpu_config), 32)
+        # The stock entry, built first, is not the overriding map's ...
+        columns = (slice(1, -1) if builder == "table_entry_address"
+                   else [0, -1])
+        assert (moved[:, :, columns] == stock[:, :, columns] + 4096).all()
+        rest = np.ones(stock.shape[2], dtype=bool)
+        rest[columns] = False
+        assert (moved[:, :, rest] == stock[:, :, rest]).all()
+        # ... nor is the overriding map's entry the stock maps'.
+        again = lane_addresses(indices,
+                               PermutedAddressMap(gpu_config,
+                                                  RngStream(13, "addr")), 32)
+        assert (again == stock).all()
