@@ -55,15 +55,6 @@ class ExperimentError(ReproError):
     """
 
 
-class WorkerTimeoutError(ExperimentError):
-    """A supervised worker chunk exceeded its wall-clock deadline.
-
-    The supervisor reaps the hung pool, retries the chunk with backoff,
-    and raises this only when the chunk keeps timing out past the retry
-    budget.
-    """
-
-
 class WorkerCrashError(ExperimentError):
     """A supervised worker chunk raised or its process died.
 

@@ -272,7 +272,6 @@ class PhaseWork:
 
     ctx: ExperimentContext
     policy: CoalescingPolicy
-    num_samples: int
     counts_only: bool
     retain_kernel_results: bool
     engine: str
@@ -387,8 +386,7 @@ class _Phase:
                       campaign=None, journal=None, shard=None,
                       batched=self.engine == "batched",
                       batched_timing=self.engine == "batched_timing"),
-            policy, num_samples, counts_only, retain_kernel_results,
-            self.engine,
+            policy, counts_only, retain_kernel_results, self.engine,
             faults=(ctx.faults.bind(num_samples, ctx.root_seed)
                     if ctx.faults is not None else None),
             trace_capacity=(telemetry.tracer.capacity if self.instrumented

