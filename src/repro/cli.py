@@ -45,17 +45,23 @@ Sharded execution (coordinator-free multi-worker; docs/robustness.md)::
 Every worker's stdout is byte-identical to the serial run's; kill any
 of them (even ``kill -9``) and the survivors reclaim its lease and
 finish the campaign.
+
+Every command that runs experiments parses its flags, hands them to
+one run loop (:func:`_run`) and adds only the report it prints after
+the run; ``metrics`` and ``profile`` share one baseline gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
 import time
 from typing import List, Optional
 
+from repro.aes.key_schedule import NUM_ROUNDS
 from repro.errors import (
     CheckpointMismatchError,
     ConfigurationError,
@@ -64,7 +70,7 @@ from repro.errors import (
 )
 from repro.experiments.base import ExperimentContext
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.telemetry import Telemetry, configure_logging
+from repro.telemetry import ProgressBoard, Telemetry, configure_logging
 
 __all__ = ["main"]
 
@@ -90,16 +96,19 @@ EXIT_BY_ERROR = (
     (ReproError, EXIT_FAILURE),
 )
 
-#: Telemetry subcommands handled by dedicated parsers; everything else is
-#: the classic ``rcoal <experiment>`` form.
-_TELEMETRY_COMMANDS = ("trace", "metrics")
+_NO_TRACE_WARNING = ("warning: no trace events recorded (counts-only "
+                     "experiments skip the timing simulator)")
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_seed_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2018,
                         help="root experiment seed (default 2018)")
     parser.add_argument("--samples", type=int, default=None,
                         help="override plaintext sample count")
+
+
+def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_seed_arguments(parser)
     parser.add_argument("-j", "--jobs", type=int, default=1,
                         help="worker processes (0 = one per CPU); results "
                              "are bit-identical to -j 1")
@@ -144,6 +153,24 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
                             "(chaos testing; see repro.faults)")
 
 
+def _add_export_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--csv", metavar="PATH", default=None,
+                        help="also write the result rows as CSV "
+                             "(experiment id is appended for 'all')")
+    parser.add_argument("--json", metavar="PATH", default=None,
+                        help="also write the result as JSON")
+
+
+def _fault_fields(args) -> dict:
+    """The ``ExperimentContext`` field of a ``--faults`` plan, if any."""
+    if not args.faults:
+        return {}
+    from repro.faults import install_plan, parse_fault_plan
+    plan = parse_fault_plan(args.faults)
+    install_plan(plan)  # arms write-site (torn) faults in this process
+    return {"faults": plan}
+
+
 def _resilience_fields(args) -> dict:
     """``ExperimentContext`` fields for the resilience flags.
 
@@ -163,11 +190,7 @@ def _resilience_fields(args) -> dict:
         if args.max_attempts is not None:
             overrides["max_attempts"] = args.max_attempts
         fields["supervision"] = SupervisionPolicy(**overrides).validate()
-    if args.faults:
-        from repro.faults import install_plan, parse_fault_plan
-        plan = parse_fault_plan(args.faults)
-        install_plan(plan)  # arms write-site (torn) faults in this process
-        fields["faults"] = plan
+    fields.update(_fault_fields(args))
     return fields
 
 
@@ -228,13 +251,138 @@ def _start_server(spec: str, telemetry, campaign_dir=None):
     return server
 
 
+def _telemetry(serve, profile: bool, capacity: int = 500_000) -> Telemetry:
+    """An enabled sink for one run; a ``serve`` dashboard gets a board."""
+    return Telemetry(trace_capacity=capacity, profile=profile,
+                     board=ProgressBoard() if serve else None)
+
+
+def _run(args, ids: List[str], telemetry=None, *, shard=None, serve=None,
+         linger: bool = False, blank_line: bool = True,
+         wall_table: bool = True, chart=None, csv=None, json=None,
+         report=None) -> int:
+    """Run experiments ``ids`` in order: the run loop of every command.
+
+    The context takes the seed, sample, progress, ``-j`` and resilience
+    flags of ``args``, or a ``shard`` worker's policy and ``--faults``;
+    each experiment's checkpoint store lives under ``--resume`` (a
+    worker's under its DIR). Serves ``telemetry`` on ``serve`` (with
+    ``linger``, until Ctrl-C); prints each result, its stderr footer, a
+    blank line unless ``blank_line`` is off, and the chart/CSV/JSON
+    outputs; then the --profile table unless ``wall_table`` is off.
+    ``report()`` prints the command's own output; a non-zero code it
+    returns (drift) wins over the campaign's.
+    """
+    if shard is None:
+        store_dir = args.resume
+        fields = dict(jobs=args.jobs, **_resilience_fields(args))
+    else:
+        # No CampaignStats: a worker exits 0, with no summary, once the
+        # campaign is drained, whatever its peers restored or retried.
+        store_dir = args.dir
+        fields = dict(shard=shard, **_fault_fields(args))
+    ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
+                            telemetry=telemetry, progress=args.progress,
+                            **fields)
+    multiple = len(ids) > 1
+
+    server = (_start_server(serve, telemetry, campaign_dir=store_dir)
+              if serve else contextlib.nullcontext())
+    with server:
+        # An `all --resume` campaign gets a root-level ledger over the
+        # per-experiment run dirs: experiment start/finish marks written
+        # by the parent (the per-phase detail lives in each run dir's own
+        # ledger). `rcoal status <root>` folds both levels. Shard workers
+        # share DIR and leave its root alone.
+        campaign_journal = None
+        if store_dir and multiple and shard is None:
+            from repro.telemetry.journal import JOURNAL_NAME, RunJournal
+            campaign_journal = RunJournal(
+                os.path.join(store_dir, JOURNAL_NAME))
+
+        batch_start = time.time()
+
+        def _publish_batch(done: int) -> None:
+            # The dashboard's only whole-campaign progress row (the phase
+            # executor publishes one row per phase); --profile alone has
+            # no board to publish to.
+            if telemetry is None or telemetry.board is None \
+                    or not multiple:
+                return
+            telemetry.board.publish("experiments", done, len(ids),
+                                    time.time() - batch_start,
+                                    state="done" if done >= len(ids)
+                                    else "running")
+
+        try:
+            _publish_batch(0)
+            # Experiments run in order; -j spreads each phase's samples
+            # over the pool, so `all -j N` takes the path `fig07 -j N`
+            # does.
+            for done, experiment_id in enumerate(ids, 1):
+                run_ctx = ctx
+                if store_dir:
+                    run_ctx = ctx.with_(checkpoint=_open_store(
+                        store_dir, experiment_id, ctx, multiple=multiple))
+                if campaign_journal is not None:
+                    campaign_journal.append("experiment_start",
+                                            experiment=experiment_id)
+                start = time.time()
+                result = run_experiment(experiment_id, run_ctx)
+                seconds = time.time() - start
+                if campaign_journal is not None:
+                    campaign_journal.append("experiment_finish",
+                                            experiment=experiment_id,
+                                            seconds=round(seconds, 6))
+                print(result.render())
+                if chart is not None:
+                    from repro.experiments.charts import result_chart
+                    print()
+                    print(result_chart(result, column=chart))
+                # stderr, so stdout diffs clean across runs and -j
+                # settings (CI diffs them) and a shard worker's matches
+                # the serial run's.
+                print(f"[{experiment_id} completed in {seconds:.1f}s]",
+                      file=sys.stderr)
+                if blank_line:
+                    print()
+                if csv:
+                    from repro.experiments.export import write_csv
+                    target = (f"{csv}.{experiment_id}.csv" if multiple
+                              else csv)
+                    print(f"[csv written to {write_csv(result, target)}]")
+                if json:
+                    from repro.experiments.export import write_json
+                    target = (f"{json}.{experiment_id}.json" if multiple
+                              else json)
+                    print(f"[json written to {write_json(result, target)}]")
+                _publish_batch(done)
+        finally:
+            if wall_table:
+                _emit_profile_summary(telemetry)
+        if linger:
+            print(f"[run complete; dashboard still live at {server.url} "
+                  f"— Ctrl-C to exit]", file=sys.stderr)
+            try:
+                while True:
+                    time.sleep(0.5)
+            except KeyboardInterrupt:
+                pass
+
+    code = report() if report is not None else EXIT_OK
+    return code or _finish_campaign(ctx.campaign)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rcoal",
         description="RCoal (HPCA 2018) reproduction: regenerate paper "
                     "tables and figures on the simulated GPU. "
-                    "Subcommands 'trace' and 'metrics' run one experiment "
-                    "with telemetry enabled (see rcoal trace --help).",
+                    "Subcommands: 'trace', 'metrics', 'serve' and "
+                    "'profile' run one experiment under an observer, "
+                    "'status' reports a --resume campaign and 'shard' "
+                    "drains one with other workers "
+                    "(see rcoal <subcommand> --help).",
     )
     parser.add_argument(
         "experiment",
@@ -243,15 +391,28 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(parser)
     _add_serve_argument(parser)
     _add_resilience_arguments(parser)
-    parser.add_argument("--csv", metavar="PATH", default=None,
-                        help="also write the result rows as CSV "
-                             "(experiment id is appended for 'all')")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write the result as JSON")
+    _add_export_arguments(parser)
     parser.add_argument("--chart", type=int, metavar="COLUMN", default=None,
                         help="also render column COLUMN (1-based after the "
                              "x column) as an ASCII bar chart")
     return parser
+
+
+def _run_experiment_command(argv: List[str]) -> int:
+    args = _build_parser().parse_args(argv)
+    configure_logging(args.verbose)
+
+    if args.experiment == "list":
+        for experiment_id in sorted(EXPERIMENTS):
+            print(experiment_id)
+        return 0
+
+    ids = sorted(EXPERIMENTS) if args.experiment == "all" \
+        else [args.experiment]
+    telemetry = (_telemetry(args.serve, args.profile)
+                 if args.serve or args.profile else None)
+    return _run(args, ids, telemetry, serve=args.serve, chart=args.chart,
+                csv=args.csv, json=args.json)
 
 
 def _build_telemetry_parser(command: str) -> argparse.ArgumentParser:
@@ -282,26 +443,24 @@ def _build_telemetry_parser(command: str) -> argparse.ArgumentParser:
     else:
         parser.add_argument("--json", metavar="PATH", default=None,
                             help="also write the metrics snapshot as JSON")
-        parser.add_argument("--check", metavar="BASELINE", default=None,
-                            help="compare the snapshot against a committed "
-                                 "metrics baseline; exit 1 on drift")
-        parser.add_argument("--write-baseline", metavar="BASELINE",
-                            dest="write_baseline", default=None,
-                            help="record/refresh this experiment's entry "
-                                 "in a metrics baseline file")
-        parser.add_argument("--tolerance", type=float, default=0.0,
-                            help="relative tolerance for --check numeric "
-                                 "comparisons (default 0.0: exact — the "
-                                 "simulator is deterministic)")
+        _add_baseline_arguments(parser, "metrics snapshot")
     return parser
 
 
-def _check_tolerance(tolerance: float) -> None:
-    """Reject a --check tolerance no comparison can honour (exit 3)."""
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ConfigurationError(
-            f"impossible tolerance: --tolerance must be finite and "
-            f"non-negative, got {tolerance}")
+def _add_baseline_arguments(parser: argparse.ArgumentParser,
+                            gated: str) -> None:
+    parser.add_argument("--check", metavar="BASELINE", default=None,
+                        help=f"compare the {gated} against a committed "
+                             f"baseline; exit 1 on drift")
+    parser.add_argument("--write-baseline", metavar="BASELINE",
+                        dest="write_baseline", default=None,
+                        help=f"record/refresh this experiment's {gated} "
+                             f"in a baseline file (keep metrics and "
+                             f"profile baselines in separate files)")
+    parser.add_argument("--tolerance", type=float, default=0.0,
+                        help="relative tolerance for --check numeric "
+                             "comparisons (default 0.0: exact — the "
+                             "simulator is deterministic)")
 
 
 def _baseline_context(args) -> dict:
@@ -315,48 +474,61 @@ def _baseline_context(args) -> dict:
     }
 
 
-def _run_telemetry_command(command: str, argv: List[str]) -> int:
-    args = _build_telemetry_parser(command).parse_args(argv)
-    if command == "metrics":
-        _check_tolerance(args.tolerance)
+def _baseline_gate(args, written: str, drifted: str, matched: str):
+    """The ``--check``/``--write-baseline`` gate of ``metrics`` and
+    ``profile``. Before the run, an impossible ``--tolerance`` or an
+    unusable ``--check`` file exits 3 (a file this run writes is read
+    after writing it). Returns ``gate(context, section)``: write, then
+    check, exit 1 on drift; the three names say what is gated in its
+    written note, drift report and match note."""
+    from repro.telemetry.baseline import (
+        check_against_baseline,
+        load_baseline,
+        update_baseline,
+    )
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ConfigurationError(
+            f"impossible tolerance: --tolerance must be finite and "
+            f"non-negative, got {args.tolerance}")
+    baseline = None
+    if args.check is not None and args.check != args.write_baseline:
+        baseline = load_baseline(args.check)
+
+    def gate(context: dict, section: dict) -> int:
+        if args.write_baseline:
+            path = update_baseline(args.write_baseline, args.experiment,
+                                   context, section)
+            print(f"[{written} baseline written to {path}]")
+        if not args.check:
+            return EXIT_OK
+        drifts = check_against_baseline(args.check, args.experiment,
+                                        context, section,
+                                        tolerance=args.tolerance,
+                                        data=baseline)
+        if drifts:
+            print(f"{drifted} drift vs {args.check} "
+                  f"({len(drifts)} difference(s)):", file=sys.stderr)
+            for drift in drifts[:50]:
+                print(f"  {drift}", file=sys.stderr)
+            if len(drifts) > 50:
+                print(f"  ... and {len(drifts) - 50} more",
+                      file=sys.stderr)
+            return EXIT_FAILURE
+        print(f"[{matched} match baseline {args.check}]")
+        return EXIT_OK
+
+    return gate
+
+
+def _run_trace_command(argv: List[str]) -> int:
+    args = _build_telemetry_parser("trace").parse_args(argv)
     configure_logging(args.verbose)
+    telemetry = _telemetry(args.serve, args.profile, args.capacity)
 
-    capacity = getattr(args, "capacity", 500_000)
-    board = None
-    if args.serve:
-        from repro.telemetry import ProgressBoard
-        board = ProgressBoard()
-    telemetry = Telemetry(trace_capacity=capacity, board=board,
-                          profile=args.profile)
-    ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
-                            telemetry=telemetry, progress=args.progress,
-                            jobs=args.jobs, **_resilience_fields(args))
-    if args.resume:
-        ctx = ctx.with_(checkpoint=_open_store(
-            args.resume, args.experiment, ctx, multiple=False))
-    server = (_start_server(args.serve, telemetry, campaign_dir=args.resume)
-              if args.serve else None)
-
-    try:
-        start = time.time()
-        result = run_experiment(args.experiment, ctx)
-    finally:
-        if server is not None:
-            server.stop()
-        _emit_profile_summary(telemetry)
-    print(result.render())
-    # Timing goes to stderr: stdout stays bit-identical across runs and
-    # across -j settings, so outputs can be diffed directly (CI does).
-    print(f"[{args.experiment} completed in {time.time() - start:.1f}s]",
-          file=sys.stderr)
-    print()
-
-    if command == "trace":
+    def report() -> int:
         tracer = telemetry.tracer
         if len(tracer) == 0:
-            print("warning: no trace events recorded (counts-only "
-                  "experiments skip the timing simulator)",
-                  file=sys.stderr)
+            print(_NO_TRACE_WARNING, file=sys.stderr)
         path = tracer.write_chrome_trace(args.out)
         categories = ", ".join(sorted(tracer.categories())) or "none"
         print(f"[trace written to {path}: {len(tracer)} events "
@@ -364,41 +536,29 @@ def _run_telemetry_command(command: str, argv: List[str]) -> int:
         print("[open in chrome://tracing or https://ui.perfetto.dev]")
         if args.jsonl:
             print(f"[jsonl written to {tracer.write_jsonl(args.jsonl)}]")
-        return _finish_campaign(ctx.campaign)
+        return EXIT_OK
 
-    print(f"== {args.experiment}: telemetry metrics snapshot ==")
-    print(telemetry.metrics.render_table())
-    if args.json:
-        from repro.utils import atomic_write_text
-        atomic_write_text(args.json, telemetry.metrics.to_json())
-        print(f"[metrics json written to {args.json}]")
+    return _run(args, [args.experiment], telemetry, serve=args.serve,
+                report=report)
 
-    if args.write_baseline or args.check:
-        from repro.telemetry.baseline import (
-            check_against_baseline,
-            update_baseline,
-        )
-        snapshot = telemetry.metrics.snapshot()
-        context = _baseline_context(args)
-        if args.write_baseline:
-            path = update_baseline(args.write_baseline, args.experiment,
-                                   context, snapshot)
-            print(f"[metrics baseline written to {path}]")
-        if args.check:
-            drifts = check_against_baseline(args.check, args.experiment,
-                                            context, snapshot,
-                                            tolerance=args.tolerance)
-            if drifts:
-                print(f"metrics drift vs {args.check} "
-                      f"({len(drifts)} difference(s)):", file=sys.stderr)
-                for drift in drifts[:50]:
-                    print(f"  {drift}", file=sys.stderr)
-                if len(drifts) > 50:
-                    print(f"  ... and {len(drifts) - 50} more",
-                          file=sys.stderr)
-                return EXIT_FAILURE
-            print(f"[metrics match baseline {args.check}]")
-    return _finish_campaign(ctx.campaign)
+
+def _run_metrics_command(argv: List[str]) -> int:
+    args = _build_telemetry_parser("metrics").parse_args(argv)
+    gate = _baseline_gate(args, "metrics", "metrics", "metrics")
+    configure_logging(args.verbose)
+    telemetry = _telemetry(args.serve, args.profile)
+
+    def report() -> int:
+        print(f"== {args.experiment}: telemetry metrics snapshot ==")
+        print(telemetry.metrics.render_table())
+        if args.json:
+            from repro.utils import atomic_write_text
+            atomic_write_text(args.json, telemetry.metrics.to_json())
+            print(f"[metrics json written to {args.json}]")
+        return gate(_baseline_context(args), telemetry.metrics.snapshot())
+
+    return _run(args, [args.experiment], telemetry, serve=args.serve,
+                report=report)
 
 
 def _build_serve_parser() -> argparse.ArgumentParser:
@@ -429,35 +589,9 @@ def _build_serve_parser() -> argparse.ArgumentParser:
 def _run_serve_command(argv: List[str]) -> int:
     args = _build_serve_parser().parse_args(argv)
     configure_logging(args.verbose)
-    from repro.telemetry import ProgressBoard
-
-    telemetry = Telemetry(trace_capacity=args.capacity,
-                          board=ProgressBoard(), profile=args.profile)
-    ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
-                            telemetry=telemetry, progress=args.progress,
-                            jobs=args.jobs, **_resilience_fields(args))
-    if args.resume:
-        ctx = ctx.with_(checkpoint=_open_store(
-            args.resume, args.experiment, ctx, multiple=False))
-    server = _start_server(args.port, telemetry, campaign_dir=args.resume)
-    try:
-        start = time.time()
-        result = run_experiment(args.experiment, ctx)
-        print(result.render())
-        print(f"[{args.experiment} completed in "
-              f"{time.time() - start:.1f}s]", file=sys.stderr)
-        _emit_profile_summary(telemetry)
-        if args.linger:
-            print(f"[run complete; dashboard still live at {server.url} "
-                  f"— Ctrl-C to exit]", file=sys.stderr)
-            try:
-                while True:
-                    time.sleep(0.5)
-            except KeyboardInterrupt:
-                pass
-    finally:
-        server.stop()
-    return _finish_campaign(ctx.campaign)
+    telemetry = _telemetry(args.port, args.profile, args.capacity)
+    return _run(args, [args.experiment], telemetry, serve=args.port,
+                linger=args.linger, blank_line=False)
 
 
 def _build_profile_parser() -> argparse.ArgumentParser:
@@ -482,7 +616,8 @@ def _build_profile_parser() -> argparse.ArgumentParser:
                              "needs the full trace, eviction aborts it)")
     parser.add_argument("--round", type=int, default=None,
                         help="restrict cost centers to one AES round "
-                             "index (default: all rounds)")
+                             f"index, 0 (the input load) to {NUM_ROUNDS} "
+                             "(default: all rounds)")
     parser.add_argument("--top", type=int, default=None,
                         help="show only the N largest cost centers")
     parser.add_argument("--out", metavar="PATH", default=None,
@@ -494,116 +629,83 @@ def _build_profile_parser() -> argparse.ArgumentParser:
     parser.add_argument("--chrome", metavar="PATH", default=None,
                         help="write a Chrome trace with the simulated "
                              "lanes plus a wall-clock process")
-    parser.add_argument("--check", metavar="BASELINE", default=None,
-                        help="compare the (deterministic) cost-center "
-                             "section against a committed baseline; "
-                             "exit 1 on drift")
-    parser.add_argument("--write-baseline", metavar="BASELINE",
-                        dest="write_baseline", default=None,
-                        help="record/refresh this experiment's cost-center "
-                             "entry in a profile baseline file (keep it "
-                             "separate from the metrics baseline)")
-    parser.add_argument("--tolerance", type=float, default=0.0,
-                        help="relative tolerance for --check (default "
-                             "0.0: exact — cost centers are a pure "
-                             "function of the deterministic trace)")
+    _add_baseline_arguments(parser, "cost-center section")
     return parser
 
 
 def _run_profile_command(argv: List[str]) -> int:
     args = _build_profile_parser().parse_args(argv)
-    _check_tolerance(args.tolerance)
+    gate = _baseline_gate(args, "profile", "cost-center", "cost centers")
     if args.top is not None and args.top < 1:
         raise ConfigurationError(
             f"impossible --top: must be at least 1, got {args.top}")
+    if args.round is not None and not 0 <= args.round <= NUM_ROUNDS:
+        # Traced round windows exist only for these: an empty table
+        # would read as a profile.
+        raise ConfigurationError(
+            f"impossible --round: rounds run from 0 (the input load) to "
+            f"{NUM_ROUNDS}, got {args.round}")
     configure_logging(args.verbose)
-
     telemetry = Telemetry(trace_capacity=args.capacity, profile=True)
-    ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
-                            telemetry=telemetry, progress=args.progress,
-                            jobs=args.jobs, **_resilience_fields(args))
-    if args.resume:
-        ctx = ctx.with_(checkpoint=_open_store(
-            args.resume, args.experiment, ctx, multiple=False))
 
-    start = time.time()
-    result = run_experiment(args.experiment, ctx)
-    print(result.render())
-    print(f"[{args.experiment} completed in {time.time() - start:.1f}s]",
-          file=sys.stderr)
-    print()
+    def report() -> int:
+        from repro.analysis.attribution import attribute_rounds
+        from repro.analysis.costcenters import (
+            collapsed_stacks,
+            cost_centers,
+            render_cost_table,
+        )
+        tracer = telemetry.tracer
+        if len(tracer) == 0:
+            print(f"{_NO_TRACE_WARNING}; the sim-cycle profile is empty",
+                  file=sys.stderr)
+        attributions = attribute_rounds(tracer, round_index=args.round)
+        centers = cost_centers(tracer, attributions=attributions)
 
-    from repro.analysis.attribution import attribute_rounds
-    from repro.analysis.costcenters import (
-        collapsed_stacks,
-        cost_centers,
-        render_cost_table,
-    )
-    tracer = telemetry.tracer
-    if len(tracer) == 0:
-        print("warning: no trace events recorded (counts-only "
-              "experiments skip the timing simulator); the sim-cycle "
-              "profile is empty", file=sys.stderr)
-    attributions = attribute_rounds(tracer, round_index=args.round)
-    report = cost_centers(tracer, attributions=attributions)
+        scope = (f"round {args.round}" if args.round is not None
+                 else "all rounds")
+        print(f"== {args.experiment}: sim-cycle cost centers ({scope}) ==")
+        print(render_cost_table(centers, top=args.top))
+        print(f"[{centers.windows} round windows, "
+              f"{centers.total_window_cycles:.0f} window cycles; cost "
+              f"centers reconcile exactly with 'rcoal attribute']")
+        print()
+        print(f"== {args.experiment}: wall-clock spans ==")
+        print(telemetry.profiler.render_table())
 
-    scope = f"round {args.round}" if args.round is not None else "all rounds"
-    print(f"== {args.experiment}: sim-cycle cost centers ({scope}) ==")
-    print(render_cost_table(report, top=args.top))
-    print(f"[{report.windows} round windows, "
-          f"{report.total_window_cycles:.0f} window cycles; cost centers "
-          f"reconcile exactly with 'rcoal attribute']")
-    print()
-    print(f"== {args.experiment}: wall-clock spans ==")
-    print(telemetry.profiler.render_table())
+        if args.flamegraph:
+            from repro.utils import atomic_write_text
+            atomic_write_text(args.flamegraph, collapsed_stacks(centers))
+            print(f"[flamegraph stacks written to {args.flamegraph}; "
+                  f"render with flamegraph.pl or speedscope]")
+        if args.chrome:
+            from repro.utils import atomic_write_json
+            trace = tracer.chrome_trace()
+            trace["traceEvents"].extend(
+                telemetry.profiler.to_chrome_events())
+            atomic_write_json(args.chrome, trace)
+            print(f"[chrome trace (sim + wall lanes) written to "
+                  f"{args.chrome}]")
 
-    if args.flamegraph:
-        from repro.utils import atomic_write_text
-        atomic_write_text(args.flamegraph, collapsed_stacks(report))
-        print(f"[flamegraph stacks written to {args.flamegraph}; render "
-              f"with flamegraph.pl or speedscope]")
-    if args.chrome:
-        from repro.utils import atomic_write_json
-        trace = tracer.chrome_trace()
-        trace["traceEvents"].extend(telemetry.profiler.to_chrome_events())
-        atomic_write_json(args.chrome, trace)
-        print(f"[chrome trace (sim + wall lanes) written to {args.chrome}]")
+        sim_section = centers.to_dict()
+        context = dict(_baseline_context(args), round=args.round)
+        if args.out:
+            from repro.telemetry.metrics import stable_json
+            from repro.utils import atomic_write_text
+            payload = {
+                "format": 1,
+                "experiment": args.experiment,
+                "context": context,
+                "sim": sim_section,
+                "wall": telemetry.profiler.snapshot(),
+            }
+            atomic_write_text(args.out, stable_json(payload) + "\n")
+            print(f"[profile report written to {args.out}]")
+        return gate(context, sim_section)
 
-    sim_section = report.to_dict()
-    context = dict(_baseline_context(args), round=args.round)
-    if args.out:
-        from repro.telemetry.metrics import stable_json
-        from repro.utils import atomic_write_text
-        payload = {
-            "format": 1,
-            "experiment": args.experiment,
-            "context": context,
-            "sim": sim_section,
-            "wall": telemetry.profiler.snapshot(),
-        }
-        atomic_write_text(args.out, stable_json(payload) + "\n")
-        print(f"[profile report written to {args.out}]")
-    if args.write_baseline:
-        from repro.telemetry.baseline import update_baseline
-        path = update_baseline(args.write_baseline, args.experiment,
-                               context, sim_section)
-        print(f"[profile baseline written to {path}]")
-    if args.check:
-        from repro.telemetry.baseline import check_against_baseline
-        drifts = check_against_baseline(args.check, args.experiment,
-                                        context, sim_section,
-                                        tolerance=args.tolerance)
-        if drifts:
-            print(f"cost-center drift vs {args.check} "
-                  f"({len(drifts)} difference(s)):", file=sys.stderr)
-            for drift in drifts[:50]:
-                print(f"  {drift}", file=sys.stderr)
-            if len(drifts) > 50:
-                print(f"  ... and {len(drifts) - 50} more",
-                      file=sys.stderr)
-            return EXIT_FAILURE
-        print(f"[cost centers match baseline {args.check}]")
-    return _finish_campaign(ctx.campaign)
+    # Its wall-clock span table is part of the report, on stdout.
+    return _run(args, [args.experiment], telemetry, wall_table=False,
+                report=report)
 
 
 def _build_status_parser() -> argparse.ArgumentParser:
@@ -676,10 +778,7 @@ def _build_shard_parser() -> argparse.ArgumentParser:
                         help="work-item granularity in samples "
                              "(default 8); must match across workers "
                              "only for efficiency, never correctness")
-    parser.add_argument("--seed", type=int, default=2018,
-                        help="root experiment seed (default 2018)")
-    parser.add_argument("--samples", type=int, default=None,
-                        help="override plaintext sample count")
+    _add_seed_arguments(parser)
     parser.add_argument("--faults", metavar="PLAN", default=None,
                         help="deterministic chaos, incl. the lease "
                              "targets torn@lease / hang@lease / "
@@ -688,11 +787,7 @@ def _build_shard_parser() -> argparse.ArgumentParser:
                         help="per-sample ETA reporting on stderr")
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="enable repro.* logging on stderr")
-    parser.add_argument("--csv", metavar="PATH", default=None,
-                        help="also write the result rows as CSV "
-                             "(experiment id is appended for 'all')")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write the result as JSON")
+    _add_export_arguments(parser)
     return parser
 
 
@@ -708,41 +803,11 @@ def _run_shard_command(argv: List[str]) -> int:
         heartbeat_seconds=args.heartbeat_seconds,
         chunk_samples=args.chunk,
     ).validate()
-    fields: dict = {}
-    if args.faults:
-        from repro.faults import install_plan, parse_fault_plan
-        plan = parse_fault_plan(args.faults)
-        install_plan(plan)
-        fields["faults"] = plan
-    ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
-                            progress=args.progress, shard=policy,
-                            **fields)
-
     ids = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
-    multiple = len(ids) > 1
-    for experiment_id in ids:
-        run_ctx = ctx.with_(checkpoint=_open_store(
-            args.dir, experiment_id, ctx, multiple=multiple))
-        start = time.time()
-        result = run_experiment(experiment_id, run_ctx)
-        # stdout matches the serial `rcoal all` byte for byte — lease
-        # traffic, resume notes, and timing all go to stderr.
-        print(result.render())
-        print(f"[{experiment_id} completed in {time.time() - start:.1f}s]",
-              file=sys.stderr)
-        print()
-        if args.csv:
-            from repro.experiments.export import write_csv
-            target = (f"{args.csv}.{experiment_id}.csv" if multiple
-                      else args.csv)
-            print(f"[csv written to {write_csv(result, target)}]")
-        if args.json:
-            from repro.experiments.export import write_json
-            target = (f"{args.json}.{experiment_id}.json" if multiple
-                      else args.json)
-            print(f"[json written to {write_json(result, target)}]")
-    return EXIT_OK
+    # stdout matches the serial `rcoal all` byte for byte — lease
+    # traffic, resume notes, and timing all go to stderr.
+    return _run(args, ids, shard=policy, csv=args.csv, json=args.json)
 
 
 def _run_status_command(argv: List[str]) -> int:
@@ -786,6 +851,18 @@ def _run_status_command(argv: List[str]) -> int:
         time.sleep(max(0.1, args.watch))
 
 
+#: Subcommands with their own parsers; anything else is the classic
+#: ``rcoal <experiment>`` form.
+_COMMANDS = {
+    "trace": _run_trace_command,
+    "metrics": _run_metrics_command,
+    "serve": _run_serve_command,
+    "profile": _run_profile_command,
+    "status": _run_status_command,
+    "shard": _run_shard_command,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: dispatch, then map failures to documented codes."""
     try:
@@ -804,110 +881,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _dispatch(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] in _TELEMETRY_COMMANDS:
-        return _run_telemetry_command(argv[0], argv[1:])
-    if argv and argv[0] == "serve":
-        return _run_serve_command(argv[1:])
-    if argv and argv[0] == "profile":
-        return _run_profile_command(argv[1:])
-    if argv and argv[0] == "status":
-        return _run_status_command(argv[1:])
-    if argv and argv[0] == "shard":
-        return _run_shard_command(argv[1:])
-
-    args = _build_parser().parse_args(argv)
-    configure_logging(args.verbose)
-
-    if args.experiment == "list":
-        for experiment_id in sorted(EXPERIMENTS):
-            print(experiment_id)
-        return 0
-
-    ids = sorted(EXPERIMENTS) if args.experiment == "all" \
-        else [args.experiment]
-    telemetry = None
-    if args.serve:
-        from repro.telemetry import ProgressBoard
-        telemetry = Telemetry(board=ProgressBoard(), profile=args.profile)
-    elif args.profile:
-        telemetry = Telemetry(profile=True)
-    ctx = ExperimentContext(root_seed=args.seed, samples=args.samples,
-                            telemetry=telemetry, progress=args.progress,
-                            jobs=args.jobs, **_resilience_fields(args))
-    server = (_start_server(args.serve, telemetry, campaign_dir=args.resume)
-              if args.serve else None)
-
-    multiple = len(ids) > 1
-    # An `all --resume` campaign gets a root-level ledger over the
-    # per-experiment run dirs: experiment start/finish marks written by
-    # the parent (the per-phase detail lives in each run dir's own
-    # ledger). `rcoal status <root>` folds both levels.
-    campaign_journal = None
-    if args.resume and multiple:
-        from repro.telemetry.journal import JOURNAL_NAME, RunJournal
-        campaign_journal = RunJournal(
-            os.path.join(args.resume, JOURNAL_NAME))
-
-    def _emit(experiment_id: str, result, seconds: float) -> None:
-        print(result.render())
-        if args.chart is not None:
-            from repro.experiments.charts import result_chart
-            print()
-            print(result_chart(result, column=args.chart))
-        # stderr, so stdout diffs clean across runs and -j settings.
-        print(f"[{experiment_id} completed in {seconds:.1f}s]",
-              file=sys.stderr)
-        print()
-        if args.csv:
-            from repro.experiments.export import write_csv
-            target = (f"{args.csv}.{experiment_id}.csv" if multiple
-                      else args.csv)
-            print(f"[csv written to {write_csv(result, target)}]")
-        if args.json:
-            from repro.experiments.export import write_json
-            target = (f"{args.json}.{experiment_id}.json" if multiple
-                      else args.json)
-            print(f"[json written to {write_json(result, target)}]")
-
-    batch_start = time.time()
-
-    def _publish_batch(done: int) -> None:
-        # The dashboard's only whole-campaign progress row (the phase
-        # executor publishes one row per phase); --profile alone has no
-        # board to publish to.
-        if telemetry is None or telemetry.board is None or not multiple:
-            return
-        telemetry.board.publish("experiments", done, len(ids),
-                                time.time() - batch_start,
-                                state="done" if done >= len(ids)
-                                else "running")
-
-    try:
-        _publish_batch(0)
-        # Experiments run in order; -j spreads each phase's samples over
-        # the pool, so `all -j N` takes the path `fig07 -j N` does.
-        for done, experiment_id in enumerate(ids, 1):
-            run_ctx = ctx
-            if args.resume:
-                run_ctx = ctx.with_(checkpoint=_open_store(
-                    args.resume, experiment_id, ctx, multiple=multiple))
-            if campaign_journal is not None:
-                campaign_journal.append("experiment_start",
-                                        experiment=experiment_id)
-            start = time.time()
-            result = run_experiment(experiment_id, run_ctx)
-            seconds = time.time() - start
-            if campaign_journal is not None:
-                campaign_journal.append("experiment_finish",
-                                        experiment=experiment_id,
-                                        seconds=round(seconds, 6))
-            _emit(experiment_id, result, seconds)
-            _publish_batch(done)
-        return _finish_campaign(ctx.campaign)
-    finally:
-        if server is not None:
-            server.stop()
-        _emit_profile_summary(telemetry)
+    if argv and argv[0] in _COMMANDS:
+        return _COMMANDS[argv[0]](argv[1:])
+    return _run_experiment_command(argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -52,9 +52,18 @@ def _normalize(obj):
 
 
 def load_baseline(path: str) -> dict:
-    """Read and validate a baseline file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    """Read and validate a baseline file (a missing, unreadable or
+    non-JSON one is a configuration error, like a wrong format)."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read baseline {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigurationError(
+            f"{path} is not a format-{BASELINE_FORMAT} metrics baseline "
+            f"(not JSON: {exc})") from exc
     if not isinstance(data, dict) or data.get("format") != BASELINE_FORMAT:
         raise ConfigurationError(
             f"{path} is not a format-{BASELINE_FORMAT} metrics baseline"
@@ -132,14 +141,17 @@ def compare_snapshots(expected, actual, tolerance: float = 0.0,
 
 def check_against_baseline(path: str, experiment_id: str, context: dict,
                            snapshot: Dict[str, dict],
-                           tolerance: float = 0.0) -> List[str]:
+                           tolerance: float = 0.0,
+                           data: Optional[dict] = None) -> List[str]:
     """Compare one run against the committed baseline; [] means pass.
 
     A context mismatch (different seed/sample count than the baseline was
     recorded with) is reported as drift rather than silently compared —
-    the numbers would differ for the wrong reason.
+    the numbers would differ for the wrong reason. ``data`` is the file's
+    content, if the caller loaded it already.
     """
-    data = load_baseline(path)
+    if data is None:
+        data = load_baseline(path)
     entry: Optional[dict] = data["experiments"].get(experiment_id)
     if entry is None:
         known = ", ".join(sorted(data["experiments"])) or "none"

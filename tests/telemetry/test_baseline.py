@@ -114,3 +114,15 @@ class TestBaselineFile:
         path.write_text('{"format": 99}')
         with pytest.raises(ConfigurationError):
             load_baseline(str(path))
+
+    @pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe"],
+                             ids=["missing", "not-json", "not-utf8"])
+    def test_unreadable_file_is_a_configuration_error(self, tmp_path,
+                                                      content):
+        path = tmp_path / "baseline.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        with pytest.raises(ConfigurationError, match="baseline"):
+            load_baseline(str(path))

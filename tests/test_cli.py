@@ -58,6 +58,8 @@ class TestImpossibleInput:
         (["profile", "fig05", "--tolerance", "inf"], "impossible tolerance"),
         (["profile", "fig05", "--top", "0"], "impossible --top"),
         (["profile", "fig05", "--top", "-1"], "impossible --top"),
+        (["profile", "fig05", "--round", "11"], "impossible --round"),
+        (["profile", "fig05", "--round", "-1"], "impossible --round"),
     ])
     def test_exits_with_config_code_before_running(self, argv, message,
                                                    capsys):
@@ -68,6 +70,30 @@ class TestImpossibleInput:
         assert captured.out == ""
         assert "serving" not in captured.err
 
+    @pytest.mark.parametrize("command, content", [
+        ("metrics", None),
+        ("profile", None),
+        ("metrics", "{not json"),
+    ], ids=["metrics-missing", "profile-missing", "malformed"])
+    def test_rejects_an_unusable_baseline_before_running(
+            self, tmp_path, capsys, command, content):
+        baseline = tmp_path / "baseline.json"
+        if content is not None:
+            baseline.write_text(content, encoding="utf-8")
+        assert main([command, "fig05", "--samples", "4",
+                     "--check", str(baseline)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert str(baseline) in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["metrics", "profile"])
+    def test_a_new_baseline_is_written_then_checked(self, tmp_path, capsys,
+                                                   command):
+        baseline = str(tmp_path / "new.json")
+        assert main([command, "fig05", "--samples", "2", "--write-baseline",
+                     baseline, "--check", baseline]) == 0
+        assert f"match baseline {baseline}" in capsys.readouterr().out
+
     @pytest.mark.parametrize("stall", ["-1", "0", "nan", "inf"])
     def test_status_rejects_an_impossible_stall_threshold(self, tmp_path,
                                                           capsys, stall):
@@ -76,6 +102,29 @@ class TestImpossibleInput:
         captured = capsys.readouterr()
         assert "impossible stall threshold" in captured.err
         assert captured.out == ""
+
+
+class TestOneRunPath:
+    """Every command that runs an experiment prints its result block the
+    way ``rcoal <experiment>`` does, before anything of its own."""
+
+    @pytest.mark.parametrize("command", [
+        ["fig05"],
+        ["trace", "fig05", "--out", "{tmp}/trace.json"],
+        ["metrics", "fig05"],
+        ["serve", "fig05", "--port", "0", "--no-linger"],
+        ["profile", "fig05"],
+        ["shard", "{tmp}/shard", "fig05", "--worker", "w"],
+    ], ids=["run", "trace", "metrics", "serve", "profile", "shard"])
+    def test_stdout_starts_with_the_plain_result(self, tmp_path, capsys,
+                                                 command):
+        assert main(["fig05", "--samples", "2"]) == 0
+        plain = capsys.readouterr().out
+        assert plain.endswith("\n\n")
+        result_block = plain[:-1]  # without the trailing blank line
+        argv = [arg.format(tmp=tmp_path) for arg in command]
+        assert main(argv + ["--samples", "2"]) == 0
+        assert capsys.readouterr().out.startswith(result_block)
 
 
 class TestAllParallel:
