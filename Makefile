@@ -76,13 +76,20 @@ chaos:
 # Long differential fuzzing: the fast engines against the event engine
 # (generated machines with AES launches and sample slabs, machines built
 # for row misses and ties with AES slabs, and tiny machines with raw warp
-# streams), and the attack estimator against its reference, at 1000
-# examples each on a fresh random seed (the `fuzz` Hypothesis profile,
-# registered in tests/conftest.py). A plain `make test` keeps the
-# derandomized tier-1 settings. CI's `fuzz` job runs this target.
+# streams), the attack estimator against its reference, and the array
+# draws and distinct-pair counts against their per-draw and set-based
+# references, at 1000 examples each on a fresh random seed (the `fuzz`
+# Hypothesis profile, registered in tests/conftest.py). A plain
+# `make test` keeps the derandomized tier-1 settings. CI's `fuzz` job
+# runs this target.
 fuzz:
 	pytest tests/gpu/test_differential.py \
 	    tests/attack/test_estimator.py::test_access_matrix_matches_the_reference \
+	    tests/test_array_exactness.py::test_draw_sids_equals_one_draw_at_a_time \
+	    tests/test_array_exactness.py::test_partitions_are_the_drawn_rows \
+	    tests/test_array_exactness.py::test_bulk_integers_equal_one_call_per_row \
+	    tests/test_array_exactness.py::test_access_counts_equal_a_set_reference \
+	    tests/test_array_exactness.py::test_counts_slab_keys_equal_a_set_reference \
 	    --hypothesis-profile=fuzz
 
 clean:

@@ -4,9 +4,14 @@
 pure Python — fine for one launch, but the batched simulation core
 (:mod:`repro.gpu.batched`) needs the ciphertexts *and* the per-round table
 indices of thousands of lines at once. This module performs the identical
-computation as numpy array operations over a ``(num_lines, 16)`` uint8
-matrix: ~52 vector steps (9 main rounds x 4 columns + 16 last-round bytes)
-regardless of batch size.
+computation as numpy array operations, word-wide: the state of all lines
+is an ``(N, 4)`` array of little-endian uint32 column words (byte ``r`` of
+column ``c`` at bits ``8r``, through explicit ``'<u4'`` views, so the
+result does not depend on host byte order), and T0..T3 are ``(4, 256)``
+uint32 word tables. A round is a handful of array steps however large the
+batch: one ShiftRows gather of the state's bytes gives the round's 16
+indices, one gather reads their 16 words, and three XORs of each column's
+four words, plus the round key's, give the next state.
 
 The lookup *order* is preserved exactly: main-round lookup ``k`` hits table
 ``k % 4`` (the unrolled T0..T3 cycle of ``TTableAES._main_round``), the
@@ -42,6 +47,23 @@ _TABLE_BYTES: np.ndarray = np.array(
     [[entry for entry in table] for table in ROUND_TABLES + (T4,)],
     dtype=np.uint8,
 )
+
+#: (4 * 256,) little-endian uint32: entry ``i`` of main-round table ``t``
+#: at ``256 t + i``, byte ``r`` of the entry at bits ``8r``.
+_WORDS = _TABLE_BYTES[:4].copy().view("<u4").reshape(-1)
+
+#: (4 * 256,) uint8: byte ``r`` of T4's entry ``i`` at ``256 r + i``.
+_LAST_BYTES = _TABLE_BYTES[4].T.copy().reshape(-1)
+
+#: Lookup ``k`` of a round reads state byte ``_SHIFT_ROWS[k]``: its row
+#: ``r = k % 4`` of column ``(k // 4 + r) % 4``, at ``4 * column + r`` in
+#: the column-major state.
+_SHIFT_ROWS = np.array([4 * ((k // 4 + k % 4) % 4) + k % 4
+                        for k in range(LOOKUPS_PER_ROUND)], dtype=np.intp)
+
+#: Lookup ``k`` reads table (or T4 byte) ``k % 4``: its offset into
+#: :data:`_WORDS` and :data:`_LAST_BYTES`.
+_TABLE_OFFSETS = 256 * (np.arange(LOOKUPS_PER_ROUND, dtype=np.intp) % 4)
 
 _KEY_CACHE: Dict[bytes, np.ndarray] = {}
 
@@ -83,40 +105,27 @@ def encrypt_batch(key: bytes, lines: np.ndarray
         )
     num_lines = lines.shape[0]
     keys = _round_keys(bytes(key))
-    tb = _TABLE_BYTES
+    round_words = keys.view("<u4")  # (11, 4): each round key's columns
 
-    # State as (N, row, col); the column-major input map means byte
-    # ``r + 4c`` lands in state[r][c].
-    state = (lines ^ keys[0]).reshape(num_lines, 4, 4).transpose(0, 2, 1)
-
+    # Byte r + 4c of a line is row r of column c: the column-major state
+    # is the line itself, read as four words.
+    state = (lines ^ keys[0]).view("<u4")
     indices = np.empty((num_lines, NUM_ROUNDS, LOOKUPS_PER_ROUND),
                        dtype=np.uint8)
-
     for round_index in range(1, NUM_ROUNDS):
-        round_key = keys[round_index].reshape(4, 4)  # [c, r]
-        new_state = np.empty_like(state)
-        out = indices[:, round_index - 1]
-        for c in range(4):
-            i0 = state[:, 0, c]
-            i1 = state[:, 1, (c + 1) % 4]
-            i2 = state[:, 2, (c + 2) % 4]
-            i3 = state[:, 3, (c + 3) % 4]
-            k = 4 * c
-            out[:, k] = i0
-            out[:, k + 1] = i1
-            out[:, k + 2] = i2
-            out[:, k + 3] = i3
-            # One MixColumns column: XOR of the four table entries + key.
-            new_state[:, :, c] = (tb[0][i0] ^ tb[1][i1] ^ tb[2][i2]
-                                  ^ tb[3][i3] ^ round_key[c])
-        state = new_state
+        lookups = state.view(np.uint8)[:, _SHIFT_ROWS]
+        indices[:, round_index - 1] = lookups
+        # (N, column, row): one MixColumns column is the XOR of its four
+        # rows' table words and the round key's word.
+        words = _WORDS[lookups + _TABLE_OFFSETS].reshape(num_lines, 4, 4)
+        state = np.bitwise_xor(words[:, :, 0], words[:, :, 1],
+                               out=np.empty((num_lines, 4), dtype="<u4"))
+        state ^= words[:, :, 2]
+        state ^= words[:, :, 3]
+        state ^= round_words[round_index]
 
-    ciphertexts = np.empty((num_lines, 16), dtype=np.uint8)
-    last_key = keys[NUM_ROUNDS]
-    out = indices[:, NUM_ROUNDS - 1]
-    for j in range(16):
-        r, c = j % 4, j // 4
-        index = state[:, r, (c + r) % 4]
-        out[:, j] = index
-        ciphertexts[:, j] = tb[4][index, r] ^ last_key[4 * c + r]
+    lookups = state.view(np.uint8)[:, _SHIFT_ROWS]
+    indices[:, NUM_ROUNDS - 1] = lookups
+    ciphertexts = _LAST_BYTES[lookups + _TABLE_OFFSETS]
+    ciphertexts ^= keys[NUM_ROUNDS]
     return ciphertexts, indices

@@ -10,7 +10,9 @@ For deterministic policies (baseline, FSS) the joint distribution follows
 from the occupancy law exactly (U = U_hat, so I = H(U)). For randomized
 policies the joint is estimated by Monte Carlo with plug-in entropy over
 the (U, U_hat) histogram — adequate here because both variables live on a
-support of at most ~32 values.
+support of at most ~32 values. The samples are drawn and counted as arrays
+(:func:`repro.analysis.montecarlo.draw_counts`), and the histogram keeps
+the pairs in first-seen order, so the float sums run in sample order.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ import math
 from collections import Counter
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
+from repro.analysis.montecarlo import draw_blocks, draw_counts
 from repro.analysis.occupancy import occupancy_pmf
 from repro.core.policies import CoalescingPolicy
 from repro.errors import AnalysisError
@@ -93,14 +98,14 @@ def empirical_leakage_bits(
     attacker_rng = rng.child("mi-attacker")
     block_rng = rng.child("mi-blocks")
 
-    n = policy.warp_size
-    joint: Counter = Counter()
-    for _ in range(num_samples):
-        blocks = block_rng.integers(0, num_blocks, size=n)
-        victim = policy.draw(victim_rng)
-        attacker = attacker_policy.draw(attacker_rng)
-        u = len({(s, int(b)) for s, b in zip(victim.assignment, blocks)})
-        u_hat = len({(s, int(b))
-                     for s, b in zip(attacker.assignment, blocks)})
-        joint[(u, u_hat)] += 1
-    return mutual_information_bits(dict(joint))
+    blocks = draw_blocks(block_rng, num_blocks, num_samples,
+                         policy.warp_size)
+    us = draw_counts(policy, blocks, victim_rng)
+    u_hats = draw_counts(attacker_policy, blocks, attacker_rng)
+    # The (U, U_hat) histogram in first-seen order.
+    _, first, times = np.unique(us * (u_hats.max() + 1) + u_hats,
+                                return_index=True, return_counts=True)
+    order = np.argsort(first)
+    joint = {(int(us[i]), int(u_hats[i])): int(n)
+             for i, n in zip(first[order], times[order])}
+    return mutual_information_bits(joint)

@@ -13,6 +13,13 @@ power-of-two M, partial warps). Per sample:
    the same policy → U_hat;
 
 then rho is the sample Pearson correlation of U and U_hat.
+
+The samples are arrays: one bulk block draw ``(samples, N)``, one
+:meth:`~repro.core.policies.CoalescingPolicy.draw_sids` per side, and one
+:func:`~repro.core.subwarp.access_counts` per side. Each stream is
+consumed exactly as the per-sample draws would consume it (bulk bounded
+integers equal per-row calls; ``draw_sids`` equals ``n`` draws), so the
+estimates equal the per-sample loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -23,15 +30,31 @@ import numpy as np
 
 from repro.attack.correlation import pearson
 from repro.core.policies import CoalescingPolicy
+from repro.core.subwarp import access_counts
 from repro.errors import AnalysisError
 from repro.rng import RngStream
 
-__all__ = ["empirical_rho", "empirical_access_moments"]
+__all__ = ["empirical_rho", "empirical_access_moments", "draw_blocks",
+           "draw_counts"]
 
 
-def _count(blocks: np.ndarray, assignment) -> int:
-    return len({(sid, int(block))
-                for sid, block in zip(assignment, blocks)})
+def draw_blocks(rng: RngStream, num_blocks: int, num_samples: int,
+                num_threads: int) -> np.ndarray:
+    """The uniform thread->block assignments of ``num_samples`` samples,
+    ``(num_samples, num_threads)``: one bulk draw, equal to one
+    ``integers`` call per sample."""
+    if not 1 <= num_blocks <= 256:
+        raise AnalysisError(f"num_blocks must be in [1, 256]: {num_blocks}")
+    return rng.integers(0, num_blocks, size=(num_samples, num_threads))
+
+
+def draw_counts(policy: CoalescingPolicy, blocks: np.ndarray,
+                rng: RngStream) -> np.ndarray:
+    """U per sample: ``len(blocks)`` draws of ``policy`` from ``rng``,
+    each counting the distinct (subwarp, block) pairs of its row of
+    ``blocks``."""
+    return access_counts(blocks.astype(np.uint16),
+                         policy.draw_sids(rng, len(blocks)))
 
 
 def empirical_rho(
@@ -54,15 +77,11 @@ def empirical_rho(
     attacker_rng = rng.child("mc-attacker")
     block_rng = rng.child("mc-blocks")
 
-    n = policy.warp_size
-    us = np.empty(num_samples)
-    u_hats = np.empty(num_samples)
-    for i in range(num_samples):
-        blocks = block_rng.integers(0, num_blocks, size=n)
-        victim = policy.draw(victim_rng)
-        attacker = attacker_policy.draw(attacker_rng)
-        us[i] = _count(blocks, victim.assignment)
-        u_hats[i] = _count(blocks, attacker.assignment)
+    blocks = draw_blocks(block_rng, num_blocks, num_samples,
+                         policy.warp_size)
+    us = draw_counts(policy, blocks, victim_rng).astype(np.float64)
+    u_hats = draw_counts(attacker_policy, blocks,
+                         attacker_rng).astype(np.float64)
     return pearson(us, u_hats)
 
 
@@ -77,10 +96,7 @@ def empirical_access_moments(
         raise AnalysisError("need at least two samples for moments")
     victim_rng = rng.child("mc-victim")
     block_rng = rng.child("mc-blocks")
-    n = policy.warp_size
-    us = np.empty(num_samples)
-    for i in range(num_samples):
-        blocks = block_rng.integers(0, num_blocks, size=n)
-        victim = policy.draw(victim_rng)
-        us[i] = _count(blocks, victim.assignment)
+    blocks = draw_blocks(block_rng, num_blocks, num_samples,
+                         policy.warp_size)
+    us = draw_counts(policy, blocks, victim_rng).astype(np.float64)
     return float(us.mean()), float(us.var(ddof=1))

@@ -13,7 +13,9 @@ and each subwarp contributes its number of distinct blocks.
 One model draw is made per plaintext sample per warp (mirroring the
 victim's per-launch draw) and shared across all 256 guesses and 16 byte
 positions: redrawing per guess would only add attacker-side noise without
-information.
+information. ``prepare`` makes all of a batch's draws as one
+:meth:`~repro.core.policies.CoalescingPolicy.draw_sids` call, which
+consumes the attacker's stream as one draw per (sample, warp) would.
 
 The hot path is one row-gather OR fold per key byte. A module-level
 256 × 256 table holds ``bits[c, m] = 1 << (InvSBox[c ^ m] >> 4)``: row
@@ -124,9 +126,8 @@ class AccessEstimator:
         num_samples = len(ciphertexts)
         num_warps = -(-num_lines // self.warp_size)
         group_stride = num_warps * self.warp_size  # >= warps * max subwarps
-        sids = np.array(
-            [self.model_policy.draw(self._rng).assignment
-             for _ in range(num_samples * num_warps)], dtype=np.int64,
+        sids = self.model_policy.draw_sids(
+            self._rng, num_samples * num_warps,
         ).reshape(num_samples, group_stride)[:, :num_lines]
         # One label per (sample, line), sample-major: equal labels are
         # one modelled subwarp (group) of one warp of one sample.

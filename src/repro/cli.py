@@ -107,7 +107,10 @@ def _add_seed_arguments(parser: argparse.ArgumentParser) -> None:
                         help="override plaintext sample count")
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_common_arguments(parser: argparse.ArgumentParser,
+                          profile: bool = True) -> None:
+    """Seed, ``-j``, ``-v`` and ``--progress``; and ``--profile`` unless
+    ``profile`` is off (``rcoal profile`` always profiles)."""
     _add_seed_arguments(parser)
     parser.add_argument("-j", "--jobs", type=int, default=1,
                         help="worker processes (0 = one per CPU); results "
@@ -117,6 +120,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                              "(-v info, -vv debug)")
     parser.add_argument("--progress", action="store_true",
                         help="per-sample ETA reporting on stderr")
+    if not profile:
+        return
     parser.add_argument("--profile", action="store_true",
                         help="collect wall-clock span profiling for the "
                              "run and print the span table on stderr; "
@@ -476,12 +481,14 @@ def _baseline_context(args) -> dict:
 
 def _baseline_gate(args, written: str, drifted: str, matched: str):
     """The ``--check``/``--write-baseline`` gate of ``metrics`` and
-    ``profile``. Before the run, an impossible ``--tolerance`` or an
-    unusable ``--check`` file exits 3 (a file this run writes is read
-    after writing it). Returns ``gate(context, section)``: write, then
-    check, exit 1 on drift; the three names say what is gated in its
-    written note, drift report and match note."""
+    ``profile``. Before the run, an impossible ``--tolerance``, an
+    unusable ``--check`` file or one without the experiment's entry exits
+    3 (a file this run writes is read after writing it). Returns
+    ``gate(context, section)``: write, then check, exit 1 on drift; the
+    three names say what is gated in its written note, drift report and
+    match note."""
     from repro.telemetry.baseline import (
+        baseline_entry,
         check_against_baseline,
         load_baseline,
         update_baseline,
@@ -493,6 +500,7 @@ def _baseline_gate(args, written: str, drifted: str, matched: str):
     baseline = None
     if args.check is not None and args.check != args.write_baseline:
         baseline = load_baseline(args.check)
+        baseline_entry(baseline, args.check, args.experiment)
 
     def gate(context: dict, section: dict) -> int:
         if args.write_baseline:
@@ -608,7 +616,7 @@ def _build_profile_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment",
                         help="experiment id (e.g. fig05, fig07)")
-    _add_common_arguments(parser)
+    _add_common_arguments(parser, profile=False)
     _add_resilience_arguments(parser)
     parser.add_argument("--capacity", type=int, default=2_000_000,
                         help="trace ring-buffer capacity in events "

@@ -19,15 +19,26 @@ Randomized policies draw fresh sizes/assignments per launch — the paper's
 "set at the beginning of the application execution" — from the RNG stream
 passed in by the caller, which the encryption server keeps separate from any
 attacker stream.
+
+Each policy has one draw implementation, :meth:`CoalescingPolicy.draw_sids`:
+``n`` draws as one ``(n, warp_size)`` array of sid rows, consuming the
+stream exactly as ``n`` single draws do. FSS+RTS shuffles all rows in one
+``Generator.permuted`` call; RSS makes its ``choice`` (and, under RTS,
+``permutation``) calls draw by draw, because they interleave on one
+stream, and builds the rows with array operations. :meth:`~CoalescingPolicy
+.partitions` turns rows into validated :class:`SubwarpPartition` objects,
+and :meth:`~CoalescingPolicy.draw` is the partition of a one-row draw.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.assignment import in_order_assignment, random_assignment
-from repro.core.sizing import fixed_sizes, normal_sizes, skewed_sizes
+import numpy as np
+
+from repro.core.assignment import in_order_sids, shuffled_sids
+from repro.core.sizing import fixed_sizes, normal_sizes, skewed_cuts
 from repro.core.subwarp import SubwarpPartition
 from repro.errors import ConfigurationError
 from repro.rng import RngStream
@@ -63,8 +74,32 @@ class CoalescingPolicy(ABC):
         return True
 
     @abstractmethod
-    def draw(self, rng: Optional[RngStream]) -> SubwarpPartition:
+    def draw_sids(self, rng: Optional[RngStream], n: int) -> np.ndarray:
+        """``n`` draws as ``(n, warp_size)`` int64 sid rows.
+
+        Row ``i`` is the per-thread sid map of the ``i``-th of ``n``
+        :meth:`draw` calls, and ``rng`` is left where those calls leave
+        it.
+        """
+
+    def partitions(self, sids: np.ndarray) -> List[SubwarpPartition]:
+        """The validated partition of each sid row (sizes by sid)."""
+        n, m = len(sids), self.num_subwarps
+        sizes = np.bincount((sids + m * np.arange(n)[:, None]).ravel(),
+                            minlength=n * m).reshape(n, m)
+        return [SubwarpPartition(sizes=tuple(size), assignment=tuple(row))
+                for size, row in zip(sizes.tolist(), sids.tolist())]
+
+    def round_sids(self, sids: np.ndarray,
+                   rounds: Sequence[Optional[int]]) -> np.ndarray:
+        """Sid rows resolved per AES round: ``(..., 1, warp_size)`` when
+        every round uses the drawn map (broadcast over ``rounds``), else
+        ``(..., len(rounds), warp_size)``."""
+        return sids[..., None, :]
+
+    def draw(self, rng: Optional[RngStream] = None) -> SubwarpPartition:
         """Draw the partition used for one warp in one kernel launch."""
+        return self.partitions(self.draw_sids(rng, 1))[0]
 
     def sid_map(self, rng: Optional[RngStream]) -> Tuple[int, ...]:
         """Convenience: the per-thread sid vector of a fresh draw."""
@@ -91,8 +126,8 @@ class BaselinePolicy(CoalescingPolicy):
     def is_randomized(self) -> bool:
         return False
 
-    def draw(self, rng: Optional[RngStream] = None) -> SubwarpPartition:
-        return SubwarpPartition.single(self.warp_size)
+    def draw_sids(self, rng: Optional[RngStream], n: int) -> np.ndarray:
+        return np.zeros((n, self.warp_size), dtype=np.int64)
 
 
 class NoCoalescingPolicy(CoalescingPolicy):
@@ -111,8 +146,8 @@ class NoCoalescingPolicy(CoalescingPolicy):
     def is_randomized(self) -> bool:
         return False
 
-    def draw(self, rng: Optional[RngStream] = None) -> SubwarpPartition:
-        return SubwarpPartition.per_thread(self.warp_size)
+    def draw_sids(self, rng: Optional[RngStream], n: int) -> np.ndarray:
+        return np.tile(np.arange(self.warp_size), (n, 1))
 
 
 class FSSPolicy(CoalescingPolicy):
@@ -123,18 +158,25 @@ class FSSPolicy(CoalescingPolicy):
         super().__init__(num_subwarps, warp_size)
         self.rts = rts
         self.name = "fss_rts" if rts else "fss"
+        sizes = fixed_sizes(warp_size, num_subwarps)
+        #: The in-order sid row of the fixed sizes.
+        self._ordered = in_order_sids(np.cumsum(sizes)[None, :-1],
+                                      warp_size)[0]
 
     @property
     def is_randomized(self) -> bool:
         return self.rts
 
-    def draw(self, rng: Optional[RngStream] = None) -> SubwarpPartition:
-        sizes = fixed_sizes(self.warp_size, self.num_subwarps)
+    def draw_sids(self, rng: Optional[RngStream], n: int) -> np.ndarray:
         if not self.rts:
-            return in_order_assignment(sizes)
+            return np.tile(self._ordered, (n, 1))
         if rng is None:
             raise ConfigurationError("FSS+RTS draws require an RNG stream")
-        return random_assignment(sizes, rng)
+        # One permuted() call shuffles the rows as n permutation() calls.
+        permutations = rng.generator.permuted(
+            np.broadcast_to(np.arange(self.warp_size), (n, self.warp_size)),
+            axis=1)
+        return shuffled_sids(self._ordered, permutations)
 
 
 class RSSPolicy(CoalescingPolicy):
@@ -151,16 +193,27 @@ class RSSPolicy(CoalescingPolicy):
         self.distribution = distribution
         self.name = "rss_rts" if rts else "rss"
 
-    def draw(self, rng: Optional[RngStream] = None) -> SubwarpPartition:
+    def draw_sids(self, rng: Optional[RngStream], n: int) -> np.ndarray:
         if rng is None:
             raise ConfigurationError("RSS draws require an RNG stream")
-        if self.distribution == "skewed":
-            sizes = skewed_sizes(self.warp_size, self.num_subwarps, rng)
-        else:
-            sizes = normal_sizes(self.warp_size, self.num_subwarps, rng)
-        if self.rts:
-            return random_assignment(sizes, rng)
-        return in_order_assignment(sizes)
+        warp_size, m = self.warp_size, self.num_subwarps
+        bounds = np.empty((n, m - 1), dtype=np.int64)
+        permutations = (np.empty((n, warp_size), dtype=np.int64)
+                        if self.rts else None)
+        # Sizes and RTS permutations interleave on one stream: one pair
+        # of calls per draw, in draw order.
+        for i in range(n):
+            if self.distribution == "skewed":
+                bounds[i] = skewed_cuts(warp_size, m, rng)
+            else:
+                bounds[i] = np.cumsum(
+                    normal_sizes(warp_size, m, rng)[:-1])
+            if permutations is not None:
+                permutations[i] = rng.permutation(warp_size)
+        sids = in_order_sids(bounds, warp_size)
+        if permutations is None:
+            return sids
+        return shuffled_sids(sids, permutations)
 
     def describe(self) -> str:
         return f"{self.name}(M={self.num_subwarps}, {self.distribution})"

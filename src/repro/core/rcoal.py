@@ -8,7 +8,9 @@ discrete-event engine executes the launch with those maps.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from repro.core.policies import CoalescingPolicy
 from repro.core.subwarp import SubwarpPartition
@@ -18,7 +20,17 @@ from repro.gpu.engine import GPUSimulator, KernelResult
 from repro.gpu.warp import WarpProgram
 from repro.rng import RngStream
 
-__all__ = ["RCoalGPU", "LaunchOutcome"]
+__all__ = ["RCoalGPU", "LaunchDraw", "LaunchOutcome"]
+
+
+class LaunchDraw(NamedTuple):
+    """One launch's policy draw, as arrays and as partitions."""
+
+    #: ``(warps, warp_size)`` int64: row ``i`` is the sid map of the
+    #: ``i``-th warp id drawn for.
+    sids: np.ndarray
+    #: Warp id -> the validated partition of its row.
+    partitions: Dict[int, SubwarpPartition]
 
 
 class LaunchOutcome:
@@ -70,10 +82,12 @@ class RCoalGPU:
         return self.simulator.address_map
 
     def draw_partitions(self, warp_ids: Sequence[int],
-                        rng: Optional[RngStream]
-                        ) -> Dict[int, SubwarpPartition]:
-        """Draw one subwarp partition per warp for a launch."""
-        return {warp_id: self.policy.draw(rng) for warp_id in warp_ids}
+                        rng: Optional[RngStream]) -> LaunchDraw:
+        """Draw one subwarp partition per warp for a launch, in
+        ``warp_ids`` order: one :meth:`CoalescingPolicy.draw_sids` call."""
+        sids = self.policy.draw_sids(rng, len(warp_ids))
+        return LaunchDraw(sids, dict(zip(warp_ids,
+                                         self.policy.partitions(sids))))
 
     def launch(self, programs: Sequence[WarpProgram],
                rng: Optional[RngStream] = None) -> LaunchOutcome:
@@ -84,7 +98,7 @@ class RCoalGPU:
         """
         partitions = self.draw_partitions(
             [p.warp_id for p in programs], rng
-        )
+        ).partitions
         sid_maps = {warp_id: partition.assignment
                     for warp_id, partition in partitions.items()}
         result = self.simulator.run(programs, sid_maps)

@@ -18,7 +18,9 @@ performance at unchanged last-round security.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.aes.key_schedule import NUM_ROUNDS
 from repro.core.policies import CoalescingPolicy
@@ -96,12 +98,26 @@ class SelectiveRCoalPolicy(CoalescingPolicy):
     def is_randomized(self) -> bool:
         return self.base.is_randomized
 
-    def draw(self, rng: Optional[RngStream] = None) -> SelectivePartition:
-        return SelectivePartition(
-            protected=self.base.draw(rng),
-            unprotected=SubwarpPartition.single(self.warp_size),
-            protected_rounds=self.protected_rounds,
-        )
+    def draw_sids(self, rng: Optional[RngStream], n: int) -> np.ndarray:
+        """The base policy's rows: the protected rounds' maps."""
+        return self.base.draw_sids(rng, n)
+
+    def partitions(self, sids: np.ndarray) -> List[SelectivePartition]:
+        return [SelectivePartition(
+                    protected=protected,
+                    unprotected=SubwarpPartition.single(self.warp_size),
+                    protected_rounds=self.protected_rounds)
+                for protected in self.base.partitions(sids)]
+
+    def round_sids(self, sids: np.ndarray,
+                   rounds: Sequence[Optional[int]]) -> np.ndarray:
+        """The drawn rows in protected rounds, one subwarp (all zeros)
+        elsewhere, as :meth:`SelectivePartition.assignment_for_round`."""
+        resolved = np.zeros(sids.shape[:-1] + (len(rounds), sids.shape[-1]),
+                            dtype=sids.dtype)
+        resolved[..., [r in self.protected_rounds for r in rounds], :] = \
+            sids[..., None, :]
+        return resolved
 
     def describe(self) -> str:
         rounds = ",".join(str(r) for r in sorted(self.protected_rounds))

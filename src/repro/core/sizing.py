@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.rng import RngStream
 
-__all__ = ["fixed_sizes", "skewed_sizes", "normal_sizes"]
+__all__ = ["fixed_sizes", "skewed_cuts", "skewed_sizes", "normal_sizes"]
 
 
 def _check_args(warp_size: int, num_subwarps: int) -> None:
@@ -38,6 +40,17 @@ def fixed_sizes(warp_size: int, num_subwarps: int) -> Tuple[int, ...]:
                  for i in range(num_subwarps))
 
 
+def skewed_cuts(warp_size: int, num_subwarps: int,
+                rng: RngStream) -> np.ndarray:
+    """The ``M-1`` distinct cut points of one skewed draw, unsorted: the
+    first threads of subwarps ``1 .. M-1``, in ``[1, N)``. One ``choice``
+    call on ``rng`` (none when ``M == 1``)."""
+    if num_subwarps == 1:
+        return np.empty(0, dtype=np.int64)
+    return rng.choice_without_replacement(warp_size - 1,
+                                          num_subwarps - 1) + 1
+
+
 def skewed_sizes(warp_size: int, num_subwarps: int,
                  rng: RngStream) -> Tuple[int, ...]:
     """A uniformly random composition of ``warp_size`` into positive parts.
@@ -48,10 +61,7 @@ def skewed_sizes(warp_size: int, num_subwarps: int,
     extreme splits like (1, 1, 1, 29) are as probable as (8, 8, 8, 8).
     """
     _check_args(warp_size, num_subwarps)
-    if num_subwarps == 1:
-        return (warp_size,)
-    cuts = sorted(rng.choice_without_replacement(warp_size - 1,
-                                                 num_subwarps - 1) + 1)
+    cuts = sorted(skewed_cuts(warp_size, num_subwarps, rng))
     bounds = [0] + [int(c) for c in cuts] + [warp_size]
     return tuple(bounds[i + 1] - bounds[i] for i in range(num_subwarps))
 

@@ -12,6 +12,11 @@ that "no subwarp is empty"):
 * sizes sum to the warp size;
 * the assignment maps each thread to a valid subwarp, with exactly
   ``sizes[s]`` threads mapped to subwarp ``s``.
+
+:func:`access_counts` is the coalescing rule as one array reduction: a
+warp instruction makes one access per distinct ``(block, sid)`` pair of
+its lanes, that is, per subwarp, one per distinct block. The counts core
+and the Monte-Carlo estimators both count with it.
 """
 
 from __future__ import annotations
@@ -19,9 +24,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
-__all__ = ["SubwarpPartition"]
+__all__ = ["SubwarpPartition", "access_counts"]
+
+
+def access_counts(blocks: np.ndarray, sids: np.ndarray) -> np.ndarray:
+    """The distinct ``(block, sid)`` pairs of every row of lanes.
+
+    ``blocks`` is a uint16 array whose last axis holds each lane's block
+    as a small integer (a rank below 256); ``sids`` holds the lanes'
+    subwarp ids (below 256) and broadcasts against it. ``blocks`` is
+    consumed: each pair is packed in its place into one key,
+    ``block << 8 | sid``, the keys are sorted along the lanes, and a row's
+    count is one plus its number of transitions. Returns an int array of
+    ``blocks.shape[:-1]``.
+    """
+    if blocks.dtype != np.uint16:
+        raise TypeError(f"blocks must be uint16, not {blocks.dtype}")
+    blocks <<= 8
+    blocks |= sids.astype(np.uint16, copy=False)
+    blocks.sort(axis=-1)
+    return (blocks[..., 1:] != blocks[..., :-1]).sum(axis=-1) + 1
 
 
 @dataclass(frozen=True)

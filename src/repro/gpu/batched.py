@@ -4,31 +4,28 @@ Every :meth:`repro.workloads.server.EncryptionServer.encrypt_batch`, timed
 or counts-only, enters through :func:`sample_slabs`, which
 
 1. validates the batch once, then cuts it into slabs of equal-length
-   samples whose lane addresses fit a byte cap its caller passes (a
-   length change starts a new slab);
+   samples whose lane addresses would fit a byte cap its caller passes
+   (a length change starts a new slab);
 2. per slab, draws every sample's subwarp partitions through
-   :meth:`repro.core.rcoal.RCoalGPU.draw_partitions`, sample by sample,
-   warp by warp, so a shared stream is consumed exactly as one launch
-   per sample would;
+   :meth:`repro.core.rcoal.RCoalGPU.draw_partitions`, one array draw per
+   sample, so a shared stream is consumed exactly as one launch per
+   sample would, and resolves the drawn sid rows into lane sids per
+   memory instruction (selective policies differ by round);
 3. makes one :func:`repro.aes.batch.encrypt_batch` call for the
-   ciphertexts and per-round table indices of all lines of the slab;
-4. makes one :func:`repro.gpu.warp.lane_addresses` gather, through the
-   address map's cached table-entry grid and line addresses (so permuted
-   layouts work unchanged), into one ``(samples, warps, instructions,
-   lanes)`` address array.
+   ciphertexts and per-round table indices of all lines of the slab.
 
-The timed server wraps each slab in a :class:`~repro.gpu.warp.SampleBatch`
-for the timing core. :class:`BatchedCountsCore` reduces it instead, for
-counts-only servers: :func:`repro.gpu.warp.lane_sids` gives every lane's
-subwarp id, each lane's ``(block, sid)`` pair is packed in place into one
-int64 key, ``(block << 8) | sid`` (subwarp ids are lane indices, below
-256), and distinct pairs per (warp, instruction) are counted by sorting
-along the lane axis and counting value transitions: per instruction, the
-coalesced accesses a :class:`~repro.gpu.coalescer.CoalescingUnit`
-generates (cf. the ``calculate_bursts`` distinct-blocks-per-subwarp
-arithmetic the ROADMAP cites). It needs no generation order, so it does
-not go through the timing core's coalescer, whose lane-tagged keys would
-cost another full-size array and a second sort.
+The timed server gathers each slab's lane addresses itself and wraps the
+slab in a :class:`~repro.gpu.warp.SampleBatch` for the timing core.
+:class:`BatchedCountsCore` reduces it instead, for counts-only servers,
+and never builds an address: :func:`repro.gpu.warp.lane_blocks` maps the
+uint8 indices straight to uint16 block ranks through cached per-table
+rank grids, and :func:`repro.core.subwarp.access_counts` packs each
+lane's ``(block, sid)`` pair into one uint16 key in place and counts the
+distinct pairs per (warp, instruction) by sorting along the lane axis:
+per instruction, the coalesced accesses a
+:class:`~repro.gpu.coalescer.CoalescingUnit` generates. It needs no
+generation order, so it does not go through the timing core's coalescer,
+whose lane-tagged keys would cost a wider array and a second sort.
 
 Records and coalescer metrics equal the event engine's counts (see
 ``tests/gpu/test_batched`` and ``tests/gpu/test_differential``).
@@ -45,10 +42,10 @@ from repro.aes.batch import encrypt_batch
 from repro.aes.cipher import BLOCK_BYTES
 from repro.aes.key_schedule import NUM_ROUNDS
 from repro.aes.ttable import LOOKUPS_PER_ROUND
-from repro.core.subwarp import SubwarpPartition
+from repro.core.subwarp import SubwarpPartition, access_counts
 from repro.errors import BlockSizeError, ConfigurationError
 from repro.gpu.warp import (KERNEL_COLUMNS, MemoryInstruction,
-                            kernel_skeleton, lane_addresses, lane_sids)
+                            kernel_skeleton, lane_blocks)
 from repro.rng import RngStream
 from repro.workloads.server import EncryptionRecord, EncryptionServer
 
@@ -60,8 +57,10 @@ __all__ = ["BatchedCountsCore", "Slab", "sample_slabs"]
 _COLUMN_ROUNDS = [ins.round_index for ins in kernel_skeleton()
                   if isinstance(ins, MemoryInstruction)]
 
-#: Soft cap on the per-slab key matrix (bytes); batches larger than this
-#: are processed in sample slabs so Fig 18-scale sweeps stay in-cache.
+#: Soft cap on a counts slab, in bytes of int64 lane addresses, the unit
+#: of :func:`sample_slabs` (its uint16 keys take a quarter of that);
+#: batches larger than this are processed in sample slabs so Fig 18-scale
+#: sweeps stay in-cache.
 _SLAB_KEY_BYTES = 48_000_000
 
 
@@ -72,13 +71,13 @@ class Slab(NamedTuple):
     ciphertexts: np.ndarray
     #: ``(samples, lines, 10, 16)`` lookup indices of ``encrypt_batch``.
     indices: np.ndarray
-    #: ``(samples, warps, KERNEL_COLUMNS, warp_size)`` int64, owned by the
-    #: consumer: the front end keeps no reference to it.
-    addresses: np.ndarray
+    #: ``(samples, warps, 1 | KERNEL_COLUMNS, warp_size)`` int64 lane
+    #: sids: one row per memory instruction only when the policy's maps
+    #: vary by round. The lanes of a partial final warp repeat its last
+    #: thread's sid, as its padded addresses repeat its last line.
+    sids: np.ndarray
     #: Per sample: warp id -> the partition drawn for that warp.
     partitions: List[Dict[int, SubwarpPartition]]
-    #: Per sample: warp id -> that partition's sid map.
-    sid_maps: List[Dict[int, Sequence[int]]]
 
 
 def sample_slabs(server: EncryptionServer, plaintexts: Sequence[bytes],
@@ -88,8 +87,8 @@ def sample_slabs(server: EncryptionServer, plaintexts: Sequence[bytes],
     ``rngs[i]``, in order.
 
     The whole batch is validated before the first slab is built. A slab
-    holds at most ``cap_bytes // (per-sample lane-address bytes)`` samples
-    (at least one), all of one length.
+    holds at most ``cap_bytes // (per-sample lane-address bytes)``
+    samples (at least one), all of one length.
     """
     if len(plaintexts) != len(rngs):
         raise ConfigurationError(
@@ -115,24 +114,23 @@ def sample_slabs(server: EncryptionServer, plaintexts: Sequence[bytes],
             if len(plaintexts[end]) != num_bytes:
                 stop = end
                 break
-        # Policy draws, sample by sample, warp by warp: RNG parity with
+        # One array draw per sample, in sample order: RNG parity with
         # one launch at a time.
-        partitions = [gpu.draw_partitions(range(num_warps), rng)
-                      for rng in rngs[start:stop]]
+        draws = [gpu.draw_partitions(range(num_warps), rng)
+                 for rng in rngs[start:stop]]
+        sids = gpu.policy.round_sids(np.stack([draw.sids for draw in draws]),
+                                     _COLUMN_ROUNDS)
+        last = num_lines - (num_warps - 1) * warp_size
+        if last < warp_size:
+            sids[:, -1, :, last:] = sids[:, -1, :, last - 1:last]
         ciphertexts, indices = encrypt_batch(
             server.secret_key,
             np.frombuffer(b"".join(plaintexts[start:stop]), dtype=np.uint8)
             .reshape(-1, BLOCK_BYTES))
-        indices = indices.reshape(stop - start, num_lines, NUM_ROUNDS,
-                                  LOOKUPS_PER_ROUND)
-        # The address array goes straight to the consumer, so a counts
-        # slab's keys are freed before the next slab's are built.
-        yield Slab(ciphertexts.reshape(stop - start, -1), indices,
-                   lane_addresses(indices, gpu.address_map, warp_size),
-                   partitions,
-                   [{warp_id: partition.assignment
-                     for warp_id, partition in drawn.items()}
-                    for drawn in partitions])
+        yield Slab(ciphertexts.reshape(stop - start, -1),
+                   indices.reshape(stop - start, num_lines, NUM_ROUNDS,
+                                   LOOKUPS_PER_ROUND),
+                   sids, [draw.partitions for draw in draws])
         start = stop
 
 
@@ -156,15 +154,9 @@ class BatchedCountsCore:
         config = server.gpu.config
         self.telemetry = server.gpu.telemetry
         self.warp_size = config.warp_size
-        self._block_mask = ~(config.access_bytes - 1)
+        self._access_bytes = config.access_bytes
 
     # -- internals ---------------------------------------------------------
-
-    @staticmethod
-    def _distinct_along_last_axis(values: np.ndarray) -> np.ndarray:
-        """Distinct value count along the last axis (sort + transitions)."""
-        ordered = np.sort(values, axis=-1)
-        return (ordered[..., 1:] != ordered[..., :-1]).sum(axis=-1) + 1
 
     def _record_metrics(self, counts: np.ndarray,
                         subwarps: np.ndarray) -> None:
@@ -211,27 +203,25 @@ class BatchedCountsCore:
         sample (progress reporting).
         """
         records: List[EncryptionRecord] = []
-        for ciphertexts, indices, keys, partitions, sid_maps in sample_slabs(
+        address_map = self._server.gpu.address_map
+        for ciphertexts, indices, sids, partitions in sample_slabs(
                 self._server, plaintexts, rngs, _SLAB_KEY_BYTES):
-            slab, num_warps = keys.shape[:2]
-            # Pack (block, sid) into one key per lane, in place,
-            # ``((address & mask) << 8) | sid``. The lanes of a partial
-            # final warp repeat its last thread's address and sid, which
-            # merges into that thread's (block, sid) pair exactly like
-            # skipping them.
-            sids = lane_sids(sid_maps, num_warps, indices.shape[1],
-                             _COLUMN_ROUNDS, self.warp_size)
-            keys &= self._block_mask
-            keys <<= 8
-            keys |= sids
-            counts = self._distinct_along_last_axis(keys)  # (slab, warps, 162)
-            del keys
+            slab = len(indices)
+            # The lanes of a partial final warp repeat its last thread's
+            # block and sid, which merges into that thread's pair exactly
+            # like skipping them.
+            blocks = lane_blocks(indices, address_map, self.warp_size,
+                                 self._access_bytes)
+            num_warps = blocks.shape[1]
+            counts = access_counts(blocks, sids)   # (slab, warps, 162)
+            del blocks
 
             if self.telemetry.enabled:
                 # Distinct sids among active lanes, per instruction (a
                 # round-invariant map has one row for every instruction).
-                self._record_metrics(counts, np.broadcast_to(
-                    self._distinct_along_last_axis(sids), counts.shape))
+                self._record_metrics(counts, np.broadcast_to(access_counts(
+                    np.zeros(sids.shape, dtype=np.uint16), sids),
+                    counts.shape))
 
             totals = counts.sum(axis=(1, 2))
             table_counts = counts[:, :, 1:-1].reshape(

@@ -111,8 +111,7 @@ from repro.gpu.dram import DramStats
 from repro.gpu.engine import RoundAwareSidMap
 from repro.gpu.request import AccessKind
 from repro.gpu.stats import KernelResult, RoundWindow
-from repro.gpu.warp import (ComputeInstruction, SampleBatch, WarpProgram,
-                            lane_sids)
+from repro.gpu.warp import ComputeInstruction, SampleBatch, WarpProgram
 
 __all__ = ["BatchedTimingCore", "UnsupportedLaunch"]
 
@@ -366,19 +365,10 @@ class BatchedTimingCore:
             raise UnsupportedLaunch("lane count mismatch")
         if (num_warps - 1) // config.num_sms >= config.max_warps_per_sm:
             raise UnsupportedLaunch("SM occupancy")
-        for maps in batch.sid_maps:
-            for warp_id in range(num_warps):
-                sid_map = maps.get(warp_id)
-                if sid_map is None:
-                    raise UnsupportedLaunch("missing sid map")
-                if len(sid_map) != W:
-                    raise UnsupportedLaunch("sid map lane count")
+        if batch.sids.shape[-1] != W:
+            raise UnsupportedLaunch("sid map lane count")
         instructions = batch.instructions
-        rounds = [ins.round_index for ins in instructions
-                  if not isinstance(ins, ComputeInstruction)]
-        sids = lane_sids(batch.sid_maps, num_warps, batch.num_threads,
-                         rounds, W)
-        counts, part, bank, row = self._coalesce(batch.addresses, sids)
+        counts, part, bank, row = self._coalesce(batch.addresses, batch.sids)
         threads = np.minimum(W, batch.num_threads
                              - W * np.arange(num_warps))
         logged = np.tile(np.repeat(threads, memory), samples)

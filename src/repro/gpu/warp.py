@@ -17,10 +17,11 @@ thread ``tid`` of warp ``w`` processes plaintext line ``w*32 + tid``.
 The same kernel also exists as arrays. :func:`lane_addresses` gathers
 every lane's address in every memory instruction of many launches at
 once, through one cached table-entry grid and one cached set of
-input/output line addresses per address map; the counts core, the timed
-front end and :func:`build_warp_programs` all take their addresses from
-it, and :func:`lane_sids` gives the matching subwarp ids. A
-:class:`SampleBatch` carries such launches to the timing core, which
+input/output line addresses per address map; the timed front end and
+:func:`build_warp_programs` take their addresses from it. The counts core
+needs only block identity: :func:`lane_blocks` gathers every lane's block
+as a uint16 rank through cached rank grids instead. A
+:class:`SampleBatch` carries launches to the timing core, which
 coalesces and times them without building a :class:`MemoryInstruction`.
 Programs are materialized only where the event engine runs.
 """
@@ -48,7 +49,7 @@ from repro.gpu.request import AccessKind
 __all__ = ["ComputeInstruction", "MemoryInstruction", "Instruction",
            "WarpProgram", "SampleBatch", "KERNEL_COLUMNS",
            "build_warp_programs", "kernel_skeleton", "lane_addresses",
-           "lane_sids"]
+           "lane_blocks"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,13 +78,14 @@ Instruction = Union[ComputeInstruction, MemoryInstruction]
 #: 10 x 16 table loads and the output store, in program order.
 KERNEL_COLUMNS = 2 + NUM_ROUNDS * LOOKUPS_PER_ROUND
 
-#: Per address map: its (5, 256) table-entry address grid and, by line
-#: count and warp size, its input and output line addresses padded to
-#: whole warps. The stock builders read no map state, so every map whose
-#: class keeps both shares the entry keyed by :class:`AddressMap`; a map
-#: whose class overrides either has its own (weak keys: dropping that
-#: map's server drops its tables with it).
-_ADDRESS_TABLES: "WeakKeyDictionary[object, tuple]" = WeakKeyDictionary()
+#: Per address map, its tables by key: the (5, 256) table-entry address
+#: grid; by line count and warp size, its input and output line addresses
+#: padded to whole warps; and, by access size, the block ranks of both.
+#: The stock builders read no map state, so every map whose class keeps
+#: both shares the entry keyed by :class:`AddressMap`; a map whose class
+#: overrides either has its own (weak keys: dropping that map's server
+#: drops its tables with it).
+_ADDRESS_TABLES: "WeakKeyDictionary[object, dict]" = WeakKeyDictionary()
 
 
 @dataclass
@@ -118,8 +120,12 @@ class SampleBatch:
     instructions: Tuple[Instruction, ...]
     #: ``(launches, warps, memory instructions, lanes)`` int64.
     addresses: np.ndarray
+    #: The lanes' subwarp ids, padded like ``addresses``: ``(launches,
+    #: warps, 1, lanes)`` when no map varies by round, else one row per
+    #: memory instruction.
+    sids: np.ndarray
     num_threads: int
-    #: Per launch: warp id -> that warp's sid map.
+    #: Per launch: warp id -> that warp's sid map, for the event engine.
     sid_maps: Sequence[Mapping[int, Sequence[int]]]
     #: Launch ``s``'s warp programs, for the event engine.
     programs: Callable[[int], List[WarpProgram]]
@@ -155,6 +161,76 @@ def kernel_skeleton(round_compute_cycles: int = 40,
     return tuple(skeleton)
 
 
+def _tables(address_map: AddressMap, key, build: Callable[[], np.ndarray]
+            ) -> np.ndarray:
+    """The map's table under ``key`` (see :data:`_ADDRESS_TABLES`),
+    built on first use."""
+    cls = type(address_map)
+    owner = (AddressMap
+             if cls.table_entry_address is AddressMap.table_entry_address
+             and cls.line_address is AddressMap.line_address
+             else address_map)
+    tables = _ADDRESS_TABLES.get(owner)
+    if tables is None:
+        tables = _ADDRESS_TABLES[owner] = {}
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = build()
+    return table
+
+
+def _entry_grid(address_map: AddressMap) -> np.ndarray:
+    """``(5, 256)`` int64: the address of every table entry."""
+    return _tables(address_map, "entries", lambda: np.array(
+        [[address_map.table_entry_address(table_id, index)
+          for index in range(256)] for table_id in range(5)],
+        dtype=np.int64))
+
+
+def _line_grid(address_map: AddressMap, num_lines: int,
+               warp_size: int) -> np.ndarray:
+    """``(2, warps, warp_size)`` int64: every lane's input and output line
+    address, the lanes of a partial final warp repeating its last line."""
+    num_warps = -(-num_lines // warp_size)
+    return _tables(address_map, ("lines", num_lines, warp_size),
+                   lambda: np.array(
+        [[address_map.line_address(base, min(line, num_lines - 1))
+          for line in range(num_warps * warp_size)]
+         for base in (PLAINTEXT_REGION_BASE, CIPHERTEXT_REGION_BASE)],
+        dtype=np.int64).reshape(2, num_warps, warp_size))
+
+
+def _row_ranks(blocks: np.ndarray) -> np.ndarray:
+    """Each block's rank among the distinct blocks of its row (last
+    axis), as uint16."""
+    rows = blocks.reshape(-1, blocks.shape[-1])
+    return np.array([np.unique(row, return_inverse=True)[1]
+                     for row in rows], dtype=np.uint16).reshape(blocks.shape)
+
+
+def _gather(indices: np.ndarray, warp_size: int, entries: np.ndarray,
+            lines: np.ndarray) -> np.ndarray:
+    """Lay ``entries[table id, index]`` and ``lines`` out per lane, in
+    the dtype of ``entries``, as :func:`lane_addresses` documents."""
+    launches, num_lines = indices.shape[:2]
+    num_warps = -(-num_lines // warp_size)
+    index = indices.reshape(launches, num_lines, -1)
+    if num_lines < num_warps * warp_size:
+        index = np.concatenate(
+            [index, np.repeat(index[:, -1:],
+                              num_warps * warp_size - num_lines, axis=1)],
+            axis=1)
+    # (launches, warps, table loads, lanes), still one byte per index.
+    index = index.reshape(launches, num_warps, warp_size, -1) \
+                 .transpose(0, 1, 3, 2)
+    lanes = np.empty((launches, num_warps, KERNEL_COLUMNS, warp_size),
+                     dtype=entries.dtype)
+    lanes[:, :, 0] = lines[0]
+    lanes[:, :, 1:-1] = entries[table_id_grid().reshape(-1, 1), index]
+    lanes[:, :, -1] = lines[1]
+    return lanes
+
+
 def lane_addresses(indices: np.ndarray, address_map: AddressMap,
                    warp_size: int) -> np.ndarray:
     """Every lane's byte address in every memory instruction of the AES
@@ -169,83 +245,30 @@ def lane_addresses(indices: np.ndarray, address_map: AddressMap,
     ``(table id, index)`` and the table id only on ``(round, lookup)``,
     so one gather through the cached 5x256 grid resolves every lookup.
     """
-    launches, num_lines = indices.shape[:2]
-    num_warps = -(-num_lines // warp_size)
-    cls = type(address_map)
-    owner = (AddressMap
-             if cls.table_entry_address is AddressMap.table_entry_address
-             and cls.line_address is AddressMap.line_address
-             else address_map)
-    tables = _ADDRESS_TABLES.get(owner)
-    if tables is None:
-        grid = np.array(
-            [[address_map.table_entry_address(table_id, index)
-              for index in range(256)] for table_id in range(5)],
-            dtype=np.int64)
-        tables = _ADDRESS_TABLES[owner] = (grid, {})
-    grid, io_lines = tables
-    io = io_lines.get((num_lines, warp_size))
-    if io is None:
-        io = np.array(
-            [[address_map.line_address(base, min(line, num_lines - 1))
-              for line in range(num_warps * warp_size)]
-             for base in (PLAINTEXT_REGION_BASE, CIPHERTEXT_REGION_BASE)],
-            dtype=np.int64).reshape(2, num_warps, warp_size)
-        io_lines[(num_lines, warp_size)] = io
-    index = indices.reshape(launches, num_lines, -1)
-    if num_lines < num_warps * warp_size:
-        index = np.concatenate(
-            [index, np.repeat(index[:, -1:],
-                              num_warps * warp_size - num_lines, axis=1)],
-            axis=1)
-    # (launches, warps, table loads, lanes), still one byte per index.
-    index = index.reshape(launches, num_warps, warp_size, -1) \
-                 .transpose(0, 1, 3, 2)
-    lanes = np.empty((launches, num_warps, KERNEL_COLUMNS, warp_size),
-                     dtype=np.int64)
-    lanes[:, :, 0] = io[0]
-    lanes[:, :, 1:-1] = grid[table_id_grid().reshape(-1, 1), index]
-    lanes[:, :, -1] = io[1]
-    return lanes
+    return _gather(indices, warp_size, _entry_grid(address_map),
+                   _line_grid(address_map, indices.shape[1], warp_size))
 
 
-def lane_sids(sid_maps: Sequence[Mapping[int, Sequence[int]]],
-              num_warps: int, num_threads: int,
-              column_rounds: Sequence[Optional[int]],
-              warp_size: int) -> np.ndarray:
-    """Every lane's subwarp id, shaped like :func:`lane_addresses`.
+def lane_blocks(indices: np.ndarray, address_map: AddressMap,
+                warp_size: int, access_bytes: int) -> np.ndarray:
+    """Every lane's memory block, laid out as :func:`lane_addresses`, as a
+    uint16 rank below 256.
 
-    ``sid_maps[s][w]`` is warp ``w``'s map in launch ``s``: ``warp_size``
-    sids, or a per-round map with ``for_round`` (selective RCoal).
-    Returns ``(launches, warps, 1, warp_size)`` when no map varies by
-    round, else ``(launches, warps, len(column_rounds), warp_size)``,
-    column ``c`` resolved for round ``column_rounds[c]``. Lanes past the
-    first ``num_threads`` repeat the last active thread's sid, so that,
-    with :func:`lane_addresses`' padding, they merge into its access.
+    A block is an address with its low ``log2(access_bytes)`` bits
+    cleared, as the coalescer sees it. Ranks are per table (a table has
+    256 entries) and, for the input and output columns, per warp, so two
+    lanes of one memory instruction share a rank exactly when they share
+    a block. The ranks come from the map's cached address grids.
     """
-    round_aware = any(hasattr(maps[w], "for_round")
-                      for maps in sid_maps for w in range(num_warps))
-    if not round_aware:
-        sids = np.array([[maps[w] for w in range(num_warps)]
-                         for maps in sid_maps], dtype=np.int64)
-        sids = sids[:, :, None, :]
-    else:
-        rounds = list(dict.fromkeys(column_rounds))
-        column = np.array([rounds.index(r) for r in column_rounds])
-        tables = []
-        for maps in sid_maps:
-            for w in range(num_warps):
-                sid_map = maps[w]
-                if hasattr(sid_map, "for_round"):
-                    tables.append([sid_map.for_round(r) for r in rounds])
-                else:
-                    tables.append([sid_map] * len(rounds))
-        sids = np.array(tables, dtype=np.int64)[:, column].reshape(
-            len(sid_maps), num_warps, len(column_rounds), warp_size)
-    last = num_threads - (num_warps - 1) * warp_size
-    if last < warp_size:
-        sids[:, -1, :, last:] = sids[:, -1, :, last - 1:last]
-    return sids
+    num_lines = indices.shape[1]
+    shift = access_bytes.bit_length() - 1
+    entries = _tables(address_map, ("entry ranks", access_bytes),
+                      lambda: _row_ranks(_entry_grid(address_map) >> shift))
+    lines = _tables(
+        address_map, ("line ranks", num_lines, warp_size, access_bytes),
+        lambda: _row_ranks(
+            _line_grid(address_map, num_lines, warp_size) >> shift))
+    return _gather(indices, warp_size, entries, lines)
 
 
 def build_warp_programs(

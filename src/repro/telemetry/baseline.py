@@ -38,6 +38,7 @@ __all__ = [
     "compare_snapshots",
     "load_baseline",
     "update_baseline",
+    "baseline_entry",
     "check_against_baseline",
 ]
 
@@ -139,6 +140,19 @@ def compare_snapshots(expected, actual, tolerance: float = 0.0,
     return drifts
 
 
+def baseline_entry(data: dict, path: str, experiment_id: str) -> dict:
+    """The experiment's entry in a loaded baseline file ``path``; raises
+    :class:`ConfigurationError` when it has none."""
+    entry: Optional[dict] = data["experiments"].get(experiment_id)
+    if entry is None:
+        known = ", ".join(sorted(data["experiments"])) or "none"
+        raise ConfigurationError(
+            f"{path} has no baseline for {experiment_id!r} (has: {known}); "
+            f"record one with --write-baseline"
+        )
+    return entry
+
+
 def check_against_baseline(path: str, experiment_id: str, context: dict,
                            snapshot: Dict[str, dict],
                            tolerance: float = 0.0,
@@ -152,13 +166,7 @@ def check_against_baseline(path: str, experiment_id: str, context: dict,
     """
     if data is None:
         data = load_baseline(path)
-    entry: Optional[dict] = data["experiments"].get(experiment_id)
-    if entry is None:
-        known = ", ".join(sorted(data["experiments"])) or "none"
-        raise ConfigurationError(
-            f"{path} has no baseline for {experiment_id!r} (has: {known}); "
-            f"record one with --write-baseline"
-        )
+    entry = baseline_entry(data, path, experiment_id)
     drifts = compare_snapshots(entry.get("context", {}),
                                _normalize(context),
                                tolerance=0.0, path="context")

@@ -573,6 +573,7 @@ def sample_batch(programs):
                            if isinstance(ins, MemoryInstruction) else ins
                            for ins in programs[0].instructions),
         addresses=np.array(memory, dtype=np.int64)[:, None],
+        sids=np.zeros((len(programs), 1, 1, 32), dtype=np.int64),
         num_threads=32, sid_maps=[{0: [0] * 32}] * len(programs),
         programs=lambda s: [programs[s]])
 

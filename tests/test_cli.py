@@ -87,6 +87,27 @@ class TestImpossibleInput:
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["metrics", "profile"])
+    def test_rejects_a_baseline_without_the_experiment_before_running(
+            self, tmp_path, capsys, command):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text('{"format": 1, "experiments": {}}',
+                            encoding="utf-8")
+        assert main([command, "fig05", "--samples", "2",
+                     "--check", str(baseline)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "has no baseline for 'fig05'" in captured.err
+        assert captured.out == ""
+
+    def test_profile_does_not_take_the_profile_flag(self, capsys):
+        # The command always profiles: the flag would be a silent no-op.
+        with pytest.raises(SystemExit) as exited:
+            main(["profile", "fig05", "--samples", "2", "--profile"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --profile" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["metrics", "profile"])
     def test_a_new_baseline_is_written_then_checked(self, tmp_path, capsys,
                                                    command):
         baseline = str(tmp_path / "new.json")
