@@ -76,7 +76,10 @@ chaos:
 # Long differential fuzzing: the fast engines against the event engine
 # (generated machines with AES launches and sample slabs, machines built
 # for row misses and ties with AES slabs, and tiny machines with raw warp
-# streams), the attack estimator against its reference, and the array
+# streams; every multi-warp launch the recurrence replay serves is also
+# checked against the calendar replay), the recurrence replay on raw
+# streams of 2 to 32 warps on small machines, the attack estimator
+# against its reference, and the array
 # draws and distinct-pair counts against their per-draw and set-based
 # references, at 1000 examples each on a fresh random seed (the `fuzz`
 # Hypothesis profile, registered in tests/conftest.py). A plain
@@ -84,6 +87,7 @@ chaos:
 # runs this target.
 fuzz:
 	pytest tests/gpu/test_differential.py \
+	    tests/gpu/test_recurrence_replay.py::test_raw_multi_warp_launches_equal_the_calendar \
 	    tests/attack/test_estimator.py::test_access_matrix_matches_the_reference \
 	    tests/test_array_exactness.py::test_draw_sids_equals_one_draw_at_a_time \
 	    tests/test_array_exactness.py::test_partitions_are_the_drawn_rows \

@@ -83,11 +83,26 @@ class CoalescingPolicy(ABC):
         """
 
     def partitions(self, sids: np.ndarray) -> List[SubwarpPartition]:
-        """The validated partition of each sid row (sizes by sid)."""
+        """The validated partition of each sid row (sizes by sid).
+
+        The rows are checked once, as arrays: every sid in ``[0, M)`` and
+        every subwarp non-empty. That is all ``SubwarpPartition`` checks
+        that sizes counted from the rows could fail, so the partitions
+        are then built without its per-lane loop.
+        """
         n, m = len(sids), self.num_subwarps
+        if sids.size:
+            bad = sids[(sids < 0) | (sids >= m)]
+            if bad.size:
+                raise ConfigurationError(f"invalid subwarp id {bad[0]}")
         sizes = np.bincount((sids + m * np.arange(n)[:, None]).ravel(),
                             minlength=n * m).reshape(n, m)
-        return [SubwarpPartition(sizes=tuple(size), assignment=tuple(row))
+        empty = np.flatnonzero((sizes <= 0).any(axis=1))
+        if empty.size:
+            raise ConfigurationError(
+                "subwarp sizes must be positive: "
+                f"{tuple(sizes[empty[0]].tolist())}")
+        return [SubwarpPartition.validated(tuple(size), tuple(row))
                 for size, row in zip(sizes.tolist(), sids.tolist())]
 
     def round_sids(self, sids: np.ndarray,

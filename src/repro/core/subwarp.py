@@ -83,6 +83,17 @@ class SubwarpPartition:
                     f"{counts.get(sid, 0)} threads are assigned to it"
                 )
 
+    @classmethod
+    def validated(cls, sizes: Tuple[int, ...],
+                  assignment: Tuple[int, ...]) -> "SubwarpPartition":
+        """A partition whose fields the caller has already checked (see
+        ``CoalescingPolicy.partitions``): built without re-running
+        ``__post_init__``."""
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "sizes", sizes)
+        object.__setattr__(partition, "assignment", assignment)
+        return partition
+
     @property
     def num_subwarps(self) -> int:
         return len(self.sizes)

@@ -1,5 +1,5 @@
-"""Batched exact timing engine: sample-axis wavefront replay and calendar
-replay.
+"""Batched exact timing engine: the sample-axis wavefront replay, the
+multi-warp recurrence replay and the calendar replay.
 
 :class:`BatchedTimingCore` produces the *same* :class:`KernelResult` as the
 discrete-event engine (:class:`repro.gpu.engine.GPUSimulator`) without its
@@ -23,10 +23,27 @@ engine's own handlers on plain ints and lists, in the engine's own event
 order: every push of ``GPUSimulator.run`` lands at or after the cycle
 being processed, and ``seq`` is push order, so one FIFO list per cycle,
 drained front to back while handlers append to it, pops events in exactly
-the heap's ``(cycle, seq)`` order. No tie rule is re-derived. Multi-warp
-launches, where other warps' traffic is in flight at every barrier, take
-this path, one launch at a time, and so does every single-warp launch the
-wavefront path hands off.
+the heap's ``(cycle, seq)`` order. No tie rule is re-derived. It costs
+five events per coalesced access. It serves every launch the other two
+paths hand off, one launch at a time.
+
+**Recurrence replay: multi-warp launches.** Other warps' traffic is in
+flight at every barrier of a multi-warp launch, which replays one
+launch at a time. Only warp events and wakes go on a calendar, in the
+engine's order; each partition's forward port and FR-FCFS controller and
+each SM's reply port run as a recurrence over its inputs in an explicit
+order: injects by (cycle, issuing warp event, access), completions by
+(cycle, decision order), where a decision's order is carried as runs of
+tCCD-spaced decisions and what began each. The recurrences run ahead of
+the calendar in batches, as far as warp events still to come cannot
+change them; the forward and reply ports take array closed forms over
+each batch. Both replays take a launch as :meth:`BatchedTimingCore._plan`
+lays it out. See :meth:`BatchedTimingCore._replay_recurrences`.
+Where its keys cannot settle an order (parents on one cycle at every
+level compared, a zero issue or crossbar latency, a partition's traffic
+reaching the controller queue's capacity, a value past its 32-bit
+per-access arrays) the launch goes to the calendar, and
+:attr:`BatchedTimingCore.handoffs` counts it by reason.
 
 **Wavefront replay: a closed-form accelerator for single warps, run for
 all samples at once.** Within one warp, loads stay in flight and only
@@ -50,8 +67,8 @@ command slot and bus the loop left, serve the tails of all such segments
 of a flush at once. The reply port needs only the *multiset* of a
 launch's completion cycles, which same-cycle completions cannot change.
 
-**Hand-offs.** The wavefront path decides every event order from cycles
-alone. An event pushed by a parent that ran on an earlier cycle runs
+**Wavefront hand-offs.** The wavefront path decides every event order
+from cycles alone. An event pushed by a parent that ran on an earlier cycle runs
 first, so an arrival on the cycle a controller's command slot frees is
 queued before the slot's decision when its parent (the inject) ran before
 the slot's parent (the last decision), and after it when it ran later.
@@ -59,7 +76,7 @@ A warp whose last reply lands on the cycle its barrier is reached
 resumes on that cycle either way. Where cycles cannot settle an order,
 the launch leaves the batch, alone, and is replayed from scratch on the
 calendar; :attr:`BatchedTimingCore.handoffs` counts the launches handed
-off per reason:
+off per reason, as it counts the recurrence replay's:
 
 * an arrival and a pending command-slot event on one cycle whose parents
   also ran on one cycle;
@@ -83,8 +100,9 @@ engine, for:
 * any other address map class, whose decode only the engine can call,
   and an access size that is not a power of two, which the engine's
   coalescing unit rejects;
-* a launch on the calendar replay with a negative-cycle compute
-  instruction, whose warp event the engine would push into the past;
+* a multi-warp launch, or one on the calendar replay, with a
+  negative-cycle compute instruction, whose warp event the engine would
+  push into the past;
 * a negative address: its DRAM row can be -1, the core's closed-row
   sentinel;
 * a launch the engine rejects (duplicate warp ids, a sid map of the wrong
@@ -98,8 +116,12 @@ queue) the core raises with the engine's message.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from typing import Dict, List, Mapping, Optional, Sequence
+from functools import cmp_to_key
+from heapq import heappop, heappush
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -126,6 +148,12 @@ class UnsupportedLaunch(Exception):
     """
 
 
+class _HandOff(Exception):
+    """The recurrence replay met an event order its keys do not settle;
+    ``args[0]`` names the reason. The launch is replayed whole on the
+    calendar."""
+
+
 #: The engine builds its CoalescingUnit/MemoryController with defaults.
 _PRT_CAPACITY = 64
 _FRFCFS_WINDOW = 64
@@ -136,6 +164,23 @@ _NO_LANE = np.iinfo(np.int64).max
 
 #: Sentinel for a wavefront with no load yet (identity-compared).
 _UNSET = object()
+
+
+class _Plan(NamedTuple):
+    """A multi-warp launch as both of its replays take it (see
+    :meth:`BatchedTimingCore._plan`)."""
+
+    warp_ids: List[int]
+    w_sm: List[int]
+    w_sched: List[int]
+    w_ops: List[list]
+    win_keys: list
+    served: np.ndarray
+    written: np.ndarray
+    pb: np.ndarray
+    row: np.ndarray
+    a_win: np.ndarray
+    a_w: np.ndarray
 
 
 def _segmented_cummax(values: np.ndarray, segment: np.ndarray) -> np.ndarray:
@@ -156,9 +201,9 @@ def _segmented_cummax(values: np.ndarray, segment: np.ndarray) -> np.ndarray:
 
 class BatchedTimingCore:
     """Exact-cycle replay of kernel launches: the wavefront path for
-    single warps whose event order cycles settle, the calendar replay for
-    every other launch (see the module docstring for the coverage
-    contract)."""
+    single warps whose event order cycles settle, the recurrence replay
+    for multi-warp launches, the calendar replay for every launch either
+    hands off (see the module docstring for the coverage contract)."""
 
     def __init__(self, config: GPUConfig, address_map: AddressMap):
         am_type = type(address_map)
@@ -191,8 +236,8 @@ class BatchedTimingCore:
         self._block_shift = access.bit_length() - 1
         self._chunk = config.partition_chunk_bytes
         self._rows_chunks = config.row_bytes // self._chunk
-        #: Launches the wavefront path handed to the calendar replay, by
-        #: reason.
+        #: Launches the wavefront path or the recurrence replay handed to
+        #: the calendar replay, by reason.
         self.handoffs: Counter = Counter()
 
     @classmethod
@@ -309,6 +354,118 @@ class BatchedTimingCore:
                 logged[first_row:end_row].tolist(),
                 part[lo:hi], bank[lo:hi], row[lo:hi])
 
+    def _plan(self, warps) -> _Plan:
+        """What both multi-warp replays fix about ``warps`` (one
+        :meth:`_warp` entry per warp) before anything runs.
+
+        Per warp: its id, SM, scheduler and one op per instruction,
+        ``(True, window, cycles)`` for compute and ``(False, window,
+        kind, is_write, accesses, first access, logged lanes, round,
+        memory instruction)`` for memory, with accesses and memory
+        instructions numbered across the launch. Round windows get static
+        indices (``win_keys``; 0 takes the replies of loads outside any
+        round), and a replay reports them in the order it creates them.
+        Per partition: the accesses it serves and the stores among them.
+        Per access, in warp order: its flat bank (``partition *
+        num_banks + bank``, which names the partition too), row, round
+        window and warp, the last two -1 for a store, which sends no
+        reply.
+        """
+        config = self.config
+        num_sms = config.num_sms
+        nsched = config.warp_schedulers_per_sm
+        P = config.num_partitions
+        B = config.num_banks
+        warp_ids: List[int] = []
+        w_sm: List[int] = []
+        w_sched: List[int] = []
+        w_ops: List[list] = []
+        win_keys: list = [None]
+        served = np.zeros(P, dtype=np.int64)
+        written = np.zeros(P, dtype=np.int64)
+        pbs = [np.zeros(0, dtype=np.int32)]
+        rows = [np.zeros(0, dtype=np.int64)]
+        a_win = [np.zeros(0, dtype=np.int32)]
+        a_w = [np.zeros(0, dtype=np.int32)]
+        first = 0
+        gi = 0
+        for wi, (warp_id, instructions, counts, starts, logged, part, bank,
+                 row) in enumerate(warps):
+            wins: Dict[object, int] = {}
+            ops = []
+            ins_win = []
+            m = 0
+            for ins in instructions:
+                rix = ins.round_index
+                is_compute = isinstance(ins, ComputeInstruction)
+                win = 0
+                if is_compute or rix is not None:
+                    win = wins.get(rix)
+                    if win is None:
+                        win = wins[rix] = len(win_keys)
+                        win_keys.append((warp_id, rix))
+                if is_compute:
+                    if ins.cycles < 0:
+                        # Its warp event would land before the current
+                        # cycle, where a FIFO per cycle no longer follows
+                        # the heap.
+                        raise UnsupportedLaunch("negative compute cycles")
+                    ops.append((True, win, ins.cycles))
+                    continue
+                ops.append((False, win, ins.kind, ins.is_write, counts[m],
+                            first + starts[m], logged[m], rix, gi))
+                ins_win.append(-1 if ins.is_write else win)
+                gi += 1
+                m += 1
+            if counts:
+                is_write = np.array([op[3] for op in ops if not op[0]])
+                served += np.bincount(part, minlength=P)
+                written += np.bincount(part[np.repeat(is_write, counts)],
+                                       minlength=P)
+                pbs.append((part * B + bank).astype(np.int32))
+                rows.append(row)
+                access_win = np.repeat(np.array(ins_win, dtype=np.int32),
+                                       counts)
+                a_win.append(access_win)
+                a_w.append(np.where(access_win >= 0, wi, -1)
+                           .astype(np.int32))
+                first += len(part)
+            warp_ids.append(warp_id)
+            sm = warp_id % num_sms
+            w_sm.append(sm)
+            w_sched.append(sm * nsched + (warp_id // num_sms) % nsched)
+            w_ops.append(ops)
+        return _Plan(warp_ids, w_sm, w_sched, w_ops, win_keys, served,
+                     written, np.concatenate(pbs), np.concatenate(rows),
+                     np.concatenate(a_win), np.concatenate(a_w))
+
+    def _finish(self, result, plan, win_order, win_start, win_end,
+                bus_free, misses, qwait) -> KernelResult:
+        """Complete a multi-warp replay's ``result``: its round windows,
+        in ``win_order``, the order the replay created them; its total
+        and drain cycles; each partition's DRAM statistics."""
+        warp_ids = plan.warp_ids
+        warp_finish = result.warp_finish
+        if len(warp_finish) < len(warp_ids):
+            raise ProtocolError("warps never finished: "
+                                f"{[w for w in warp_ids if w not in warp_finish]}")
+        windows = result.round_windows
+        for win in win_order:
+            end = win_end[win]
+            windows[plan.win_keys[win]] = RoundWindow(
+                win_start[win], end if end >= 0 else None)
+        result.total_cycles = max(warp_finish.values())
+        # A partition's bus frees at its last completion.
+        result.drain_cycles = max(result.total_cycles, *bus_free)
+        t_burst = self._t_burst
+        result.dram_stats = [
+            DramStats(row_hits=n - miss, row_misses=miss, reads=n - w,
+                      writes=w, bus_busy_cycles=n * t_burst,
+                      queue_wait_cycles=wait)
+            for n, w, miss, wait in zip(plan.served.tolist(),
+                                        plan.written.tolist(), misses, qwait)]
+        return result
+
     # -- the entries ---------------------------------------------------------
 
     def run(self, programs: Sequence[WarpProgram],
@@ -383,8 +540,8 @@ class BatchedTimingCore:
         ``warps`` lists each warp's id, instructions and number of memory
         instructions; the coalesced rows are ordered by launch, warp and
         instruction. A single warp takes the wavefront path, every launch
-        at once; multi-warp launches, and single-warp ones the wavefront
-        path hands off, take the calendar replay one at a time.
+        at once; multi-warp launches take the recurrence replay one at a
+        time, and the launches either hands off the calendar replay.
         """
         starts = np.concatenate(([0], np.cumsum(counts)))
         if len(warps) == 1:
@@ -404,6 +561,12 @@ class BatchedTimingCore:
                         warp_id, instructions, counts, logged, part, bank,
                         row, starts, first_row, memory))
                     first_row += memory
+                if len(warps) > 1:
+                    try:
+                        results[s] = self._replay_recurrences(launch)
+                        continue
+                    except _HandOff as handoff:
+                        self.handoffs[handoff.args[0]] += 1
                 results[s] = self._replay_calendar(launch)
         return results
 
@@ -963,15 +1126,768 @@ class BatchedTimingCore:
             results[s] = result
         return results
 
-    # -- calendar replay: multi-warp and handed-off launches ----------------
+    # -- multi-warp launches: warp calendar and memory recurrences ---------
+
+    def _replay_recurrences(self, warps) -> KernelResult:
+        """Time one launch with only warp events on a calendar; equals
+        :meth:`_replay_calendar` on the same ``warps``.
+
+        The calendar keeps warp events and wakes in the engine's ``(cycle,
+        seq)`` order and numbers warp events as it runs them. Everything
+        per access is a recurrence over inputs in an explicit order:
+
+        * *forward port p*: injects in (inject cycle, issuing warp event's
+          number, access) order, which is the engine's push order; arrival
+          = acceptance + ``icnt_latency``;
+        * *controller p*: FR-FCFS over the arrivals. While the oldest
+          queued access hits an open row it is served first-come
+          first-served, each decision at the later of its arrival and the
+          command slot; a row miss at the head of the queue builds the
+          FR-FCFS window explicitly until the queue is clear again. An
+          arrival and a command slot on one cycle run in the order of
+          their parents: the inject's cycle against the last decision's;
+        * *reply port s*: completions of loads in (completion cycle,
+          decision order) order. A decision's event descends from its
+          partition's previous decision, or, after an idle controller,
+          from the arrival, keyed by its inject. Runs of decisions spaced
+          by tCCD each record where they began and what began them, so
+          two decisions on one cycle are compared where their chains
+          first differ, a run at a time;
+        * *wakes*: a warp blocked at a barrier wakes at the latest reply
+          of its loads, after every warp event pushed before that cycle
+          and in reply order among the cycle's wakes.
+
+        Synchronization: before the calendar runs a cycle, no blocked warp
+        may wake on it unseen, so the recurrences run ahead in batches
+        (:func:`advance`). Everything issued at cycle ``T`` or later
+        follows the known injects in port order and arrives at or after a
+        horizon, so a controller decides whatever those arrivals cannot
+        change, and every completion before the earliest a later decision
+        can make (bounded below by each partition's bus backlog) is
+        final, with its reply. A blocked warp's wake is at least its
+        latest known completion plus the reply latency, so the calendar
+        runs on until that bound. Where the keys cannot settle an order
+        (parents on one cycle at every level compared, a zero issue or
+        crossbar latency, a controller that could fill its queue, a value
+        past the 32-bit per-access arrays) this raises :class:`_HandOff`,
+        and the caller replays the launch on the calendar.
+        """
+        config = self.config
+        issue_cycles = config.issue_cycles
+        icnt_lat = config.icnt_latency
+        if not issue_cycles or not icnt_lat:
+            # A warp event or an arrival could land on its parent's cycle,
+            # inside an order only the calendar keeps.
+            raise _HandOff("zero issue or crossbar latency")
+        num_sms = config.num_sms
+        nsched = config.warp_schedulers_per_sm
+        P = config.num_partitions
+        B = config.num_banks
+        per_access = config.coalescer_cycles_per_access
+        rate = config.icnt_requests_per_cycle
+        flits = self._reply_flits
+        reply_lat = icnt_lat + flits - 1
+        t_cl, t_rp, t_rc = self._t_cl, self._t_rp, self._t_rc
+        t_ras, t_ccd, t_rcd = self._t_ras, self._t_ccd, self._t_rcd
+        t_burst = self._t_burst
+        window = _FRFCFS_WINDOW
+
+        # -- per warp and per access, fixed before anything runs -----------
+        plan = self._plan(warps)
+        warp_ids = plan.warp_ids
+        w_sm = plan.w_sm
+        w_sched = plan.w_sched
+        w_ops = plan.w_ops
+        nw = len(warp_ids)
+        if int(plan.served.max()) >= _QUEUE_CAPACITY:
+            # Only the calendar raises the engine's queue overflow.
+            raise _HandOff("controller queue capacity")
+        if len(plan.row) and int(plan.row.max()) >> 31:
+            raise _HandOff("values beyond the compact arrays")
+        # The per-access values the loops read one at a time, as 32-bit
+        # arrays (a 1024-line launch has about 150k accesses) with array
+        # views; the plan's own copies are dropped.
+        a_pb = array("i", plan.pb.tobytes())
+        a_row = array("i", plan.row.astype(np.int32).tobytes())
+        a_w = array("i", plan.a_w.tobytes())
+        plan = plan._replace(pb=None, row=None, a_w=None)
+        pb_np = np.frombuffer(a_pb, dtype=np.int32)
+        a_win_np = plan.a_win
+        a_w_np = np.frombuffer(a_w, dtype=np.int32)
+        #: Each memory instruction's first access, in access order.
+        ins_x0 = [op[5] for ops in w_ops for op in ops if not op[0]]
+        # A warp event per instruction, per wake and at the end.
+        events = sum(2 * len(ops) + 2 for ops in w_ops)
+
+        N = len(a_pb)
+        # Packed keys, the access in the low XB bits. An inject: (cycle,
+        # warp event number, access); a completion: (cycle, SM, access).
+        XB = max(1, N.bit_length())
+        XM = (1 << XB) - 1
+        CS = events.bit_length() + XB
+        SB = max(1, (num_sms - 1).bit_length())
+        CSH = SB + XB
+        #: Per warp: its SM, placed in a completion key.
+        w_smx = [sm << XB for sm in w_sm]
+        # Filled in as the replay runs: each access's inject cycle, and
+        # its decision's cycle and run; each memory instruction's warp
+        # event number.
+        zeros = bytes(4 * N)
+        a_inj = array("i", zeros)
+        a_dec = array("i", zeros)
+        a_run = array("i", zeros)
+        del zeros
+        ins_wn = [0] * len(ins_x0)
+        #: The arrival cycle of each access queued explicitly.
+        a_arr: Dict[int, int] = {}
+
+        result = KernelResult(num_warps=nw)
+        count_accesses = result.count_accesses
+        warp_finish = result.warp_finish
+        nwin = len(plan.win_keys)
+        win_start = [-1] * nwin
+        win_end = [-1] * nwin
+        #: The latest reply per window, from the array closed form.
+        reply_end = np.full(nwin, -1, dtype=np.int64)
+        win_order: List[int] = []
+
+        # -- the memory system ----------------------------------------------
+        #: Per SM: inject keys not yet through the ports, in order.
+        injects: List[List[int]] = [[] for _ in range(num_sms)]
+        fwd_free = [0] * P
+        fwd_accepted = [0] * P
+        #: Per partition: its arrivals in port order, ids and cycles.
+        arr_xs: List[List[int]] = [[] for _ in range(P)]
+        arr_as: List[List[int]] = [[] for _ in range(P)]
+        # Per controller: next arrival not yet taken, the explicit FR-FCFS
+        # queue and its head (used only around a row miss), a pending
+        # command slot and its cycle, and the last decision's cycle, its
+        # event's parent's cycle and its run.
+        c_next = [0] * P
+        c_queue: List[List[int]] = [[] for _ in range(P)]
+        c_head = [0] * P
+        c_pending = [False] * P
+        c_slot = [0] * P
+        c_dc = [-1] * P
+        c_pc = [-1] * P
+        c_run = [-1] * P
+        bus_free = [0] * P
+        open_row = [-1] * (P * B)
+        next_act = [0] * (P * B)
+        next_pre = [0] * (P * B)
+        misses = [0] * P
+        qwait = [0] * P
+        # Runs of decisions spaced by tCCD: the first decision's cycle, the
+        # cycle its parent ran on, and that parent: a run index, or ~access
+        # for an arrival (its inject).
+        run_start = array("q")
+        run_pcyc = array("q")
+        run_par = array("q")
+        #: Per partition: completion keys of loads not yet through the
+        #: reply ports, in order.
+        completions: List[List[int]] = [[] for _ in range(P)]
+        reply_free = [0] * num_sms
+        #: Every reply at or before this cycle is final.
+        reply_final = -1
+
+        # -- the warps --------------------------------------------------------
+        sched_free = [0] * (num_sms * nsched)
+        ldst_free = [0] * num_sms
+        w_pc = [0] * nw
+        #: Loads issued whose replies are not yet computed; the latest
+        #: computed reply and its completion key.
+        w_pend = [0] * nw
+        w_last = [-1] * nw
+        w_lastk = [0] * nw
+        #: The latest completion of its loads decided so far, or the
+        #: earliest its last load can complete: its wake is at least that
+        #: plus the reply latency.
+        w_lb = [-1] * nw
+        #: The cycle of the warp event that pushed the warp's next one.
+        w_par = [-1] * nw
+        #: The cycle that event's parent ran on (-1 for a wake's reply).
+        w_gpar = [-1] * nw
+        #: Blocked at a barrier with replies still to compute.
+        blocked_warps = set()
+        #: Each warp event's cycle, by number.
+        wev_cycle: List[int] = []
+        buckets: Dict[int, List[int]] = {0: list(range(nw))}
+        heap = [0]
+        wakes: Dict[int, list] = {}
+
+        def issuer(x):
+            """The number of the warp event that issued access ``x``."""
+            return ins_wn[bisect_right(ins_x0, x) - 1]
+
+        def inject_first(x, pc):
+            """Whether the inject of ``x`` runs before a decision event on
+            its cycle whose parent ran at ``pc``."""
+            c = wev_cycle[issuer(x)]
+            if c == pc:
+                raise _HandOff("same-cycle tie the order keys do not settle")
+            return c < pc
+
+        def arrival_first(x, dc, pc):
+            """Whether the arrival of ``x`` runs before the command slot
+            pushed by a decision at ``dc`` (its event's parent at ``pc``)
+            on the same cycle."""
+            i = a_inj[x]
+            if i != dc:
+                return i < dc
+            return inject_first(x, pc)
+
+        def parent_cycle(c, r):
+            """The cycle of the parent of run ``r``'s decision at ``c``."""
+            return c - t_ccd if c > run_start[r] else run_pcyc[r]
+
+        def decision_first(c, rx, ry):
+            """Whether the decision event at cycle ``c`` in run ``rx`` runs
+            before the one in run ``ry``: their parents compared, cycles
+            first, back to where the chains differ."""
+            while True:
+                if rx == ry:
+                    raise _HandOff("same-cycle tie the order keys do not "
+                                   "settle")
+                sx = run_start[rx]
+                sy = run_start[ry]
+                if sx != sy:
+                    # The later run's first decision against the other
+                    # chain's decision one tCCD before it.
+                    flip = sx < sy
+                    if flip:
+                        rx, ry, sx = ry, rx, sy
+                    c = sx - t_ccd
+                    px = run_pcyc[rx]
+                    if px != c:
+                        first = px < c
+                    elif run_par[rx] >= 0:
+                        rx = run_par[rx]
+                        if flip:
+                            rx, ry = ry, rx
+                        continue
+                    else:
+                        first = inject_first(~run_par[rx],
+                                             parent_cycle(c, ry))
+                    return first != flip
+                px = run_pcyc[rx]
+                py = run_pcyc[ry]
+                if px != py:
+                    return px < py
+                qx = run_par[rx]
+                qy = run_par[ry]
+                if qx >= 0 and qy >= 0:
+                    rx, ry = qx, qy
+                    continue
+                if qx < 0 and qy < 0:
+                    return (issuer(~qx), ~qx) < (issuer(~qy), ~qy)
+                if qx < 0:
+                    return inject_first(~qx, parent_cycle(px, qy))
+                return not inject_first(~qy, parent_cycle(px, qx))
+
+        def completion_order(k1, k2):
+            """Completions (or their replies) by cycle, then by their
+            decision events' order."""
+            c1, c2 = k1 >> CSH, k2 >> CSH
+            if c1 != c2:
+                return -1 if c1 < c2 else 1
+            x1, x2 = k1 & XM, k2 & XM
+            d1, d2 = a_dec[x1], a_dec[x2]
+            if d1 != d2:
+                return -1 if d1 < d2 else 1
+            return -1 if decision_first(d1, a_run[x1], a_run[x2]) else 1
+
+        completion_key = cmp_to_key(completion_order)
+
+        def advance(t_min):
+            """Run the recurrences as far as warp events at ``t_min`` or
+            later cannot change them."""
+            nonlocal reply_final
+            i_lim = t_min + issue_cycles
+            # Forward ports: every known inject up to i_lim precedes any
+            # inject still to be issued.
+            lim = (i_lim + 1) << CS
+            batch = []
+            for inj in injects:
+                if inj and inj[0] < lim:
+                    n = bisect_left(inj, lim)
+                    batch += inj[:n]
+                    del inj[:n]
+            if batch:
+                # Per partition, acc_k = max(inject_k, acc_{k-1} + d_{k-1}),
+                # d_j 1 where the port's running accept count reaches a
+                # multiple of the rate and 0 elsewhere, unrolls to
+                # D_k + max(free, max_{j<=k}(inject_j - D_j)), D_k the sum
+                # of d_j over j < k.
+                batch.sort()
+                keys = np.array(batch, dtype=np.int64)
+                xs = keys & XM
+                ps = pb_np[xs] // B
+                order = np.argsort(ps, kind="stable")
+                xs = xs[order]
+                ps = ps[order]
+                edge = np.flatnonzero(ps[1:] != ps[:-1]) + 1
+                seg0 = np.concatenate(([0], edge))
+                seg1 = np.concatenate((edge, [len(ps)]))
+                gid = np.repeat(np.arange(len(seg0)), seg1 - seg0)
+                pseg = ps[seg0]
+                ct0 = np.array(fwd_accepted, dtype=np.int64)[pseg][gid]
+                d = (np.arange(len(ps)) - seg0[gid] + ct0) // rate - ct0 // rate
+                acc = d + np.maximum(
+                    _segmented_cummax((keys >> CS)[order] - d, gid),
+                    np.array(fwd_free, dtype=np.int64)[pseg][gid])
+                arrive = acc + icnt_lat
+                for p, lo, hi in zip(pseg.tolist(), seg0.tolist(),
+                                     seg1.tolist()):
+                    ct = fwd_accepted[p] + hi - lo
+                    fwd_accepted[p] = ct
+                    fwd_free[p] = int(acc[hi - 1]) + (ct % rate == 0)
+                    arr_xs[p] += xs[lo:hi].tolist()
+                    arr_as[p] += arrive[lo:hi].tolist()
+
+            # Controllers. Every arrival still to come follows the known
+            # ones in port order and lands at or after the horizon. So a
+            # decision is safe whenever it cannot depend on those: a row
+            # hit at the head of the queue, an idle controller taking a
+            # known arrival, a slot that frees before the next known
+            # arrival, or an FR-FCFS window that known arrivals fill.
+            c_min = None
+            for p in range(P):
+                f = fwd_free[p]
+                horizon = (i_lim if i_lim > f else f) + icnt_lat
+                arr = arr_xs[p]
+                arr_a = arr_as[p]
+                n_arr = len(arr)
+                i = c_next[p]
+                q = c_queue[p]
+                pending = c_pending[p]
+                ns = c_slot[p]
+                if i < n_arr or q or (pending and ns < horizon):
+                    qh = c_head[p]
+                    dc = c_dc[p]
+                    pc = c_pc[p]
+                    run = c_run[p]
+                    bus = bus_free[p]
+                    miss = wait = 0
+                    done_append = completions[p].append
+                    while True:
+                        if q:
+                            # The explicit queue, around a row miss; the
+                            # slot at ns decides.
+                            d = ns
+                            x = q[qh]
+                            if open_row[a_pb[x]] == a_row[x]:
+                                qh += 1
+                            else:
+                                while len(q) - qh < window and i < n_arr:
+                                    y = arr[i]
+                                    a = arr_a[i]
+                                    if a > d or (a == d and not arrival_first(
+                                            y, dc, pc)):
+                                        break
+                                    a_arr[y] = a
+                                    q.append(y)
+                                    i += 1
+                                if (len(q) - qh < window and i >= n_arr
+                                        and ns >= horizon):
+                                    # Arrivals still to come may join the
+                                    # window.
+                                    break
+                                for j in range(qh + 1,
+                                               min(len(q), qh + window)):
+                                    y = q[j]
+                                    if open_row[a_pb[y]] == a_row[y]:
+                                        x = y
+                                        del q[j]
+                                        break
+                                else:
+                                    qh += 1
+                            if qh == len(q):
+                                q.clear()
+                                qh = 0
+                            a = a_arr.pop(x)
+                            slot_rooted = True
+                        else:
+                            if pending and ns == dc + t_ccd:
+                                # The hot stretch: row hits queued before
+                                # the slot, each decided there, in the
+                                # run of the last decision (a hit).
+                                while i < n_arr:
+                                    a = arr_a[i]
+                                    if a >= ns:
+                                        break
+                                    x = arr[i]
+                                    if open_row[a_pb[x]] != a_row[x]:
+                                        break
+                                    i += 1
+                                    a_run[x] = run
+                                    a_dec[x] = ns
+                                    pc = dc
+                                    dc = ns
+                                    ns += t_ccd
+                                    cas = dc + t_cl
+                                    if bus > cas:
+                                        cas = bus
+                                    if cas > a:
+                                        wait += cas - a
+                                    bus = cas + t_burst
+                                    y = a_w[x]
+                                    if y >= 0:
+                                        done_append((bus << CSH) | w_smx[y]
+                                                    | x)
+                                        if bus > w_lb[y]:
+                                            w_lb[y] = bus
+                            if i >= n_arr:
+                                if pending and ns < horizon:
+                                    # The slot frees on an empty queue.
+                                    pending = False
+                                break
+                            x = arr[i]
+                            a = arr_a[i]
+                            if pending:
+                                if a < ns:
+                                    slot_rooted = True
+                                elif a > ns:
+                                    slot_rooted = False
+                                else:
+                                    slot_rooted = arrival_first(x, dc, pc)
+                                d = ns if slot_rooted else a
+                            else:
+                                slot_rooted = False
+                                d = a
+                            i += 1
+                            if slot_rooted and open_row[a_pb[x]] != a_row[x]:
+                                # FR-FCFS may pick a later hit: queue it.
+                                a_arr[x] = a
+                                q.append(x)
+                                continue
+                        # Service (MemoryController._service). A bank's
+                        # next CAS never binds: it is at most the
+                        # partition's last slot, at or before d.
+                        pb = a_pb[x]
+                        rw = a_row[x]
+                        if open_row[pb] == rw:
+                            cas = d
+                        else:
+                            miss += 1
+                            act = next_pre[pb]
+                            if d > act:
+                                act = d
+                            act += t_rp
+                            y = next_act[pb]
+                            if y > act:
+                                act = y
+                            next_act[pb] = act + t_rc
+                            next_pre[pb] = act + t_ras
+                            open_row[pb] = rw
+                            cas = act + t_rcd
+                        if slot_rooted:
+                            if d != dc + t_ccd:
+                                run_par.append(run)
+                                run = len(run_start)
+                                run_start.append(d)
+                                run_pcyc.append(dc)
+                            pc = dc
+                        else:
+                            pc = a_inj[x]
+                            run_par.append(~x)
+                            run = len(run_start)
+                            run_start.append(d)
+                            run_pcyc.append(pc)
+                        a_run[x] = run
+                        a_dec[x] = dc = d
+                        ns = cas + t_ccd
+                        pending = True
+                        cas += t_cl
+                        if bus > cas:
+                            cas = bus
+                        y = cas - a
+                        if y > 0:
+                            wait += y
+                        bus = cas + t_burst
+                        y = a_w[x]
+                        if y >= 0:
+                            done_append((bus << CSH) | w_smx[y] | x)
+                            if bus > w_lb[y]:
+                                w_lb[y] = bus
+                    if i > 4096:
+                        del arr[:i]
+                        del arr_a[:i]
+                        i = 0
+                    c_next[p] = i
+                    c_head[p] = qh
+                    c_pending[p] = pending
+                    c_slot[p] = ns
+                    c_dc[p] = dc
+                    c_pc[p] = pc
+                    c_run[p] = run
+                    bus_free[p] = bus
+                    misses[p] += miss
+                    qwait[p] += wait
+                # The next decision: the slot, for a queue left waiting on
+                # the horizon; otherwise at or after both slot and horizon.
+                if q:
+                    c = ns
+                elif pending and ns > horizon:
+                    c = ns
+                else:
+                    c = horizon
+                c += t_cl
+                if bus_free[p] > c:
+                    c = bus_free[p]
+                if c_min is None or c < c_min:
+                    c_min = c
+            c_min += t_burst
+            sm_mask = (1 << SB) - 1
+
+            # Reply ports: every completion before c_min is known. Each
+            # partition's are in order; a sort merges them.
+            lim = c_min << CSH
+            batch = []
+            for done in completions:
+                if done and done[0] < lim:
+                    n = bisect_left(done, lim)
+                    batch += done[:n]
+                    del done[:n]
+            if not batch:
+                reply_final = c_min + reply_lat - 1
+                return
+            batch.sort()
+            n = len(batch)
+            keys = np.array(batch, dtype=np.int64)
+            cycle_sm = keys >> XB
+            ties = np.flatnonzero(cycle_sm[1:] == cycle_sm[:-1]).tolist()
+            if ties:
+                # Completions for one SM on one cycle: the order of their
+                # decisions.
+                batch.append(-1)
+                end = 0
+                for j in ties:
+                    if j >= end:
+                        k = batch[j]
+                        e = j + 2
+                        while not (batch[e] ^ k) >> XB:
+                            e += 1
+                        if e - j == 2:
+                            if completion_order(k, batch[j + 1]) > 0:
+                                batch[j] = batch[j + 1]
+                                batch[j + 1] = k
+                        else:
+                            batch[j:e] = sorted(batch[j:e],
+                                                key=completion_key)
+                        end = e
+                del batch[n]
+                keys = np.array(batch, dtype=np.int64)
+            # Per SM, acc_j = max(comp_j, acc_{j-1} + flits) unrolls to
+            # flits*j + max(free, max_{i<=j}(comp_i - flits*i)).
+            order = np.argsort((keys >> XB) & sm_mask, kind="stable")
+            keys = keys[order]
+            xs = keys & XM
+            ss = (keys >> XB) & sm_mask
+            edge = np.flatnonzero(ss[1:] != ss[:-1]) + 1
+            seg0 = np.concatenate(([0], edge))
+            seg1 = np.concatenate((edge, [n]))
+            gid = np.repeat(np.arange(len(seg0)), seg1 - seg0)
+            jf = (np.arange(n) - seg0[gid]) * flits
+            sseg = ss[seg0]
+            acc = jf + np.maximum(
+                _segmented_cummax((keys >> CSH) - jf, gid),
+                np.array(reply_free, dtype=np.int64)[sseg][gid])
+            for sm, hi in zip(sseg.tolist(), seg1.tolist()):
+                reply_free[sm] = int(acc[hi - 1]) + flits
+            acc += reply_lat
+            np.maximum.at(reply_end, a_win_np[xs], acc)
+            # Per warp (all on one SM): how many replied, and the last.
+            ws = a_w_np[xs]
+            order = np.argsort(ws, kind="stable")
+            ws = ws[order]
+            last = np.flatnonzero(np.append(ws[1:] != ws[:-1], True))
+            replies = zip(ws[last].tolist(),
+                          np.diff(np.append(-1, last)).tolist(),
+                          acc[order][last].tolist(),
+                          keys[order][last].tolist())
+            for w, count, acc, k in replies:
+                w_last[w] = acc
+                w_lastk[w] = k
+                y = w_pend[w] - count
+                w_pend[w] = y
+                if not y and w in blocked_warps:
+                    blocked_warps.discard(w)
+                    wl = wakes.get(acc)
+                    if wl is None:
+                        wakes[acc] = [(k, w)]
+                        heappush(heap, acc)
+                    else:
+                        wl.append((k, w))
+            reply_final = c_min + reply_lat - 1
+
+        def blocked(wi, cycle, end):
+            """A warp event of ``wi`` at a barrier: True when the warp
+            waits for a reply (its wake registered or still to come)."""
+            nonlocal bound
+            if w_pend[wi]:
+                if (reply_final < cycle and w_last[wi] <= cycle
+                        and w_lb[wi] + reply_lat <= cycle):
+                    advance(cycle)
+                if w_pend[wi]:
+                    # Its last reply comes after reply_final or a known
+                    # completion, and after this cycle.
+                    blocked_warps.add(wi)
+                    if bound is not None:
+                        lb = max(w_last[wi], w_lb[wi] + reply_lat,
+                                 reply_final + 1)
+                        if lb < bound:
+                            bound = lb
+                    return True
+            r = w_last[wi]
+            if r < cycle:
+                return False
+            if r == cycle:
+                if end:
+                    # It finishes on this cycle either way.
+                    return False
+                # The reply against this warp event: their parents, the
+                # completion and the warp event that pushed this one, then
+                # theirs, the decision and that event's parent.
+                k = w_lastk[wi]
+                c, d = k >> CSH, w_par[wi]
+                if c == d:
+                    c, d = a_dec[k & XM], w_gpar[wi]
+                    if c == d or d < 0:
+                        raise _HandOff("same-cycle tie the order keys do "
+                                       "not settle")
+                if c < d:
+                    return False
+            wl = wakes.get(r)
+            if wl is None:
+                wakes[r] = [(w_lastk[wi], wi)]
+                heappush(heap, r)
+            else:
+                wl.append((w_lastk[wi], wi))
+            return True
+
+        inc = (per_access << CS) + 1
+        first_completion = icnt_lat + t_cl + t_burst
+
+        def step(wi, cycle, woken):
+            """GPUSimulator.run's handle_warp for warp ``wi``."""
+            wn = len(wev_cycle)
+            wev_cycle.append(cycle)
+            pc = w_pc[wi]
+            ops = w_ops[wi]
+            if pc >= len(ops):
+                if (woken or not (w_pend[wi] or w_last[wi] > cycle)
+                        or not blocked(wi, cycle, True)):
+                    warp_finish[warp_ids[wi]] = cycle
+                return
+            op = ops[pc]
+            if (op[0] and not woken and (w_pend[wi] or w_last[wi] >= cycle)
+                    and blocked(wi, cycle, False)):
+                return
+            w_pc[wi] = pc + 1
+            sc = w_sched[wi]
+            issue = sched_free[sc]
+            if cycle > issue:
+                issue = cycle
+            sched_free[sc] = issue + issue_cycles
+            win = op[1]
+            if op[0]:
+                t = issue + issue_cycles + op[2]
+                if win_start[win] < 0:
+                    win_order.append(win)
+                    win_start[win] = issue
+                elif issue < win_start[win]:
+                    win_start[win] = issue
+                if t > win_end[win]:
+                    win_end[win] = t
+            else:
+                _, _, akind, is_write, nb, x0, logged, rix, gi = op
+                if win:
+                    if win_start[win] < 0:
+                        win_order.append(win)
+                        win_start[win] = issue
+                    elif issue < win_start[win]:
+                        win_start[win] = issue
+                if logged > _PRT_CAPACITY:
+                    raise ProtocolError("pending request table overflow")
+                if not nb:
+                    raise ProtocolError(
+                        "memory instruction produced no accesses")
+                sm = w_sm[wi]
+                t = issue + issue_cycles
+                if ldst_free[sm] > t:
+                    t = ldst_free[sm]
+                end = x0 + nb
+                a_inj[x0:end] = (array("i", range(t, t + nb * per_access,
+                                                  per_access))
+                                 if per_access else array("i", [t]) * nb)
+                ins_wn[gi] = wn
+                key = (t << CS) | (wn << XB) | x0
+                injects[sm].extend(range(key, key + nb * inc, inc))
+                count_accesses(warp_ids[wi], akind, rix, nb)
+                t += nb * per_access
+                ldst_free[sm] = t
+                if not is_write:
+                    w_pend[wi] += nb
+                    # No load completes before its inject plus the
+                    # crossbar, tCL and a burst.
+                    t += first_completion - per_access
+                    if t > w_lb[wi]:
+                        w_lb[wi] = t
+                    t = issue + issue_cycles
+            w_gpar[wi] = -1 if woken else w_par[wi]
+            w_par[wi] = cycle
+            bucket = buckets.get(t)
+            if bucket is None:
+                buckets[t] = [wi]
+                heappush(heap, t)
+            else:
+                bucket.append(wi)
+
+        wake_key = cmp_to_key(lambda e1, e2: completion_order(e1[0], e2[0]))
+        try:
+            bound = None
+            while True:
+                cycle = heap[0] if heap else None
+                if blocked_warps:
+                    # No blocked warp may wake on this cycle unseen: each wakes
+                    # after reply_final and after its known completions.
+                    if bound is None:
+                        bound = min(max(w_last[w], w_lb[w] + reply_lat)
+                                    for w in blocked_warps)
+                        if bound <= reply_final:
+                            bound = reply_final + 1
+                    if cycle is None or bound <= cycle:
+                        advance(bound)
+                        bound = None
+                        continue
+                elif cycle is None:
+                    break
+                heappop(heap)
+                for wi in buckets.pop(cycle, ()):
+                    step(wi, cycle, False)
+                woken = wakes.pop(cycle, None)
+                if woken:
+                    if len(woken) > 1:
+                        woken.sort(key=wake_key)
+                    for _, wi in woken:
+                        step(wi, cycle, True)
+            # Serve what is left (stores).
+            advance(1 << 62)
+        except OverflowError:
+            # A cycle or count past the 32-bit per-access arrays.
+            raise _HandOff("values beyond the compact arrays") from None
+
+        for win, end in zip(win_order, reply_end[win_order].tolist()):
+            if end > win_end[win]:
+                win_end[win] = end
+        return self._finish(result, plan, win_order, win_start, win_end,
+                            bus_free, misses, qwait)
+
+    # -- calendar replay: hand-offs --------------------------------------------
 
     def _replay_calendar(self, warps) -> KernelResult:
-        """Run the event engine's handlers in its own event order.
-
-        ``warps`` holds one entry per warp (see :meth:`_warp`): its id and
-        instructions, per memory instruction its access count, first
-        access and logged lanes, and per access its partition, bank and
-        row in generation order.
+        """Run the event engine's handlers in its own event order, on
+        ``warps`` as :meth:`_plan` lays them out.
 
         Every push of ``GPUSimulator.run`` lands at or after the cycle
         being processed, and ``seq`` is push order. So one FIFO list per
@@ -989,50 +1905,11 @@ class BatchedTimingCore:
         P = config.num_partitions
         B = config.num_banks
 
-        warp_ids: List[int] = []
-        w_sm: List[int] = []
-        w_sched: List[int] = []
-        w_ops: List[list] = []
-        w_coords = []
-        served = np.zeros(P, dtype=np.int64)
-        written = np.zeros(P, dtype=np.int64)
-        for (warp_id, instructions, counts, starts, logged, part, bank,
-             row) in warps:
-            if counts:
-                is_write = np.array([ins.is_write for ins in instructions
-                                     if not isinstance(ins,
-                                                       ComputeInstruction)])
-                served += np.bincount(part, minlength=P)
-                written += np.bincount(
-                    part[np.repeat(is_write, counts)], minlength=P)
-                # A flat bank index names the partition too.
-                w_coords.append(((part * B + bank).astype(np.int32), row))
-            else:
-                w_coords.append(None)
-            # One op per instruction: (True, round, cycles) for compute,
-            # (False, round, kind, is_write, accesses, first access,
-            # logged lanes) for memory.
-            ops = []
-            m = 0
-            for ins in instructions:
-                if isinstance(ins, ComputeInstruction):
-                    if ins.cycles < 0:
-                        # Its warp event would land before the current
-                        # cycle, where a FIFO per cycle no longer
-                        # follows the heap.
-                        raise UnsupportedLaunch("negative compute cycles")
-                    ops.append((True, ins.round_index, ins.cycles))
-                else:
-                    ops.append((False, ins.round_index, ins.kind,
-                                ins.is_write, counts[m], starts[m],
-                                logged[m]))
-                    m += 1
-            warp_ids.append(warp_id)
-            sm = warp_id % num_sms
-            w_sm.append(sm)
-            w_sched.append(sm * nsched + (warp_id // num_sms) % nsched)
-            w_ops.append(ops)
-
+        plan = self._plan(warps)
+        warp_ids = plan.warp_ids
+        w_sm = plan.w_sm
+        w_sched = plan.w_sched
+        w_ops = plan.w_ops
         nw = len(warp_ids)
         result = KernelResult(num_warps=nw)
         count_accesses = result.count_accesses
@@ -1072,11 +1949,11 @@ class BatchedTimingCore:
         w_wait = [False] * nw
         w_len = [len(ops) for ops in w_ops]
 
-        # Round windows, by index in creation (event) order. Index 0
-        # absorbs replies of loads outside any round.
-        win_index = {}
-        win_start = [0]
-        win_end = [-1]
+        # Round windows by the plan's index, and the order the replay
+        # creates them in.
+        win_start = [-1] * len(plan.win_keys)
+        win_end = [-1] * len(plan.win_keys)
+        win_order: List[int] = []
 
         # Per-access slots: flat bank, row, warp index, window index (-1
         # marks a store) and queue arrival cycle.
@@ -1245,32 +2122,23 @@ class BatchedTimingCore:
                 if cycle > issue:
                     issue = cycle
                 sched_free[sc] = issue + issue_cycles
-                rix = op[1]
+                win = op[1]
                 if op[0]:
                     t = issue + issue_cycles + op[2]
-                    key = (warp_ids[wi], rix)
-                    win = win_index.get(key)
-                    if win is None:
-                        win = win_index[key] = len(win_start)
-                        win_start.append(issue)
-                        win_end.append(t)
-                    else:
-                        if issue < win_start[win]:
-                            win_start[win] = issue
-                        if t > win_end[win]:
-                            win_end[win] = t
+                    if win_start[win] < 0:
+                        win_order.append(win)
+                        win_start[win] = issue
+                    elif issue < win_start[win]:
+                        win_start[win] = issue
+                    if t > win_end[win]:
+                        win_end[win] = t
                     buckets[t].append(wi << 3 | 5)
                     continue
-                _, rix, akind, is_write, nb, lo, logged = op
-                if rix is None:
-                    win = 0
-                else:
-                    key = (warp_ids[wi], rix)
-                    win = win_index.get(key)
-                    if win is None:
-                        win = win_index[key] = len(win_start)
-                        win_start.append(issue)
-                        win_end.append(-1)
+                _, _, akind, is_write, nb, lo, logged, rix, _ = op
+                if win:
+                    if win_start[win] < 0:
+                        win_order.append(win)
+                        win_start[win] = issue
                     elif issue < win_start[win]:
                         win_start[win] = issue
                 if logged > _PRT_CAPACITY:
@@ -1289,11 +2157,10 @@ class BatchedTimingCore:
                         column.extend([0] * grow)
                     free.extend(range(base + grow - 1, base - 1, -1))
                 hi = lo + nb
-                pbank, row = w_coords[wi]
                 if is_write:
                     win = -1
-                for pb, rw in zip(pbank[lo:hi].tolist(),
-                                  row[lo:hi].tolist()):
+                for pb, rw in zip(plan.pb[lo:hi].tolist(),
+                                  plan.row[lo:hi].tolist()):
                     x = free_pop()
                     a_pb[x] = pb
                     a_row[x] = rw
@@ -1309,22 +2176,5 @@ class BatchedTimingCore:
                 buckets[t].append(wi << 3 | 5)
             del buckets[cycle]
             cycle += 1
-
-        if len(warp_finish) < nw:
-            raise ProtocolError("warps never finished: "
-                                f"{[w for w in warp_ids if w not in warp_finish]}")
-        windows = result.round_windows
-        for key, win in win_index.items():
-            end = win_end[win]
-            windows[key] = RoundWindow(win_start[win],
-                                       end if end >= 0 else None)
-        result.total_cycles = max(warp_finish.values())
-        # A partition's bus frees at its last completion.
-        result.drain_cycles = max(result.total_cycles, *bus_free)
-        result.dram_stats = [
-            DramStats(row_hits=n - miss, row_misses=miss, reads=n - w,
-                      writes=w, bus_busy_cycles=n * t_burst,
-                      queue_wait_cycles=wait)
-            for n, w, miss, wait in zip(served.tolist(), written.tolist(),
-                                        misses, qwait)]
-        return result
+        return self._finish(result, plan, win_order, win_start, win_end,
+                            bus_free, misses, qwait)

@@ -120,3 +120,35 @@ class TestValidation:
     def test_describe_mentions_m(self):
         assert "M=8" in FSSPolicy(8).describe()
         assert "skewed" in RSSPolicy(8).describe()
+
+    @pytest.mark.parametrize("row, message", [
+        # Subwarp 3 of four is empty.
+        ([0, 1, 2] * 10 + [0, 1], "sizes must be positive"),
+        # A sid of M, and a negative one.
+        ([0, 1, 2, 4] * 8, "invalid subwarp id 4"),
+        ([0, 1, 2, -1] * 8, "invalid subwarp id -1"),
+    ])
+    def test_partitions_still_reject_a_bad_draw(self, row, message):
+        # partitions() checks each call's rows once, as arrays, and then
+        # builds the partitions without SubwarpPartition's lane loop.
+        class Bad(FSSPolicy):
+            def draw_sids(self, rng, n):
+                good = super().draw_sids(rng, n)
+                good[-1] = row
+                return good
+
+        policy = Bad(4)
+        with pytest.raises(ConfigurationError, match=message):
+            policy.partitions(policy.draw_sids(None, 3))
+        with pytest.raises(ConfigurationError, match=message):
+            policy.draw()
+
+    def test_partitions_equal_validated_construction(self):
+        from repro.core.subwarp import SubwarpPartition
+        for name in POLICY_NAMES:
+            policy = make_policy(name, 1 if name == "baseline"
+                                 else 32 if name == "nocoal" else 8)
+            sids = policy.draw_sids(RngStream(3, name), 5)
+            assert policy.partitions(sids) == [
+                SubwarpPartition(sizes=p.sizes, assignment=p.assignment)
+                for p in policy.partitions(sids)]

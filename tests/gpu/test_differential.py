@@ -18,9 +18,12 @@ stream, on three servers, and the first of them on a fourth:
 * the batched timing core (``batched_timing=True``): records, kernel
   results included, must be equal. A spy on the core's batch entry
   asserts that the core served every launch, single-warp ones on its
-  wavefront path and multi-warp ones on its calendar replay, so no case
-  compares the event engine with itself. Any exception from the core
-  propagates and fails the test;
+  wavefront path and multi-warp ones on its recurrence replay or, for a
+  launch that replay hands off, its calendar replay, so no case compares
+  the event engine with itself. A second spy
+  (``test_recurrence_replay.checked_replays``) replays every launch the
+  recurrence replay serves on the calendar too and asserts ``==``. Any
+  exception from the core propagates and fails the test;
 * the counts core (``counts_only=True``): records must equal the
   reference's with both times zero and no kernel result;
 * the event engine under an enabled :class:`Telemetry`, which traces
@@ -74,6 +77,8 @@ from repro.rng import RngStream
 from repro.telemetry import Telemetry
 from repro.workloads.plaintext import random_plaintexts
 from repro.workloads.server import EncryptionServer
+
+from .test_recurrence_replay import HANDOFF_REASONS, checked_replays
 
 #: Launches per generated case.
 LAUNCHES = 2
@@ -146,7 +151,7 @@ def _records(config, permuted, policy, lines, seed, launches=LAUNCHES,
 
 @settings(deadline=None, database=None, **TIER1)
 @given(config=machines(), permuted=st.booleans(), policy=policies(),
-       lines=st.sampled_from([1, 5, 31, 32, 33, 64]),
+       lines=st.sampled_from([1, 5, 31, 32, 33, 64, 100, 256]),
        seed=st.integers(0, 2**16))
 def test_fast_engines_match_the_event_engine(config, permuted, policy,
                                              lines, seed):
@@ -166,9 +171,13 @@ def test_fast_engines_match_the_event_engine(config, permuted, policy,
         served.extend([batch.num_warps] * len(results))
         return results
 
-    with patch.object(BatchedTimingCore, "run_samples", spy):
+    with patch.object(BatchedTimingCore, "run_samples", spy), \
+            checked_replays() as outcomes:
         assert _records(*case, retain_kernel_results=True) == reference
     assert served == [-(-lines // 32)] * LAUNCHES
+    assert len(outcomes) == (LAUNCHES if lines > 32 else 0)
+    assert all(outcome is True or outcome in HANDOFF_REASONS
+               for outcome in outcomes)
     assert _records(*case, counts_only=True) == [
         replace(record, total_time=0, last_round_time=0, kernel_result=None)
         for record in reference]
@@ -251,7 +260,7 @@ def raw_launches(draw):
     compute instruction, then 1 to 4 loads or stores of 1 to 6 distinct
     64 B blocks."""
     programs = []
-    # Two warps always take the calendar replay, which the AES property
+    # Two warps take the multi-warp replays, which the AES property
     # covers too; one warp is drawn three times in four.
     for warp_id in range(draw(st.sampled_from([1, 1, 1, 2]))):
         instructions = []

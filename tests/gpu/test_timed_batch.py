@@ -8,8 +8,9 @@ seeds, partial warps, selective ``RoundAwareSidMap`` assignments and
 multi-warp launches up to 32 warps. The two paths share nothing below
 ``GPUSimulator.run``, so equality here is the engine-parity contract the
 default engine selection rides on. Single-warp launches take the core's
-wavefront path, multi-warp launches its calendar replay; a spy asserts
-that the core, not an event-engine fallback, served each launch.
+wavefront path, multi-warp launches its recurrence replay (or the
+calendar replay, for a launch that replay hands off); a spy asserts that
+the core, not an event-engine fallback, served each launch.
 
 The edge-case classes drive the core directly on launches the AES battery
 cannot produce: write-only store streams (stores retire at LD/ST egress
@@ -184,7 +185,7 @@ class TestGoldenParity:
         assert core_runs == [True]
 
     def test_multi_warp_launch_runs_on_the_core(self, core_runs):
-        # 64 lines = two warps: the calendar replay serves them.
+        # 64 lines = two warps: the recurrence replay serves them.
         golden, batched = encrypt_both(make_policy("rss_rts", 8),
                                        lines=64)
         assert_kernel_results_equal(golden, batched)
@@ -249,7 +250,7 @@ class TestDefaultPhasesRunOnTheCore:
     @pytest.mark.parametrize("form", ["plain", "checkpoint", "supervised"])
     def test_every_multi_warp_sample_runs_on_the_core_once(
             self, form, core_runs, tmp_path):
-        # 64-line samples: two warps per launch, on the calendar replay.
+        # 64-line samples: two warps per launch, on the recurrence replay.
         ctx = ExperimentContext(root_seed=2018, samples=self.SAMPLES,
                                 lines=64)
         campaign = CampaignStats()

@@ -15,6 +15,9 @@ The workloads:
   engine, on the event engine and under ``Telemetry(profile=True)``;
 * *wide*: 2 timed 128-line (4-warp) ``rss_rts`` M=8 launches, on the
   default engine and on the event engine;
+* *fig18*: one timed 1024-line (32-warp) ``rss_rts`` M=8 launch, handed
+  to the timing core as its phase hands it, on the recurrence replay and
+  forced onto the calendar replay;
 * *sample axis*: one 32-sample timed 32-line ``rss_rts`` M=8 phase, which
   the timing core takes in slabs of many samples, against the same
   samples launched one ``encrypt`` at a time;
@@ -22,13 +25,14 @@ The workloads:
   and drained through the shard lease protocol in 1-sample chunks;
 * *appends*: 512 fsync'd run-journal appends.
 
-Every value but one is the best of three runs. Each round runs every
+Every value but two is the best of three runs. Each round runs every
 side of a workload once, in the reverse order of the round before, so a
 slow spell on a shared host hits both sides of a ratio and a drifting
-host favours neither. The exception is the sample-axis gain, the median
-over five such rounds of each round's ``single / phase`` CPU ratio: both
-sides of a round run back to back, so a slow spell slows both, where a
-best of three can pair one side's fast spell with the other's slow one.
+host favours neither. The exceptions are the sample-axis gain and the
+recurrence replay's gain over the calendar, each the median over five
+such rounds of each round's CPU ratio: both sides of a round run back to
+back, so a slow spell slows both, where a best of three can pair one
+side's fast spell with the other's slow one.
 The CPU-bound values (simulated cycles per second, the
 speedup over the event engine, the profiler's overhead and milliseconds
 per counts sample) are timed with ``time.process_time``; the journal and
@@ -39,7 +43,9 @@ guards against and shows the value crossing the bound by a quarter or
 more. Most controls measure once, since the regression dwarfs the noise.
 The sample-axis control does not: one-sample slabs cost about what one
 launch at a time costs, so it measures both sides under its patch, the
-median of five paired rounds, as its gate does.
+median of five paired rounds, as its gate does; nor do the multi-warp
+control and the recurrence replay's, whose sides cost nearly alike under
+their patches.
 A timed phase reaches the timing core through its batch entry,
 ``BatchedTimingCore.run_samples``, one call per slab of samples, so the
 controls of the timed floors patch that entry and inject their
@@ -52,6 +58,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List
+from unittest.mock import patch
 
 import pytest
 
@@ -62,7 +69,8 @@ from repro.experiments.checkpoint import CheckpointStore, campaign_fingerprint
 from repro.experiments.runner import PhaseWork
 from repro.experiments.shard import LeaseManager, ShardPolicy
 from repro.gpu.batched import BatchedCountsCore
-from repro.gpu.timed_batch import BatchedTimingCore, UnsupportedLaunch
+from repro.gpu.timed_batch import (BatchedTimingCore, UnsupportedLaunch,
+                                   _HandOff)
 from repro.telemetry import Telemetry
 from repro.telemetry.journal import RunJournal
 from repro.telemetry.tracer import Tracer
@@ -82,10 +90,16 @@ TIMED = ExperimentContext(root_seed=2018, samples=LAUNCHES)
 WIDE = ExperimentContext(root_seed=2018, samples=WIDE_LAUNCHES, lines=128)
 PHASE = ExperimentContext(root_seed=2018, samples=PHASE_SAMPLES)
 COUNTS = ExperimentContext(root_seed=2018, samples=SAMPLES, lines=256)
+FIG18 = ExperimentContext(root_seed=2018, samples=1, lines=1024)
 
 SIM_CYCLES_PER_SECOND_FLOOR = 400_000
 SPEEDUP_VS_EVENT_FLOOR = 1.5
 MULTI_WARP_SPEEDUP_FLOOR = 1.5
+#: A 32-warp launch's CPU on the calendar replay over the recurrence
+#: replay's. In 20 runs on a shared 2-CPU VM the gate read 1.39-2.30 and
+#: its negative control 0.51-0.76 (bound 0.92): the worst of each lands
+#: 1.21x from its line.
+RECURRENCE_SPEEDUP_FLOOR = 1.15
 #: Samples per CPU second of a batched phase over one launch at a time
 #: (measured 2.8 on a 2-CPU VM).
 SAMPLE_AXIS_SPEEDUP_FLOOR = 1.4
@@ -152,6 +166,35 @@ def phase():
     return collect_records(PHASE, POLICY, PHASE_SAMPLES)[1]
 
 
+def fig18_batch():
+    """The timing core and the one-sample 1024-line batch a fig18 phase
+    hands it."""
+    batches = []
+    run_samples = BatchedTimingCore.run_samples
+
+    def spy(self, batch):
+        batches.append((self, batch))
+        return run_samples(self, batch)
+
+    with patch.object(BatchedTimingCore, "run_samples", spy):
+        collect_records(FIG18, POLICY, 1)
+    return batches[0]
+
+
+def decline(self, launch):
+    raise _HandOff("forced")
+
+
+def replay_sides(core, batch):
+    """The batch on the default path, and forced onto the calendar."""
+    def calendar():
+        with patch.object(BatchedTimingCore, "_replay_recurrences", decline):
+            return core.run_samples(batch)
+
+    return {"default": lambda: core.run_samples(batch),
+            "calendar": calendar}
+
+
 def one_at_a_time():
     """The phase's samples, one ``encrypt`` each, with the same streams."""
     server = build_server(PHASE, POLICY)
@@ -162,12 +205,18 @@ def one_at_a_time():
             for index, plaintext in enumerate(plaintexts)]
 
 
+def paired_ratio(slow, fast):
+    """The median over rounds of each round's ``slow / fast`` CPU
+    ratio."""
+    return statistics.median(one / other
+                             for one, other in zip(slow.cpus, fast.cpus))
+
+
 def samples_per_cpu_second_gain(batched, single):
     """The phase's samples per CPU second over one launch at a time's:
     the median over rounds of each round's ``single / batched`` CPU
     ratio."""
-    return statistics.median(one / many
-                             for many, one in zip(batched.cpus, single.cpus))
+    return paired_ratio(single, batched)
 
 
 def profiled():
@@ -236,6 +285,11 @@ def wide_timing():
 
 
 @pytest.fixture(scope="module")
+def recurrence_timing():
+    return measure(replay_sides(*fig18_batch()), rounds=PAIRED_ROUNDS)
+
+
+@pytest.fixture(scope="module")
 def sample_axis():
     return measure({"phase": phase, "single": one_at_a_time},
                    rounds=PAIRED_ROUNDS)
@@ -279,6 +333,17 @@ class TestMultiWarpLaunches:
 
     def test_records_identical(self, wide_timing):
         assert wide_timing["default"].records == wide_timing["event"].records
+
+
+class TestRecurrenceReplay:
+    def test_speedup_over_the_calendar(self, recurrence_timing):
+        assert paired_ratio(recurrence_timing["calendar"],
+                            recurrence_timing["default"]) \
+            >= RECURRENCE_SPEEDUP_FLOOR
+
+    def test_records_identical(self, recurrence_timing):
+        assert recurrence_timing["default"].records \
+            == recurrence_timing["calendar"].records
 
 
 class TestSampleAxis:
@@ -354,9 +419,33 @@ class TestNegativeControls:
             return results
 
         monkeypatch.setattr(BatchedTimingCore, "run_samples", decline)
-        fallen = measure({"default": wide, "event": event_wide})
-        assert fallen["event"].cpu / fallen["default"].cpu \
+        # The default side does strictly more work (the core's replay,
+        # then the event engine), so the ratio sits near one: the median
+        # of paired rounds, not a best of three that one fast round on
+        # either side could decide.
+        fallen = measure({"default": wide, "event": event_wide},
+                         rounds=PAIRED_ROUNDS)
+        assert paired_ratio(fallen["event"], fallen["default"]) \
             < MULTI_WARP_SPEEDUP_FLOOR / MARGIN
+
+    def test_a_replay_that_hands_every_launch_off_breaks_the_floor(
+            self, monkeypatch):
+        # Every launch is handed off at the end of its recurrence replay,
+        # the most a hand-off can cost: the default side then runs both
+        # replays.
+        core, batch = fig18_batch()
+        replay = BatchedTimingCore._replay_recurrences
+
+        def hand_off(self, launch):
+            replay(self, launch)
+            raise _HandOff("forced")
+
+        monkeypatch.setattr(BatchedTimingCore, "_replay_recurrences",
+                            hand_off)
+        fallen = measure(replay_sides(core, batch), rounds=PAIRED_ROUNDS)
+        assert core.handoffs["forced"] >= PAIRED_ROUNDS
+        assert paired_ratio(fallen["calendar"], fallen["default"]) \
+            < RECURRENCE_SPEEDUP_FLOOR / MARGIN
 
     def test_a_core_one_cycle_off_breaks_cycle_parity(self, timing,
                                                       monkeypatch):
